@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +43,11 @@ DIRECTIVITY_K = 4.36
 # reversed-speaker sensitivity: flat through the audible range, linear
 # decay to -12 dB at the 24 kHz band edge
 DEFAULT_RESPONSE_CURVE = ((0.0, 0.0), (18_000.0, 0.0), (24_000.0, -12.0))
+
+# transfer gains of recent (length, rate, geometry, response) keys: a
+# session sends bursts of a few recurring lengths through one room
+TRANSFER_CACHE_SIZE = 8
+_TRANSFER_CACHE: OrderedDict[tuple, np.float64 | np.ndarray] = OrderedDict()
 
 
 class NoiseKind(enum.Enum):
@@ -140,6 +146,33 @@ def _transfer_gain_db(model: ChannelModel, freqs: np.ndarray) -> np.ndarray:
     return gains
 
 
+def _transfer_gain(model: ChannelModel, n: int):
+    """Signal-path gain for an n-sample buffer: a scalar when the gain is
+    uniform over frequency, else the read-only rFFT mask.
+
+    Memoised in a small LRU keyed by n, the sample rate and the fields
+    `_transfer_gain_db` reads, so models that differ only in seed or
+    noise share an entry.
+    """
+    key = (n, model.sample_rate, model.distance, model.angle_off_axis,
+           model.cone_diameter, model.speed_of_sound, model.response_curve)
+    gain = _TRANSFER_CACHE.get(key)
+    if gain is not None:
+        _TRANSFER_CACHE.move_to_end(key)
+        return gain
+    freqs = np.fft.rfftfreq(n, d=1.0 / model.sample_rate)
+    gain_db = _transfer_gain_db(model, freqs)
+    if np.allclose(gain_db, gain_db[0], atol=1e-12):
+        gain = 10.0 ** (gain_db[0] / 20.0)
+    else:
+        gain = 10.0 ** (gain_db / 20.0)
+        gain.flags.writeable = False
+    _TRANSFER_CACHE[key] = gain
+    if len(_TRANSFER_CACHE) > TRANSFER_CACHE_SIZE:
+        _TRANSFER_CACHE.popitem(last=False)
+    return gain
+
+
 def reference_received_power(model: ChannelModel) -> float:
     """Power of the 19 kHz reference tone at 1 m on-axis, after the
     speaker response.  The anchor for base_snr_at_1m and noise levels."""
@@ -233,14 +266,12 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
     n = len(tx)
     if n == 0:
         return tx
-    freqs = np.fft.rfftfreq(n, d=1.0 / tx.sample_rate)
-    gain_db = _transfer_gain_db(model, freqs)
-    if np.allclose(gain_db, gain_db[0], atol=1e-12):
+    gain = _transfer_gain(model, n)
+    if np.ndim(gain) == 0:
         # uniform gain: skip the FFT so the identity case is sample-exact
-        y = tx.samples * 10.0 ** (gain_db[0] / 20.0)
+        y = tx.samples * gain
     else:
-        mask = 10.0 ** (gain_db / 20.0)
-        y = np.fft.irfft(np.fft.rfft(tx.samples) * mask, n)
+        y = np.fft.irfft(np.fft.rfft(tx.samples) * gain, n)
     if model.sample_shift_delay:
         shift = int(round(model.propagation_delay * tx.sample_rate))
         y = np.concatenate([np.zeros(shift), y])

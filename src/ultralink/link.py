@@ -143,6 +143,16 @@ class LinkConfig:
     min_bit_rate: float = 10.0
     max_bit_rate: float = 500.0
 
+    def __post_init__(self):
+        if self.min_bit_rate > self.max_bit_rate:
+            raise ConfigError(
+                f"min_bit_rate {self.min_bit_rate} above max_bit_rate {self.max_bit_rate}"
+            )
+        if self.t_max <= 0:
+            raise ConfigError(f"t_max must be positive, got {self.t_max}")
+        if self.retask_latency <= 0:
+            raise ConfigError(f"retask_latency must be positive, got {self.retask_latency}")
+
 
 # ---------------------------------------------------------------- state
 

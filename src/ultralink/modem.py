@@ -5,7 +5,8 @@ continuous-phase (one phase accumulator across bit boundaries) to avoid
 clicks and spectral splatter.  Demodulation projects each bit slot onto
 complex exponentials at the two carriers and compares energies; the
 preamble detector slides the same projection over candidate offsets at
-1/8-slot granularity.
+1/8-slot granularity.  The carrier phasors come from one shared table per
+(carrier, sample rate), so receivers do not rebuild them per buffer.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ PREAMBLE_PATTERN = np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)
 # least this mean confidence before it counts as a preamble
 PREAMBLE_MIN_SCORE = 0.5
 PREAMBLE_SEARCH_DIVISOR = 8  # candidates every 1/8 bit slot
+# the preamble scan scores this many candidates first, then doubles the
+# block on each miss (16 slots: a short frame gap is found in one block)
+PREAMBLE_FIRST_BLOCK = 16 * PREAMBLE_SEARCH_DIVISOR
+
+# shared carrier phasor tables, (carrier Hz, sample rate) -> read-only array
+PHASOR_TABLE_MIN = 16_384
+_PHASOR_TABLES: dict[tuple[float, int], np.ndarray] = {}
 
 
 class ConfigError(Exception):
@@ -94,6 +102,24 @@ class PreambleHit(NamedTuple):
     score: float
 
 
+def carrier_phasor(freq: float, sample_rate: int, n: int) -> np.ndarray:
+    """exp(-2j*pi*freq/sample_rate*k) for k < n, as a read-only view.
+
+    One table per (freq, sample_rate), grown to the longest n requested
+    (at least PHASOR_TABLE_MIN samples).  Each element is computed exactly
+    as a fresh np.exp over np.arange(n) computes it, so callers get
+    bit-identical results.
+    """
+    key = (freq, sample_rate)
+    table = _PHASOR_TABLES.get(key)
+    if table is None or len(table) < n:
+        k = np.arange(max(n, PHASOR_TABLE_MIN))
+        table = np.exp(-2j * np.pi * freq / sample_rate * k)
+        table.flags.writeable = False
+        _PHASOR_TABLES[key] = table
+    return table[:n]
+
+
 def modulate(bits: Bitsish, cfg: ModemConfig) -> SampleBuffer:
     """Bits to waveform: one constant-frequency slot per bit, phase-continuous.
 
@@ -140,11 +166,8 @@ def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> De
     if n_slots == 0:
         return DemodResult(np.zeros(0, dtype=np.uint8), np.zeros(0), 0)
     view = buf.samples[start_offset:start_offset + n_slots * spb].reshape(n_slots, spb)
-    k = np.arange(spb)
-    basis0 = np.exp(-2j * np.pi * cfg.f0 / buf.sample_rate * k)
-    basis1 = np.exp(-2j * np.pi * cfg.f1 / buf.sample_rate * k)
-    e0 = np.abs(view @ basis0 / spb) ** 2
-    e1 = np.abs(view @ basis1 / spb) ** 2
+    e0 = np.abs(view @ carrier_phasor(cfg.f0, buf.sample_rate, spb) / spb) ** 2
+    e1 = np.abs(view @ carrier_phasor(cfg.f1, buf.sample_rate, spb) / spb) ** 2
     bits = (e1 > e0).astype(np.uint8)
     total = e0 + e1
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -156,7 +179,9 @@ class ToneScanner:
     """Sliding tone-energy probe over one buffer, for synchronization.
 
     Precomputes cumulative complex projections at f0 and f1 so the energy
-    of any sample window is O(1).  Used by the preamble detector and the
+    of any sample window is O(1).  The carrier phasors are slices of the
+    shared `carrier_phasor` tables, so set-up is one multiply and one
+    cumulative sum per carrier.  Used by the preamble detector and the
     burst receiver; one instance per received buffer.
     """
 
@@ -169,14 +194,16 @@ class ToneScanner:
         self.n = len(buf)
         self.spb = cfg.samples_per_bit
         self.step = max(1, self.spb // PREAMBLE_SEARCH_DIVISOR)
-        n = np.arange(self.n)
-        x = buf.samples
-        self._cum0 = np.concatenate(
-            [[0.0 + 0.0j], np.cumsum(x * np.exp(-2j * np.pi * cfg.f0 / cfg.sample_rate * n))]
-        )
-        self._cum1 = np.concatenate(
-            [[0.0 + 0.0j], np.cumsum(x * np.exp(-2j * np.pi * cfg.f1 / cfg.sample_rate * n))]
-        )
+        self._cum0 = self._cumulative_projection(buf.samples, cfg.f0)
+        self._cum1 = self._cumulative_projection(buf.samples, cfg.f1)
+
+    def _cumulative_projection(self, x: np.ndarray, freq: float) -> np.ndarray:
+        # in place in one array: no temporaries the size of the buffer
+        cum = np.empty(self.n + 1, dtype=complex)
+        cum[0] = 0.0
+        np.multiply(x, carrier_phasor(freq, self.cfg.sample_rate, self.n), out=cum[1:])
+        np.cumsum(cum[1:], out=cum[1:])
+        return cum
 
     def _window_energies(self, starts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         stops = starts + width
@@ -213,24 +240,36 @@ class ToneScanner:
         """First offset >= search_from that looks like '101010'.
 
         Scans at 1/8-slot granularity; on a hit, refines over the next
-        full slot of candidates and returns the best-scoring one.
+        full slot of candidates and returns the best-scoring one.  The
+        candidates are scored in blocks, the first PREAMBLE_FIRST_BLOCK
+        long and each later one twice the last, every block extended by
+        PREAMBLE_SEARCH_DIVISOR candidates so a hit in its last offset
+        still has its whole refinement window.  The search stops at the
+        first block holding a hit, so recovering a burst frame by frame
+        scores each offset about once, and the hit is the one a scan of
+        every offset to the end of the buffer returns.
         """
         span = len(PREAMBLE_PATTERN) * self.spb
         last_start = self.n - span
         if last_start < search_from:
             return None
-        offsets = np.arange(search_from, last_start + 1, self.step)
-        matches, scores = self._candidate_scores(offsets)
-        passing = matches & (scores >= PREAMBLE_MIN_SCORE)
-        hits = np.flatnonzero(passing)
-        if hits.size == 0:
-            return None
-        first = hits[0]
-        # refine: best score among passing candidates within one slot
-        window = passing[first:first + PREAMBLE_SEARCH_DIVISOR + 1]
-        local_scores = np.where(window, scores[first:first + PREAMBLE_SEARCH_DIVISOR + 1], -1.0)
-        best = first + int(np.argmax(local_scores))
-        return PreambleHit(int(offsets[best]), float(scores[best]))
+        n_offsets = (last_start - search_from) // self.step + 1
+        lo, size = 0, PREAMBLE_FIRST_BLOCK
+        while lo < n_offsets:
+            stop = min(lo + size + PREAMBLE_SEARCH_DIVISOR, n_offsets)
+            block = search_from + self.step * np.arange(lo, stop)
+            matches, scores = self._candidate_scores(block)
+            passing = matches & (scores >= PREAMBLE_MIN_SCORE)
+            hits = np.flatnonzero(passing[:size])
+            if hits.size:
+                first = hits[0]
+                # refine: best score among passing candidates within one slot
+                window = slice(first, first + PREAMBLE_SEARCH_DIVISOR + 1)
+                local_scores = np.where(passing[window], scores[window], -1.0)
+                best = first + int(np.argmax(local_scores))
+                return PreambleHit(int(block[best]), float(scores[best]))
+            lo, size = lo + size, 2 * size
+        return None
 
 
 def detect_preamble(

@@ -1,14 +1,18 @@
 """Simulated-medium tests: geometry, noise shaping, frozen presets."""
 
 import math
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ultralink import channel
 from ultralink.audio import SampleBuffer
 from ultralink.channel import (
     PAPER_3M_BASE_SNR_DB,
     PAPER_8M_BASE_SNR_DB,
+    TRANSFER_CACHE_SIZE,
     ChannelModel,
     NoiseKind,
     NoiseProfile,
@@ -129,6 +133,67 @@ class TestPropagate:
         buf = SampleBuffer(np.zeros(1000), 44100)
         with pytest.raises(ConfigError):
             propagate(buf, ChannelModel())
+
+
+@pytest.fixture
+def transfer_cache(monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(channel, "_TRANSFER_CACHE", cache)
+    return cache
+
+
+class TestTransferCache:
+    FLAT = ChannelModel(response_curve=((0.0, 0.0), (24000.0, 0.0)))
+
+    def tx(self, n_bits=60, seed=1):
+        bits = np.random.default_rng(seed).integers(0, 2, n_bits, dtype=np.uint8)
+        return modulate(bits, ModemConfig(bit_rate=166))
+
+    def test_cold_and_warm_cache_byte_identical(self, transfer_cache):
+        tx = self.tx()
+        for model in (preset("paper-3m"), preset("paper-8m"), self.FLAT,
+                      replace(self.FLAT, distance=0.5), ChannelModel(distance=2.0, angle_off_axis=45.0)):
+            transfer_cache.clear()
+            cold = propagate(tx, model, seed=4)
+            warm = propagate(tx, model, seed=4)
+            assert len(transfer_cache) == 1
+            assert cold.samples.tobytes() == warm.samples.tobytes()
+
+    def test_models_differing_only_in_seed_share_an_entry(self, transfer_cache):
+        tx = self.tx()
+        a = propagate(tx, preset("paper-3m", seed=1))
+        b = propagate(tx, preset("paper-3m", seed=2))
+        assert len(transfer_cache) == 1
+        assert not np.array_equal(a.samples, b.samples)
+
+    def test_masks_read_only(self, transfer_cache):
+        propagate(self.tx(), preset("paper-3m"))
+        (mask,) = transfer_cache.values()
+        assert mask.ndim == 1 and not mask.flags.writeable
+
+    def test_uniform_gain_stays_sample_exact(self, transfer_cache):
+        # closer than 1 m: +6 dB spreading gain, no absorption, flat response
+        tx = self.tx()
+        for _ in range(2):
+            rx = propagate(tx, replace(self.FLAT, distance=0.5))
+            (gain,) = transfer_cache.values()
+            assert np.ndim(gain) == 0 and gain == pytest.approx(2.0)
+            assert np.array_equal(rx.samples, tx.samples * gain)
+        for _ in range(2):
+            assert np.array_equal(propagate(tx, replace(self.FLAT, distance=1.0)).samples, tx.samples)
+
+    def test_lru_bounded(self, transfer_cache):
+        model = preset("paper-3m")
+        lengths = [100 + k for k in range(TRANSFER_CACHE_SIZE + 3)]
+        for n in lengths:
+            propagate(SampleBuffer(np.ones(n), FS), model)
+        assert len(transfer_cache) == TRANSFER_CACHE_SIZE
+        # the least recently used lengths went first; a hit refreshes an entry
+        kept = [key[0] for key in transfer_cache]
+        assert kept == lengths[-TRANSFER_CACHE_SIZE:]
+        propagate(SampleBuffer(np.ones(kept[0]), FS), model)
+        propagate(SampleBuffer(np.ones(5000), FS), model)
+        assert [key[0] for key in transfer_cache] == kept[2:] + [kept[0], 5000]
 
 
 class TestNoise:

@@ -24,13 +24,33 @@ from ultralink.link import (
     unidirectional_schedule,
     verify_trace,
 )
-from ultralink.modem import ModemConfig
+from ultralink.modem import ConfigError, ModemConfig
 
 CFG = LinkConfig(modem=ModemConfig(bit_rate=166))
 
 
 def payload_bytes(n, seed=7):
     return bytes(np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8))
+
+
+class TestLinkConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"min_bit_rate": 200.0, "max_bit_rate": 100.0},
+            {"t_max": 0.0},
+            {"t_max": -1.0},
+            {"retask_latency": 0.0},
+            {"retask_latency": -0.05},
+        ],
+    )
+    def test_invalid_configs_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            LinkConfig(**kwargs)
+
+    def test_equal_rate_bounds_accepted(self):
+        cfg = LinkConfig(min_bit_rate=166.0, max_bit_rate=166.0)
+        assert cfg.min_bit_rate == cfg.max_bit_rate
 
 
 class TestStep:

@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import awgn_per_band_snr
+from ultralink import burst, link, modem
 from ultralink.audio import SampleBuffer
 from ultralink.bits import as_bits
+from ultralink.channel import preset
 from ultralink.modem import (
+    PHASOR_TABLE_MIN,
+    PREAMBLE_FIRST_BLOCK,
+    PREAMBLE_MIN_SCORE,
+    PREAMBLE_PATTERN,
+    PREAMBLE_SEARCH_DIVISOR,
     ConfigError,
     ModemConfig,
+    PreambleHit,
+    ToneScanner,
+    carrier_phasor,
     demodulate,
     detect_preamble,
     modulate,
@@ -20,6 +30,7 @@ from ultralink.modem import (
 
 CFG10 = ModemConfig(bit_rate=10)
 CFG166 = ModemConfig(bit_rate=166)
+CFG500 = ModemConfig(bit_rate=500)   # short slots: many scan blocks per buffer
 
 
 class TestConfig:
@@ -212,3 +223,170 @@ class TestDetectPreamble:
         second = detect_preamble(buf, CFG166, search_from=first.offset + len(one))
         assert abs(first.offset - 0) <= 40
         assert abs(second.offset - (len(one) + len(gap))) <= 40
+
+
+def full_scan(scanner, search_from=0):
+    """Reference preamble search: score every candidate offset to the end
+    of the buffer at once, then refine around the first passing one."""
+    span = len(PREAMBLE_PATTERN) * scanner.spb
+    last_start = scanner.n - span
+    if last_start < search_from:
+        return None
+    offsets = np.arange(search_from, last_start + 1, scanner.step)
+    matches, scores = scanner._candidate_scores(offsets)
+    passing = matches & (scores >= PREAMBLE_MIN_SCORE)
+    hits = np.flatnonzero(passing)
+    if hits.size == 0:
+        return None
+    first = hits[0]
+    window = passing[first:first + PREAMBLE_SEARCH_DIVISOR + 1]
+    local_scores = np.where(window, scores[first:first + PREAMBLE_SEARCH_DIVISOR + 1], -1.0)
+    best = first + int(np.argmax(local_scores))
+    return PreambleHit(int(offsets[best]), float(scores[best]))
+
+
+def block_edges(count):
+    """Candidate index where each of the first `count` scan blocks ends."""
+    edges, end, size = [], 0, PREAMBLE_FIRST_BLOCK
+    for _ in range(count):
+        end += size
+        edges.append(end)
+        size *= 2
+    return edges
+
+
+def preamble_wave(cfg, payload_bits=()):
+    return modulate(np.concatenate([PREAMBLE_PATTERN, np.asarray(payload_bits, np.uint8)]), cfg)
+
+
+def place(samples, wave, start):
+    stop = min(start + len(wave), len(samples))
+    samples[start:stop] += wave.samples[:stop - start]
+
+
+@st.composite
+def scan_cases(draw):
+    cfg = draw(st.sampled_from([CFG166, CFG500]))
+    spb = cfg.samples_per_bit
+    step = max(1, spb // PREAMBLE_SEARCH_DIVISOR)
+    span = len(PREAMBLE_PATTERN) * spb
+    n = draw(st.integers(span, 250 * spb))
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    samples = sigma * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    search_from = draw(st.one_of(st.just(0), st.integers(0, n // 4), st.integers(0, n)))
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["anywhere", "block edge", "buffer end"]))
+        edges = [e for e in block_edges(4) if search_from + (e + 8) * step + span <= n]
+        if where == "block edge" and edges:
+            edge = draw(st.sampled_from(edges))
+            start = search_from + (edge + draw(st.integers(-2 * PREAMBLE_SEARCH_DIVISOR, 8))) * step
+            start += draw(st.integers(0, step - 1))
+        elif where == "buffer end":
+            start = n - span - draw(st.integers(-spb, 3 * spb))
+        else:
+            start = draw(st.integers(0, n - 1))
+        if 0 <= start < n:
+            payload = draw(st.lists(st.integers(0, 1), max_size=12))
+            place(samples, preamble_wave(cfg, payload), start)
+    return cfg, samples, search_from
+
+
+class TestBoundedPreambleScan:
+    @given(scan_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_scan(self, case):
+        cfg, samples, search_from = case
+        scanner = ToneScanner(SampleBuffer(samples, cfg.sample_rate), cfg)
+        assert scanner.find_preamble(search_from) == full_scan(scanner, search_from)
+
+    @pytest.mark.parametrize("edge", block_edges(4))
+    def test_hits_around_block_edges(self, edge):
+        # slide one clean preamble across the end of a scan block, so the
+        # first passing candidate lands just before, on and after the edge
+        cfg = CFG500
+        step = cfg.samples_per_bit // PREAMBLE_SEARCH_DIVISOR
+        n = (edge + 40) * step + 8 * cfg.samples_per_bit
+        wave = preamble_wave(cfg, [1, 1, 0, 0])
+        landed = set()
+        for k in range(-3 * PREAMBLE_SEARCH_DIVISOR, PREAMBLE_SEARCH_DIVISOR):
+            samples = np.zeros(n)
+            place(samples, wave, (edge + k) * step + step // 3)
+            scanner = ToneScanner(SampleBuffer(samples, cfg.sample_rate), cfg)
+            hit = scanner.find_preamble(0)
+            assert hit == full_scan(scanner, 0)
+            landed.add(hit.offset // step - edge)
+        assert min(landed) < 0 <= max(landed)
+
+    def test_hit_at_buffer_end(self):
+        cfg = CFG166
+        wave = preamble_wave(cfg)
+        for tail in range(0, cfg.samples_per_bit, 7):
+            n = 300 * cfg.samples_per_bit + tail
+            samples = np.zeros(n)
+            place(samples, wave, n - len(wave))
+            scanner = ToneScanner(SampleBuffer(samples, cfg.sample_rate), cfg)
+            hit = scanner.find_preamble(5)
+            assert hit is not None and hit == full_scan(scanner, 5)
+
+    def test_recover_frames_unchanged_over_criterion_5_sessions(self, monkeypatch):
+        # every burst that every 25th criterion-5 session hands the receiver,
+        # recovered with the bounded scan and again with the full scan
+        calls = []
+        original = burst.recover_frames
+
+        def recording(buf, cfg, search_from=0):
+            scan = original(buf, cfg, search_from)
+            calls.append((buf, cfg, search_from, scan))
+            return scan
+
+        monkeypatch.setattr(burst, "recover_frames", recording)
+        link_cfg = link.LinkConfig(modem=CFG166)
+        payload = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
+        for seed in range(0, 1000, 25):
+            link.run_session(link_cfg, link_cfg, preset("paper-3m"), payload, seed=seed, budget=900.0)
+        assert sum(len(scan.frames) for *_, scan in calls) > 100
+        assert any(scan.corrupt_offsets for *_, scan in calls)
+
+        monkeypatch.setattr(ToneScanner, "find_preamble", full_scan)
+        for buf, cfg, search_from, scan in calls:
+            reference = original(buf, cfg, search_from)
+            assert scan.frames == reference.frames
+            assert scan.corrupt_offsets == reference.corrupt_offsets
+
+
+class TestCarrierPhasor:
+    @staticmethod
+    def fresh(freq, fs, n):
+        return np.exp(-2j * np.pi * freq / fs * np.arange(n))
+
+    def test_bitwise_equal_to_fresh_exp_below_and_above_table(self, monkeypatch):
+        monkeypatch.setattr(modem, "_PHASOR_TABLES", {})
+        freq, fs = 18_500.0, 48_000
+        for n in (1, 289, PHASOR_TABLE_MIN, PHASOR_TABLE_MIN + 4321, 777, 3 * PHASOR_TABLE_MIN + 5):
+            assert carrier_phasor(freq, fs, n).tobytes() == self.fresh(freq, fs, n).tobytes()
+        assert len(modem._PHASOR_TABLES[(freq, fs)]) == 3 * PHASOR_TABLE_MIN + 5
+
+    def test_read_only(self):
+        table = carrier_phasor(19_500.0, 48_000, 100)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+    def test_one_table_per_carrier_and_rate(self, monkeypatch):
+        monkeypatch.setattr(modem, "_PHASOR_TABLES", {})
+        rng = np.random.default_rng(4)
+        for rate in (10.0, 100.0, 166.0, 500.0):
+            cfg = ModemConfig(bit_rate=rate)
+            buf = modulate(rng.integers(0, 2, 20, dtype=np.uint8), cfg)
+            ToneScanner(buf, cfg)
+            demodulate(buf, cfg)
+        assert set(modem._PHASOR_TABLES) == {(18_500.0, 48_000), (19_500.0, 48_000)}
+
+    def test_scanner_projection_bitwise_equal_to_fresh_exp(self, rng):
+        buf = SampleBuffer(rng.standard_normal(5000), 48_000)
+        scanner = ToneScanner(buf, CFG166)
+        for cum, freq in ((scanner._cum0, CFG166.f0), (scanner._cum1, CFG166.f1)):
+            expected = np.concatenate(
+                [[0.0 + 0.0j], np.cumsum(buf.samples * self.fresh(freq, 48_000, len(buf)))]
+            )
+            assert cum.tobytes() == expected.tobytes()
