@@ -7,6 +7,10 @@ sweep recording and a silence recording are short-time analyzed with
 The defensive side has a linear-phase FIR low-pass (blocks the whole
 covert band) and an energy detector that scans 18-24 kHz for sustained
 peaks over a rolling noise floor and flags two-tone keying patterns.
+
+scipy.signal is imported inside the three functions that use it (the
+Gaussian window, the FIR design and its convolution), so importing the
+package loads numpy and its own modules only.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .audio import SampleBuffer
 from .bits import as_bits
@@ -57,6 +60,8 @@ def _windowed_band_powers(
         raise ValueError(
             f"buffer of {n / fs:.3f} s shorter than one {ANALYSIS_WINDOW_MS} ms window"
         )
+    from scipy import signal as sp_signal  # heavy; loaded on first use only
+
     count = (n - win_len) // hop + 1
     window = sp_signal.windows.gaussian(win_len, std=win_len / 6.0)
     starts = hop * np.arange(count)
@@ -274,6 +279,8 @@ def design_lowpass(cutoff: float, sample_rate: int) -> np.ndarray:
     """Linear-phase FIR taps: ~1 kHz passband margin, >=40 dB by +1 kHz."""
     if not 0 < cutoff < sample_rate / 2:
         raise ValueError(f"cutoff {cutoff} Hz outside (0, Nyquist)")
+    from scipy import signal as sp_signal  # heavy; loaded on first use only
+
     transition = min(2000.0, cutoff, sample_rate / 2 - cutoff) / (sample_rate / 2)
     numtaps, beta = sp_signal.kaiserord(65.0, transition)
     numtaps |= 1  # odd length for a symmetric (type I) filter
@@ -286,6 +293,8 @@ def lowpass_filter(buf: SampleBuffer, cutoff: float) -> SampleBuffer:
     Output length equals input length, so a filtered recording stays
     aligned with the original for BER accounting.
     """
+    from scipy import signal as sp_signal  # heavy; loaded on first use only
+
     taps = design_lowpass(cutoff, buf.sample_rate)
     delay = (taps.size - 1) // 2
     padded = np.concatenate([buf.samples, np.zeros(delay)])

@@ -85,15 +85,14 @@ def recover_frames(buf: SampleBuffer, cfg: ModemConfig, search_from: int = 0) ->
         return BurstScan(frames, corrupt)
     # pad with one silent slot so a lock that lands a few samples late on
     # the final frame still has a full window to decode from
-    padded = SampleBuffer(np.concatenate([buf.samples, np.zeros(spb)]), buf.sample_rate)
-    scanner = ToneScanner(padded, cfg)
+    scanner = ToneScanner(buf, cfg, pad=spb)
     pos = search_from
     while True:
         hit = scanner.find_preamble(pos)
         if hit is None:
             break
         offset = hit.offset
-        if offset + frame_span > len(padded):
+        if offset + frame_span > scanner.n:
             break
         bits, _ = scanner.decode_bits(offset, framing.FRAME_BITS)
         try:

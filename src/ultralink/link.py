@@ -129,6 +129,12 @@ LinkAction = Union[Transmit, Retask, SetTimer, CancelTimer, DeliverData, AdjustB
 
 # ---------------------------------------------------------------- config
 
+# a DATA frame's 8-bit seq resolves to one of the SEQ_WINDOW chunk indices
+# from the receiver's next needed chunk on; older seqs are duplicates from
+# the previous window, so one turn must never carry more chunks than this
+SEQ_WINDOW = 224
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Per-node protocol parameters on top of the modem config."""
@@ -152,6 +158,16 @@ class LinkConfig:
             raise ConfigError(f"t_max must be positive, got {self.t_max}")
         if self.retask_latency <= 0:
             raise ConfigError(f"retask_latency must be positive, got {self.retask_latency}")
+        try:
+            fastest = self.modem.at_rate(max(self.modem.bit_rate, self.max_bit_rate))
+        except ConfigError as err:
+            raise ConfigError(f"max_bit_rate {self.max_bit_rate} beyond the modem: {err}") from None
+        capacity = _turn_frame_capacity(self, fastest)
+        if capacity > SEQ_WINDOW:
+            raise ConfigError(
+                f"a {self.t_max} s turn at {fastest.bit_rate} bit/s holds {capacity} frames, "
+                f"more than the {SEQ_WINDOW}-chunk seq window"
+            )
 
 
 # ---------------------------------------------------------------- state
@@ -273,10 +289,11 @@ def _spontaneous_delay(st: NodeState) -> float:
     return float(st.rng.uniform(1.3, 1.8))
 
 
-def _turn_frame_capacity(st: NodeState) -> int:
-    slot = _slot_seconds(st)
-    per_frame = (framing.FRAME_BITS + st.cfg.gap_slots) * slot
-    n = int((st.cfg.t_max + st.cfg.gap_slots * slot) / per_frame)
+def _turn_frame_capacity(cfg: LinkConfig, modem: ModemConfig) -> int:
+    """Frames that fit in one turn of at most cfg.t_max at modem's rate."""
+    slot = modem.samples_per_bit / modem.sample_rate
+    per_frame = (framing.FRAME_BITS + cfg.gap_slots) * slot
+    n = int((cfg.t_max + cfg.gap_slots * slot) / per_frame)
     return max(n, 3)
 
 
@@ -294,6 +311,13 @@ def _resolve_at_least(seq8: int, floor_: int) -> int:
 
 # ---------------------------------------------------------------- step
 
+def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator at the same point of the same stream."""
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
+
 def step(state: NodeState, event: LinkEvent) -> tuple[NodeState, list[LinkAction]]:
     """Advance one node by one event.
 
@@ -305,7 +329,11 @@ def step(state: NodeState, event: LinkEvent) -> tuple[NodeState, list[LinkAction
         raise ProtocolError(
             f"event at t={event.time} precedes last event t={state.last_event_time}"
         )
-    st = copy.deepcopy(state)
+    # handlers rebind every field they change except rx_assembly, which
+    # they fill in place; the copy gets its own dict and its own RNG
+    st = copy.copy(state)
+    st.rx_assembly = dict(state.rx_assembly)
+    st.rng = _copy_rng(state.rng)
     st.last_event_time = event.time
     actions: list[LinkAction] = []
     if isinstance(event, ScheduleTick):
@@ -452,7 +480,7 @@ def _on_data(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) -> N
     # any data arrival, duplicate or not, means the peer lacks our ack
     st.got_data_since_feedback = True
     index = _resolve_at_least(msg.seq, st.rx_next_needed)
-    if index >= st.rx_next_needed + 224:
+    if index >= st.rx_next_needed + SEQ_WINDOW:
         index -= 256  # an old duplicate from the previous window
     if index < 0 or index in st.rx_assembly:
         return
@@ -530,7 +558,7 @@ def _build_turn(st: NodeState) -> list[ControlMessage]:
         st.awaiting_rate_ack = st.rate_request
         st.rate_request = 0
     # then a window of data chunks, as many as fit under T_max
-    room = _turn_frame_capacity(st) - len(msgs) - 1
+    room = _turn_frame_capacity(st.cfg, st.modem_now) - len(msgs) - 1
     window = st.tx_unacked[: max(room, 0)]
     for index in window:
         msgs.append(ControlMessage(MessageKind.DATA, seq=index % 256, body=st.tx_queue[index]))

@@ -183,15 +183,19 @@ class ToneScanner:
     shared `carrier_phasor` tables, so set-up is one multiply and one
     cumulative sum per carrier.  Used by the preamble detector and the
     burst receiver; one instance per received buffer.
+
+    `pad` appends that many silent samples to the buffer: the cumulative
+    sums carry them as repeats of their final entry, so no sample is
+    copied and every window energy is the one over the zero-padded buffer.
     """
 
-    def __init__(self, buf: SampleBuffer, cfg: ModemConfig):
+    def __init__(self, buf: SampleBuffer, cfg: ModemConfig, pad: int = 0):
         if buf.sample_rate != cfg.sample_rate:
             raise ConfigError(
                 f"buffer rate {buf.sample_rate} != config rate {cfg.sample_rate}"
             )
         self.cfg = cfg
-        self.n = len(buf)
+        self.n = len(buf) + pad
         self.spb = cfg.samples_per_bit
         self.step = max(1, self.spb // PREAMBLE_SEARCH_DIVISOR)
         self._cum0 = self._cumulative_projection(buf.samples, cfg.f0)
@@ -201,8 +205,10 @@ class ToneScanner:
         # in place in one array: no temporaries the size of the buffer
         cum = np.empty(self.n + 1, dtype=complex)
         cum[0] = 0.0
-        np.multiply(x, carrier_phasor(freq, self.cfg.sample_rate, self.n), out=cum[1:])
-        np.cumsum(cum[1:], out=cum[1:])
+        body = cum[1:len(x) + 1]
+        np.multiply(x, carrier_phasor(freq, self.cfg.sample_rate, len(x)), out=body)
+        np.cumsum(body, out=body)
+        cum[len(x) + 1:] = cum[len(x)]
         return cum
 
     def _window_energies(self, starts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,21 @@
 """Protocol tests: step-level transitions, full sessions, trace invariants."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ultralink import link
 from ultralink.channel import preset
 from ultralink.framing import ControlMessage, MessageKind
 from ultralink.link import (
+    SEQ_WINDOW,
     FrameReceived,
     LinkConfig,
+    NodeState,
     Phase,
     ProtocolError,
     Retask,
@@ -51,6 +59,65 @@ class TestLinkConfig:
     def test_equal_rate_bounds_accepted(self):
         cfg = LinkConfig(min_bit_rate=166.0, max_bit_rate=166.0)
         assert cfg.min_bit_rate == cfg.max_bit_rate
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"t_max": 30.0},                    # 300 frames per turn at 500 bit/s
+            {"t_max": 22.6},                    # 226 frames
+            {"t_max": 12.0, "max_bit_rate": 100.0,  # the modem's own 1000 bit/s is the fastest
+             "modem": ModemConfig(f0=18_000.0, f1=21_000.0, bit_rate=1000.0)},
+        ],
+    )
+    def test_turn_longer_than_seq_window_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="seq window"):
+            LinkConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"t_max": 7.5, "modem": ModemConfig(bit_rate=50.0)},
+            {"t_max": 22.4},                    # exactly 224 frames at 500 bit/s
+            {"t_max": 30.0, "max_bit_rate": 300.0},
+        ],
+    )
+    def test_turn_within_seq_window_accepted(self, kwargs):
+        LinkConfig(**kwargs)
+
+    def test_max_rate_beyond_modem_rejected(self):
+        # 900 Hz tone separation cannot carry the default 500 bit/s ceiling
+        with pytest.raises(ConfigError, match="max_bit_rate"):
+            LinkConfig(modem=ModemConfig(f0=18_200.0, f1=19_100.0))
+        LinkConfig(modem=ModemConfig(f0=18_200.0, f1=19_100.0), max_bit_rate=450.0)
+
+    @given(
+        t_max=st.floats(0.01, 60.0),
+        gap_slots=st.integers(0, 8),
+        modem_rate=st.sampled_from([10.0, 50.0, 166.0, 500.0, 1000.0, 2000.0]),
+        wide=st.booleans(),
+        max_bit_rate=st.floats(10.0, 3000.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_configs_never_overrun_the_window(
+        self, t_max, gap_slots, modem_rate, wide, max_bit_rate
+    ):
+        try:
+            modem = ModemConfig(f0=18_000.0, f1=22_000.0 if wide else 19_000.0, bit_rate=modem_rate)
+            cfg = LinkConfig(modem=modem, t_max=t_max, gap_slots=gap_slots,
+                             min_bit_rate=10.0, max_bit_rate=max_bit_rate)
+        except ConfigError:
+            return
+        # climb every rate negotiation can reach and fill one turn at each
+        node = make_node(cfg, seed=0, name="A", payload=bytes(4 * SEQ_WINDOW))
+        node.phase = Phase.IDLE
+        rates = []
+        while node.bit_rate_current not in rates:
+            rates.append(node.bit_rate_current)
+            turn = link._build_turn(dataclasses.replace(node))
+            data = sum(1 for m in turn if m.kind == MessageKind.DATA)
+            assert data <= SEQ_WINDOW, (node.bit_rate_current, data)
+            node = adapt_bitrate(node, +1)
 
 
 class TestStep:
@@ -165,12 +232,43 @@ class TestStep:
         with pytest.raises(ProtocolError):
             step(node, ScheduleTick(5.0))
 
-    def test_step_does_not_mutate_input(self):
-        node = make_node(CFG, seed=5, name="A", node_id=9)
-        node, _ = step(node, ScheduleTick(0.0))
-        before = (node.phase, node.node_id, node.last_event_time)
-        step(node, FrameReceived(2.0, ControlMessage(MessageKind.DISCOVERY, sender_id=9)))
-        assert (node.phase, node.node_id, node.last_event_time) == before
+    def test_step_does_not_mutate_input(self, monkeypatch):
+        # every event of one criterion-5 session: the input state still
+        # equals a deep snapshot taken before the call, field by field
+        original = link.step
+        seen = {"events": 0, "rx_assembly": 0, "rng_draws": 0}
+
+        def checked(state, event):
+            snapshot = copy.deepcopy(state)
+            new, actions = original(state, event)
+            for f in dataclasses.fields(NodeState):
+                if f.name == "rng":
+                    assert state.rng.bit_generator.state == snapshot.rng.bit_generator.state
+                else:
+                    assert getattr(state, f.name) == getattr(snapshot, f.name), f.name
+            assert new.rx_assembly is not state.rx_assembly
+            assert new.rng is not state.rng
+            seen["events"] += 1
+            seen["rx_assembly"] += bool(state.rx_assembly)
+            seen["rng_draws"] += new.rng.bit_generator.state != state.rng.bit_generator.state
+            return new, actions
+
+        monkeypatch.setattr(link, "step", checked)
+        payload = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
+        trace = run_session(CFG, CFG, preset("paper-3m"), payload, seed=3, budget=900.0)
+        assert trace.summary["delivered_intact"]["B"]
+        assert seen["events"] > 20 and seen["rx_assembly"] > 0 and seen["rng_draws"] > 0
+
+    def test_sessions_match_a_deep_copying_step(self, monkeypatch):
+        payload = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
+        seeds = range(0, 100, 20)
+        shallow = [run_session(CFG, CFG, preset("paper-3m"), payload, seed=s, budget=900.0).to_json()
+                   for s in seeds]
+        original = link.step
+        monkeypatch.setattr(link, "step", lambda state, event: original(copy.deepcopy(state), event))
+        deep = [run_session(CFG, CFG, preset("paper-3m"), payload, seed=s, budget=900.0).to_json()
+                for s in seeds]
+        assert shallow == deep
 
 
 class TestAdaptBitrate:

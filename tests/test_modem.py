@@ -9,7 +9,8 @@ from conftest import awgn_per_band_snr
 from ultralink import burst, link, modem
 from ultralink.audio import SampleBuffer
 from ultralink.bits import as_bits
-from ultralink.channel import preset
+from ultralink.channel import preset, propagate
+from ultralink.framing import FRAME_BITS, ControlMessage, MessageKind
 from ultralink.modem import (
     PHASOR_TABLE_MIN,
     PREAMBLE_FIRST_BLOCK,
@@ -350,6 +351,50 @@ class TestBoundedPreambleScan:
         monkeypatch.setattr(ToneScanner, "find_preamble", full_scan)
         for buf, cfg, search_from, scan in calls:
             reference = original(buf, cfg, search_from)
+            assert scan.frames == reference.frames
+            assert scan.corrupt_offsets == reference.corrupt_offsets
+
+
+def concatenating_scanner(buf, cfg, pad=0):
+    """Reference scanner: the padding is a real zero-padded copy of the buffer."""
+    padded = SampleBuffer(np.concatenate([buf.samples, np.zeros(pad)]), buf.sample_rate)
+    return ToneScanner(padded, cfg)
+
+
+class TestScannerPadding:
+    MESSAGES = [ControlMessage(MessageKind.DATA, seq=i, body=1000 + i) for i in range(3)]
+
+    def test_sums_equal_those_of_a_padded_copy(self, rng):
+        buf = SampleBuffer(rng.standard_normal(5000), 48_000)
+        for pad in (0, 1, CFG166.samples_per_bit):
+            padded = ToneScanner(buf, CFG166, pad=pad)
+            copied = concatenating_scanner(buf, CFG166, pad)
+            assert padded.n == copied.n == len(buf) + pad
+            assert np.array_equal(padded._cum0, copied._cum0)
+            assert np.array_equal(padded._cum1, copied._cum1)
+
+    def test_recover_frames_matches_the_concatenating_path(self, monkeypatch):
+        cfg = CFG166
+        span = FRAME_BITS * cfg.samples_per_bit
+        wave = burst.messages_to_waveform(self.MESSAGES, cfg)
+        cases = []
+        for late in range(0, 40, 3):
+            # a late burst start moves the final lock a few samples past the end
+            clean = np.concatenate([np.zeros(late), wave.samples])
+            cases.append((late, SampleBuffer(clean, cfg.sample_rate)))
+            cases.append((late, propagate(cases[-1][1], preset("paper-3m"), seed=late)))
+        scans = [burst.recover_frames(buf, cfg) for _, buf in cases]
+        late_locks = [
+            late for (late, buf), scan in zip(cases[::2], scans[::2])
+            if scan.frames and scan.frames[-1].offset + span > len(buf)
+        ]
+        assert late_locks, "no final-frame lock landed past the buffer end"
+        for (late, _), scan in zip(cases[::2], scans[::2]):
+            assert scan.messages == self.MESSAGES, late
+
+        monkeypatch.setattr(burst, "ToneScanner", concatenating_scanner)
+        for (_, buf), scan in zip(cases, scans):
+            reference = burst.recover_frames(buf, cfg)
             assert scan.frames == reference.frames
             assert scan.corrupt_offsets == reference.corrupt_offsets
 
