@@ -23,15 +23,7 @@ FRAME_GAP_SLOTS = 4
 
 def frame_airtime(cfg: ModemConfig) -> float:
     """Seconds of air for one 46-bit frame at cfg's rate."""
-    return framing.FRAME_BITS * cfg.samples_per_bit / cfg.sample_rate
-
-
-def burst_duration(n_frames: int, cfg: ModemConfig, gap_slots: int = FRAME_GAP_SLOTS) -> float:
-    """Seconds of air for n frames including inter-frame gaps."""
-    if n_frames <= 0:
-        return 0.0
-    slots = n_frames * framing.FRAME_BITS + (n_frames - 1) * gap_slots
-    return slots * cfg.samples_per_bit / cfg.sample_rate
+    return framing.FRAME_BITS * (cfg.samples_per_bit / cfg.sample_rate)
 
 
 def messages_to_waveform(
@@ -106,3 +98,25 @@ def recover_frames(buf: SampleBuffer, cfg: ModemConfig, search_from: int = 0) ->
         frames.append(RecoveredFrame(offset, message))
         pos = offset + frame_span
     return BurstScan(frames, corrupt)
+
+
+def reassemble_burst(scan: BurstScan, cfg: ModemConfig, gap_slots: int = FRAME_GAP_SLOTS,
+                     start: int | None = None) -> framing.Reassembler:
+    """Place the DATA frames of one burst that began at sample `start`.
+
+    In one burst frame i starts (FRAME_BITS + gap_slots) * i slots in, so
+    its offset fixes its absolute index, whatever was lost before it; a
+    frame whose seq is not that index mod 256 is dropped.  Without a
+    `start`, the first DATA frame's seq places the burst, so fewer than
+    256 frames may be lost ahead of it.
+    """
+    period = (framing.FRAME_BITS + gap_slots) * cfg.samples_per_bit
+    data = [f for f in scan.frames if f.message.kind == framing.MessageKind.DATA]
+    if start is None and data:
+        start = data[0].offset - data[0].message.seq * period
+    rx = framing.Reassembler()
+    for frame in data:
+        index = (frame.offset - start + period // 2) // period
+        if index % 256 == frame.message.seq:
+            rx.accept(index, frame.message.body)
+    return rx

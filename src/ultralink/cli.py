@@ -129,17 +129,7 @@ def cmd_demodulate(args) -> int:
     except (AudioError, ConfigError, OSError) as exc:
         return _fail(str(exc))
     scan = burst.recover_frames(wave, cfg)
-    chunks = {}
-    next_needed = 0
-    for frame in scan.frames:
-        if frame.message.kind != framing.MessageKind.DATA:
-            continue
-        index = next_needed + ((frame.message.seq - next_needed) % 256)
-        chunks[index] = frame.message.body
-        while next_needed in chunks:
-            next_needed += 1
-    result = (framing.unpack_payload(chunks) if chunks
-              else framing.ReassemblyResult(b"", False, [0]))
+    result = burst.reassemble_burst(scan, cfg).result()
     out_dir.mkdir(parents=True, exist_ok=True)
     bin_path = out_dir / f"{src.stem}.bin"
     bin_path.write_bytes(result.data)

@@ -2,99 +2,91 @@
 
 One INI document can carry any of the [modem], [link], [channel],
 [noise], and [session] sections; unknown keys are rejected so typos
-fail loudly.  The named channel presets ship as these documents and are
-asserted against the in-code constants by regression tests.
+fail loudly.  A field's value converts to and from text by its declared
+type: int, float, bool (true/yes/on/1 or false/no/off/0), an enum (by
+value), or any of these `| None` (written `none`).  The nested [modem]
+and [noise] sections and the channel's response curve are converted
+explicitly.
 """
 
 from __future__ import annotations
 
 import configparser
+import enum
 import io
+import types
+import typing
 from dataclasses import fields
-from importlib import resources
 
-from .channel import ChannelModel, NoiseKind, NoiseProfile
+from .channel import ChannelModel, NoiseProfile
 from .link import LinkConfig
 from .modem import ModemConfig
 
-
-def _coerce(raw: str, target_type):
-    if target_type is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    return target_type(raw)
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
 
-def _section_to_kwargs(section, cls, skip=()):
-    known = {f.name: f.type for f in fields(cls)}
+def _scalar_fields(cls) -> dict[str, tuple[type, bool]]:
+    """Field name -> (value type, accepts None) for each scalar field of cls."""
+    hints = typing.get_type_hints(cls)
+    scalars = {}
+    for f in fields(cls):
+        kind, optional = hints[f.name], False
+        rest = [a for a in typing.get_args(kind) if a is not type(None)]
+        if typing.get_origin(kind) in (typing.Union, types.UnionType) and len(rest) == 1:
+            kind, optional = rest[0], True
+        if kind in (int, float, bool) or (isinstance(kind, type) and issubclass(kind, enum.Enum)):
+            scalars[f.name] = (kind, optional)
+    return scalars
+
+
+def _from_text(raw: str, kind: type, optional: bool):
+    text = raw.strip()
+    if optional and text.lower() == "none":
+        return None
+    if kind is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return _BOOLS[text.lower()]
+    return kind(text)
+
+
+def _to_text(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, enum.Enum):
+        return str(value.value)
+    return str(value)
+
+
+def _section_to_kwargs(section: dict, cls) -> dict:
+    scalars = _scalar_fields(cls)
     kwargs = {}
     for key, raw in section.items():
-        if key in skip:
-            continue
-        if key not in known:
+        if key not in scalars:
             raise ValueError(f"unknown {cls.__name__} key {key!r}")
-        ann = known[key]
-        if key in ("sample_rate", "seed"):
-            kwargs[key] = int(raw)
-        elif key == "kind":
-            kwargs[key] = NoiseKind(raw)
-        elif key in ("sample_shift_delay", "auto_rate"):
-            kwargs[key] = _coerce(raw, bool)
-        elif key == "gap_slots":
-            kwargs[key] = int(raw)
-        elif raw.strip().lower() == "none":
-            kwargs[key] = None
-        else:
-            kwargs[key] = float(raw)
+        kwargs[key] = _from_text(raw, *scalars[key])
     return kwargs
 
 
+def _to_section(obj) -> dict:
+    return {name: _to_text(getattr(obj, name)) for name in _scalar_fields(type(obj))}
+
+
 def modem_to_section(cfg: ModemConfig) -> dict:
-    return {
-        "f0": repr(cfg.f0),
-        "f1": repr(cfg.f1),
-        "bit_rate": repr(cfg.bit_rate),
-        "sample_rate": str(cfg.sample_rate),
-        "band_low": repr(cfg.band_low),
-        "band_high": repr(cfg.band_high),
-        "gain": repr(cfg.gain),
-    }
+    return _to_section(cfg)
 
 
 def channel_to_sections(model: ChannelModel) -> dict:
-    channel = {
-        "distance": repr(model.distance),
-        "angle_off_axis": repr(model.angle_off_axis),
-        "cone_diameter": repr(model.cone_diameter),
-        "speed_of_sound": repr(model.speed_of_sound),
-        "base_snr_at_1m": "none" if model.base_snr_at_1m is None else repr(model.base_snr_at_1m),
-        "response_curve": "; ".join(f"{f}:{g}" for f, g in model.response_curve),
-        "sample_rate": str(model.sample_rate),
-        "seed": str(model.seed),
-        "sample_shift_delay": str(model.sample_shift_delay).lower(),
-    }
-    noise = {"kind": model.noise.kind.value, "level_db": repr(model.noise.level_db)}
-    return {"channel": channel, "noise": noise}
+    channel = _to_section(model)
+    channel["response_curve"] = "; ".join(f"{f}:{g}" for f, g in model.response_curve)
+    return {"channel": channel, "noise": _to_section(model.noise)}
 
 
 def link_to_sections(cfg: LinkConfig) -> dict:
-    return {
-        "modem": modem_to_section(cfg.modem),
-        "link": {
-            "t_max": repr(cfg.t_max),
-            "retask_latency": repr(cfg.retask_latency),
-            "gap_slots": str(cfg.gap_slots),
-            "discovery_window": repr(cfg.discovery_window),
-            "max_retransmit_per_turn": str(cfg.max_retransmit_per_turn),
-            "auto_rate": str(cfg.auto_rate).lower(),
-            "min_bit_rate": repr(cfg.min_bit_rate),
-            "max_bit_rate": repr(cfg.max_bit_rate),
-        },
-    }
+    return {"modem": _to_section(cfg.modem), "link": _to_section(cfg)}
 
 
 def dump(sections: dict[str, dict]) -> str:
@@ -121,7 +113,7 @@ def modem_from_sections(sections: dict) -> ModemConfig:
 def channel_from_sections(sections: dict) -> ChannelModel:
     body = dict(sections.get("channel", {}))
     curve_raw = body.pop("response_curve", None)
-    kwargs = _section_to_kwargs(body, ChannelModel, skip=("noise",))
+    kwargs = _section_to_kwargs(body, ChannelModel)
     if curve_raw:
         points = []
         for piece in curve_raw.split(";"):
@@ -129,11 +121,7 @@ def channel_from_sections(sections: dict) -> ChannelModel:
             points.append((float(f), float(g)))
         kwargs["response_curve"] = tuple(points)
     if "noise" in sections:
-        noise = sections["noise"]
-        kwargs["noise"] = NoiseProfile(
-            kind=NoiseKind(noise.get("kind", "silent")),
-            level_db=float(noise.get("level_db", 0.0)),
-        )
+        kwargs["noise"] = NoiseProfile(**_section_to_kwargs(sections["noise"], NoiseProfile))
     return ChannelModel(**kwargs)
 
 
@@ -141,12 +129,4 @@ def link_from_sections(sections: dict) -> LinkConfig:
     modem = modem_from_sections(sections)
     if "link" not in sections:
         return LinkConfig(modem=modem)
-    kwargs = _section_to_kwargs(sections["link"], LinkConfig, skip=("modem",))
-    kwargs["max_retransmit_per_turn"] = int(float(kwargs.get("max_retransmit_per_turn", 16)))
-    return LinkConfig(modem=modem, **kwargs)
-
-
-def load_preset_document(name: str) -> ChannelModel:
-    """Channel model from a preset .cfg shipped with the package."""
-    text = resources.files("ultralink.presets").joinpath(f"{name}.cfg").read_text()
-    return channel_from_sections(parse(text))
+    return LinkConfig(modem=modem, **_section_to_kwargs(sections["link"], LinkConfig))

@@ -3,7 +3,8 @@
 A frame on the air is 46 bits: a 6-bit alternating preamble, a 32-bit
 payload, and an 8-bit CRC over the payload.  The 32-bit payload itself
 carries one control message or one 16-bit data chunk; `pack_payload` /
-`unpack_payload` turn byte strings into chunk sequences and back.
+`unpack_payload` turn byte strings into chunk sequences and back, and a
+`Reassembler` places arriving chunks by absolute index.
 
 CRC-8 parameters: polynomial x^8 + x^2 + x + 1 (0x07), initial value 0,
 no reflection, no final XOR, bits processed MSB first.
@@ -12,24 +13,28 @@ no reflection, no final XOR, bits processed MSB first.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bits import BitArray, as_bits, bits_to_int, int_to_bits
 
-PREAMBLE_BITS = 6
+PREAMBLE = np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)
+PREAMBLE_BITS = len(PREAMBLE)
 PAYLOAD_BITS = 32
 CRC_BITS = 8
 FRAME_BITS = PREAMBLE_BITS + PAYLOAD_BITS + CRC_BITS  # 46
-
-PREAMBLE = np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)
 
 CRC_POLY = 0x07
 
 # chunk bytes carried per DATA frame (16-bit body)
 CHUNK_BYTES = 2
 MAX_TRANSFER_BYTES = 0xFFFF  # 16-bit length prefix
+
+# a DATA frame's 8-bit seq resolves to one of the SEQ_WINDOW chunk indices
+# from the receiver's next needed chunk on; older seqs are duplicates from
+# the previous window, so one turn must never carry more chunks than this
+SEQ_WINDOW = 224
 
 
 class FrameError(Exception):
@@ -223,3 +228,38 @@ def unpack_payload(chunks: dict[int, int]) -> ReassemblyResult:
         chunks.get(i, 0).to_bytes(CHUNK_BYTES, "big") for i in range(1, count)
     )
     return ReassemblyResult(blob[:total], complete=not missing, missing=missing)
+
+
+@dataclass
+class Reassembler:
+    """The DATA chunks of one incoming transfer, keyed by absolute frame index."""
+
+    chunks: dict[int, int] = field(default_factory=dict)
+    next_needed: int = 0  # lowest index not yet held
+    max_seen: int = -1
+
+    def copy(self) -> "Reassembler":
+        return replace(self, chunks=dict(self.chunks))
+
+    def resolve(self, seq8: int) -> int:
+        """Absolute index of a seq within SEQ_WINDOW of the next needed chunk;
+        older seqs resolve to the previous window, where they are duplicates."""
+        index = self.next_needed + ((seq8 - self.next_needed) % 256)
+        return index - 256 if index >= self.next_needed + SEQ_WINDOW else index
+
+    def accept(self, index: int, body: int) -> None:
+        """Place one chunk; a duplicate or a negative index is dropped."""
+        if index < 0 or index in self.chunks:
+            return
+        self.chunks[index] = body
+        self.max_seen = max(self.max_seen, index)
+        while self.next_needed in self.chunks:
+            self.next_needed += 1
+
+    @property
+    def complete(self) -> bool:
+        """Every chunk up to the count the length prefix gives is held."""
+        return 0 in self.chunks and self.next_needed >= expected_chunk_count(self.chunks[0])
+
+    def result(self) -> ReassemblyResult:
+        return unpack_payload(self.chunks)

@@ -29,7 +29,7 @@ import enum
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -38,7 +38,7 @@ from . import burst as bursts
 from . import framing
 from .audio import SampleBuffer
 from .channel import ChannelModel, propagate
-from .framing import ControlMessage, MessageKind
+from .framing import SEQ_WINDOW, ControlMessage, MessageKind, Reassembler
 from .modem import ConfigError, ModemConfig
 
 
@@ -129,12 +129,6 @@ LinkAction = Union[Transmit, Retask, SetTimer, CancelTimer, DeliverData, AdjustB
 
 # ---------------------------------------------------------------- config
 
-# a DATA frame's 8-bit seq resolves to one of the SEQ_WINDOW chunk indices
-# from the receiver's next needed chunk on; older seqs are duplicates from
-# the previous window, so one turn must never carry more chunks than this
-SEQ_WINDOW = 224
-
-
 @dataclass(frozen=True)
 class LinkConfig:
     """Per-node protocol parameters on top of the modem config."""
@@ -201,10 +195,7 @@ class NodeState:
     pending_rate_apply: int = 0  # receiver applies after its ack turn is sent
     clean_turns: int = 0
     # incoming transfer
-    rx_assembly: dict[int, int] = field(default_factory=dict)
-    rx_expected_total: Optional[int] = None
-    rx_next_needed: int = 0
-    rx_max_seen: int = -1
+    rx: Reassembler = field(default_factory=Reassembler)
     got_data_since_feedback: bool = False
     delivered: Optional[bytes] = None
     last_discovery_acked: Optional[tuple[int, float]] = None
@@ -248,28 +239,22 @@ def adapt_bitrate(state: NodeState, direction: int) -> NodeState:
     if state.phase == Phase.DISCOVERING:
         raise ProtocolError("bit rate changes are negotiated only after discovery")
     rate = state.bit_rate_current * 1.05 if direction > 0 else state.bit_rate_current / 1.05
-    rate = min(max(rate, state.cfg.min_bit_rate), state.cfg.max_bit_rate)
-    return replace(state, bit_rate_current=rate)
+    st = _copy_state(state)
+    st.bit_rate_current = min(max(rate, state.cfg.min_bit_rate), state.cfg.max_bit_rate)
+    return st
 
 
 # ------------------------------------------------------- timing helpers
 
-def _slot_seconds(st: NodeState) -> float:
-    m = st.modem_now
-    return m.samples_per_bit / m.sample_rate
-
-
-def _frame_airtime(st: NodeState) -> float:
-    return framing.FRAME_BITS * _slot_seconds(st)
-
-
 def _discovery_ack_wait(st: NodeState) -> float:
     # the nominal 5 s wait cannot see an ack at very low bit rates, where
     # a single frame outlasts it; scale with airtime
-    return max(st.cfg.discovery_window, 2 * _frame_airtime(st) + 2 * st.cfg.retask_latency + 0.5)
+    airtime = bursts.frame_airtime(st.modem_now)
+    return max(st.cfg.discovery_window, 2 * airtime + 2 * st.cfg.retask_latency + 0.5)
+
 
 def _inactivity_wait(st: NodeState) -> float:
-    return 3 * _frame_airtime(st) + 0.5
+    return 3 * bursts.frame_airtime(st.modem_now) + 0.5
 
 
 def _response_wait(st: NodeState) -> float:
@@ -304,11 +289,6 @@ def _resolve_at_most(seq8: int, anchor: int) -> int:
     return anchor - ((anchor - seq8) % 256)
 
 
-def _resolve_at_least(seq8: int, floor_: int) -> int:
-    """Smallest value >= floor_ congruent to seq8 mod 256."""
-    return floor_ + ((seq8 - floor_) % 256)
-
-
 # ---------------------------------------------------------------- step
 
 def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -316,6 +296,15 @@ def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
     bit_generator = type(rng.bit_generator)(0)
     bit_generator.state = rng.bit_generator.state
     return np.random.Generator(bit_generator)
+
+
+def _copy_state(state: NodeState) -> NodeState:
+    """A copy sharing nothing mutable with `state`: handlers rebind every
+    field they change except `rx`, which they fill in place, and the RNG."""
+    st = copy.copy(state)
+    st.rx = state.rx.copy()
+    st.rng = _copy_rng(state.rng)
+    return st
 
 
 def step(state: NodeState, event: LinkEvent) -> tuple[NodeState, list[LinkAction]]:
@@ -329,11 +318,7 @@ def step(state: NodeState, event: LinkEvent) -> tuple[NodeState, list[LinkAction
         raise ProtocolError(
             f"event at t={event.time} precedes last event t={state.last_event_time}"
         )
-    # handlers rebind every field they change except rx_assembly, which
-    # they fill in place; the copy gets its own dict and its own RNG
-    st = copy.copy(state)
-    st.rx_assembly = dict(state.rx_assembly)
-    st.rng = _copy_rng(state.rng)
+    st = _copy_state(state)
     st.last_event_time = event.time
     actions: list[LinkAction] = []
     if isinstance(event, ScheduleTick):
@@ -479,25 +464,10 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
 def _on_data(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) -> None:
     # any data arrival, duplicate or not, means the peer lacks our ack
     st.got_data_since_feedback = True
-    index = _resolve_at_least(msg.seq, st.rx_next_needed)
-    if index >= st.rx_next_needed + SEQ_WINDOW:
-        index -= 256  # an old duplicate from the previous window
-    if index < 0 or index in st.rx_assembly:
-        return
-    st.rx_assembly[index] = msg.body
-    st.rx_max_seen = max(st.rx_max_seen, index)
-    while st.rx_next_needed in st.rx_assembly:
-        if st.rx_next_needed == 0:
-            st.rx_expected_total = framing.expected_chunk_count(st.rx_assembly[0])
-        st.rx_next_needed += 1
-    if (
-        st.delivered is None
-        and st.rx_expected_total is not None
-        and st.rx_next_needed >= st.rx_expected_total
-    ):
-        result = framing.unpack_payload(st.rx_assembly)
-        st.delivered = result.data
-        actions.append(DeliverData(result.data))
+    st.rx.accept(st.rx.resolve(msg.seq), msg.body)
+    if st.delivered is None and st.rx.complete:
+        st.delivered = st.rx.result().data
+        actions.append(DeliverData(st.delivered))
 
 
 def _on_data_ack(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) -> None:
@@ -520,7 +490,7 @@ def _on_data_ack(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) 
 def _owes_feedback(st: NodeState) -> bool:
     """An incoming transfer is underway, or the peer resent data after we
     delivered (so our final ack was lost)."""
-    if st.rx_max_seen < 0:
+    if st.rx.max_seen < 0:
         return False
     return st.delivered is None or st.got_data_since_feedback
 
@@ -528,22 +498,19 @@ def _owes_feedback(st: NodeState) -> bool:
 def _build_turn(st: NodeState) -> list[ControlMessage]:
     msgs = [ControlMessage(MessageKind.ACQUIRE, sender_id=st.node_id, seq=st.turn_counter % 256)]
     # feedback first: one batch ack plus retransmit requests for gaps
-    if st.rx_max_seen >= 0:
+    if st.rx.max_seen >= 0:
         if _owes_feedback(st):
-            if st.rx_next_needed > 0:
+            if st.rx.next_needed > 0:
                 msgs.append(
                     ControlMessage(
                         MessageKind.ACK_OK,
                         sender_id=st.node_id,
                         seq=st.turn_counter % 256,
-                        body=(st.rx_next_needed - 1) % 256,
+                        body=(st.rx.next_needed - 1) % 256,
                     )
                 )
-            missing = [
-                i for i in range(st.rx_next_needed, st.rx_max_seen)
-                if i not in st.rx_assembly
-            ]
-            for i in missing[: st.cfg.max_retransmit_per_turn]:
+            gaps = [i for i in range(st.rx.next_needed, st.rx.max_seen) if i not in st.rx.chunks]
+            for i in gaps[: st.cfg.max_retransmit_per_turn]:
                 msgs.append(
                     ControlMessage(
                         MessageKind.RETRANSMIT,
@@ -1008,19 +975,10 @@ def unidirectional_schedule(
     scan = bursts.recover_frames(heard, rx_cfg.modem)
     if scan.corrupt_offsets:
         trace.log(t1, "RX", "rx_corrupt", burst=0, count=len(scan.corrupt_offsets))
-    chunks: dict[int, int] = {}
-    next_needed = 0
-    for frame in scan.frames:
-        msg = frame.message
+    for msg in scan.messages:
         trace.log(t1, "RX", "rx_frame", burst=0, kind=msg.kind.name,
                   sender=msg.sender_id, seq=msg.seq, body=msg.body)
-        if msg.kind != MessageKind.DATA:
-            continue
-        index = _resolve_at_least(msg.seq, next_needed)
-        chunks[index] = msg.body
-        while next_needed in chunks:
-            next_needed += 1
-    result = framing.unpack_payload(chunks) if chunks else framing.ReassemblyResult(b"", False, [0])
+    result = bursts.reassemble_burst(scan, rx_cfg.modem, rx_cfg.gap_slots, start=-skip).result()
     if result.complete:
         trace.log(t1, "RX", "deliver", bytes=len(result.data))
     trace.summary = {

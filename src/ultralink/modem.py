@@ -18,10 +18,9 @@ import numpy as np
 
 from .audio import SampleBuffer
 from .bits import BitArray, Bitsish, as_bits
+from .framing import PREAMBLE as PREAMBLE_PATTERN
 
 DEFAULT_BAND = (18_000.0, 24_000.0)
-
-PREAMBLE_PATTERN = np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)
 
 # a candidate offset must show strictly alternating decisions and at
 # least this mean confidence before it counts as a preamble

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ultralink.analysis import make_sweep
-from ultralink.audio import SampleBuffer, write_wav
+from ultralink.audio import SampleBuffer, read_wav, write_wav
 from ultralink.channel import preset, propagate
 from ultralink.cli import main
 
@@ -38,6 +38,16 @@ class TestModulateDemodulate:
         assert main(["demodulate", str(wav), "--out", str(tmp_path / "d"),
                      "--rate", "166"]) == 0
         assert (tmp_path / "d" / "payload.bin").read_bytes() == payload_file.read_bytes()
+
+    def test_leading_silence_roundtrip(self, tmp_path, payload_file):
+        # a second of silence ahead of the burst: frames keep their indices
+        assert main(["modulate", str(payload_file), "--out", str(tmp_path / "m")]) == 0
+        wave = read_wav(tmp_path / "m" / "payload.wav")
+        padded = SampleBuffer(np.concatenate([np.zeros(wave.sample_rate), wave.samples]),
+                              wave.sample_rate)
+        write_wav(tmp_path / "late.wav", padded)
+        assert main(["demodulate", str(tmp_path / "late.wav"), "--out", str(tmp_path / "d")]) == 0
+        assert (tmp_path / "d" / "late.bin").read_bytes() == payload_file.read_bytes()
 
     def test_empty_payload_errors(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"

@@ -1,4 +1,4 @@
-"""Config document round-trips and shipped preset regression."""
+"""Config document round-trips and type-driven value coercion."""
 
 import pytest
 
@@ -26,6 +26,11 @@ class TestRoundtrips:
         text = configdoc.dump(configdoc.channel_to_sections(model))
         assert configdoc.channel_from_sections(configdoc.parse(text)) == model
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_roundtrip(self, name):
+        text = configdoc.dump(configdoc.channel_to_sections(PRESETS[name]))
+        assert configdoc.channel_from_sections(configdoc.parse(text)) == PRESETS[name]
+
     def test_link_roundtrip(self):
         cfg = LinkConfig(modem=ModemConfig(bit_rate=50.0), t_max=7.5,
                          retask_latency=0.02, auto_rate=True)
@@ -42,7 +47,32 @@ class TestRoundtrips:
             configdoc.modem_from_sections(configdoc.parse(text))
 
 
-class TestShippedPresets:
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_preset_file_matches_constants(self, name):
-        assert configdoc.load_preset_document(name) == PRESETS[name]
+class TestCoercion:
+    def test_none_only_for_optional_fields(self):
+        parsed = configdoc.parse("[channel]\nbase_snr_at_1m = None\n")
+        assert configdoc.channel_from_sections(parsed).base_snr_at_1m is None
+        with pytest.raises(ValueError):
+            configdoc.channel_from_sections(configdoc.parse("[channel]\ndistance = none\n"))
+
+    @pytest.mark.parametrize("raw, value", [("yes", True), ("off", False), ("ON", True), ("0", False)])
+    def test_bool_words(self, raw, value):
+        parsed = configdoc.parse(f"[link]\nauto_rate = {raw}\n")
+        assert configdoc.link_from_sections(parsed).auto_rate is value
+
+    def test_non_bool_rejected(self):
+        with pytest.raises(ValueError):
+            configdoc.link_from_sections(configdoc.parse("[link]\nauto_rate = maybe\n"))
+
+    def test_ints_and_enums(self):
+        parsed = configdoc.parse("[channel]\nseed = 12\n[noise]\nkind = white\nlevel_db = -6\n")
+        model = configdoc.channel_from_sections(parsed)
+        assert model.seed == 12 and isinstance(model.seed, int)
+        assert model.noise == NoiseProfile(NoiseKind.WHITE, -6.0)
+
+    def test_unknown_noise_kind_rejected(self):
+        with pytest.raises(ValueError):
+            configdoc.channel_from_sections(configdoc.parse("[noise]\nkind = thunder\n"))
+
+    def test_nested_section_key_rejected(self):
+        with pytest.raises(ValueError):
+            configdoc.link_from_sections(configdoc.parse("[link]\nmodem = fast\n"))

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from ultralink.bits import bits_to_int, int_to_bits
 from ultralink.framing import (
+    SEQ_WINDOW,
     ControlMessage,
     CrcError,
     MessageError,
     MessageKind,
     PreambleError,
+    Reassembler,
     crc8,
     decode_frame,
     decode_message,
@@ -209,3 +211,42 @@ class TestPayloadPacking:
         result = unpack_payload(chunks)
         assert not result.complete
         assert result.missing == [2]
+
+
+@st.composite
+def windowed_streams(draw):
+    """(true index, message) arrivals of a pack_payload stream with chunks
+    dropped, duplicated and reordered, cut at the first arrival that falls
+    outside the receiver's seq window (the sender never sends one)."""
+    size = draw(st.integers(1, 700))  # up to 351 chunks, so seqs wrap
+    msgs = pack_payload(draw(st.binary(min_size=size, max_size=size)))
+    lost = draw(st.integers(0, len(msgs)))  # the first chunk that never arrives
+    arrivals = []
+    for i, msg in enumerate(msgs):
+        copies = 0 if i == lost else draw(st.integers(1 if i < lost else 0, 2))
+        for _ in range(copies):
+            arrivals.append((i + draw(st.integers(0, 24)), i, msg))
+    arrivals.sort(key=lambda a: a[0])
+    held, next_needed, stream = set(), 0, []
+    for _, i, msg in arrivals:
+        if not next_needed - (256 - SEQ_WINDOW) <= i < next_needed + SEQ_WINDOW:
+            break
+        stream.append((i, msg))
+        held.add(i)
+        while next_needed in held:
+            next_needed += 1
+    return stream
+
+
+class TestReassembler:
+    @settings(max_examples=100, deadline=None)
+    @given(windowed_streams())
+    def test_matches_unpack_payload_on_survivors(self, stream):
+        rx = Reassembler()
+        for _, msg in stream:
+            rx.accept(rx.resolve(msg.seq), msg.body)
+        survivors = {i: msg.body for i, msg in stream}
+        expected = unpack_payload(survivors)
+        assert rx.chunks == survivors
+        assert rx.result() == expected
+        assert rx.complete == expected.complete

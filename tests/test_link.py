@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultralink import link
+from ultralink import framing, link
 from ultralink.channel import preset
 from ultralink.framing import ControlMessage, MessageKind
 from ultralink.link import (
@@ -236,7 +236,7 @@ class TestStep:
         # every event of one criterion-5 session: the input state still
         # equals a deep snapshot taken before the call, field by field
         original = link.step
-        seen = {"events": 0, "rx_assembly": 0, "rng_draws": 0}
+        seen = {"events": 0, "rx_chunks": 0, "rng_draws": 0}
 
         def checked(state, event):
             snapshot = copy.deepcopy(state)
@@ -246,10 +246,10 @@ class TestStep:
                     assert state.rng.bit_generator.state == snapshot.rng.bit_generator.state
                 else:
                     assert getattr(state, f.name) == getattr(snapshot, f.name), f.name
-            assert new.rx_assembly is not state.rx_assembly
+            assert new.rx is not state.rx and new.rx.chunks is not state.rx.chunks
             assert new.rng is not state.rng
             seen["events"] += 1
-            seen["rx_assembly"] += bool(state.rx_assembly)
+            seen["rx_chunks"] += bool(state.rx.chunks)
             seen["rng_draws"] += new.rng.bit_generator.state != state.rng.bit_generator.state
             return new, actions
 
@@ -257,7 +257,7 @@ class TestStep:
         payload = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
         trace = run_session(CFG, CFG, preset("paper-3m"), payload, seed=3, budget=900.0)
         assert trace.summary["delivered_intact"]["B"]
-        assert seen["events"] > 20 and seen["rx_assembly"] > 0 and seen["rng_draws"] > 0
+        assert seen["events"] > 20 and seen["rx_chunks"] > 0 and seen["rng_draws"] > 0
 
     def test_sessions_match_a_deep_copying_step(self, monkeypatch):
         payload = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
@@ -296,6 +296,15 @@ class TestAdaptBitrate:
         node = make_node(CFG, seed=1, name="A")
         with pytest.raises(ProtocolError):
             adapt_bitrate(node, +1)
+
+    def test_result_shares_no_state_with_input(self):
+        node = self._discovered(100.0)
+        snapshot = copy.deepcopy(node)
+        faster = adapt_bitrate(node, +1)
+        faster.rng.uniform()
+        assert node.rng.bit_generator.state == snapshot.rng.bit_generator.state
+        faster.rx.accept(0, 4)
+        assert node.rx == snapshot.rx
 
 
 class TestSessions:
@@ -442,3 +451,25 @@ class TestUnidirectional:
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
             unidirectional_schedule(CFG, CFG, preset("noiseless"), b"")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lossy_stream_places_chunks_at_their_index(self, seed, monkeypatch):
+        # 601 frames: seqs wrap twice, and paper-3m loses about a third of them
+        data = payload_bytes(1200)
+        sent = framing.pack_payload(data)
+        placed = {}
+        unpack = framing.unpack_payload
+
+        def spy(chunks):
+            placed.update(chunks)
+            return unpack(chunks)
+
+        monkeypatch.setattr(framing, "unpack_payload", spy)
+        trace = unidirectional_schedule(CFG, CFG, preset("paper-3m"), data, seed=seed)
+        s = trace.summary
+        assert s["frames_sent"] == len(sent)
+        # (a few CRC-passing corruptions decode as control frames)
+        data_frames = sum(e["kind"] == "DATA" for e in trace.of_kind("rx_frame"))
+        assert 0 < len(placed) == data_frames < len(sent)
+        assert all(0 <= i < len(sent) for i in s["missing_chunks"])
+        assert all(0 <= i < len(sent) and sent[i].body == body for i, body in placed.items())
