@@ -47,10 +47,6 @@ class SampleBuffer:
     def slice(self, start: int, stop: int) -> "SampleBuffer":
         return SampleBuffer(self.samples[start:stop], self.sample_rate)
 
-    @staticmethod
-    def silence(num_samples: int, sample_rate: int) -> "SampleBuffer":
-        return SampleBuffer(np.zeros(int(num_samples)), sample_rate)
-
 
 def write_wav(path, buf: SampleBuffer) -> None:
     """Write a buffer as mono 16-bit PCM. Samples are clipped to [-1, 1]."""

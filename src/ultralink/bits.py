@@ -31,10 +31,6 @@ def as_bits(value: Bitsish) -> BitArray:
     return arr
 
 
-def bits_to_str(bits: BitArray) -> str:
-    return "".join("1" if b else "0" for b in np.asarray(bits))
-
-
 def int_to_bits(value: int, width: int) -> BitArray:
     """Big-endian bit expansion of a non-negative integer into `width` bits."""
     if value < 0 or value >= (1 << width):
@@ -47,15 +43,3 @@ def bits_to_int(bits: BitArray) -> int:
     for b in np.asarray(bits):
         out = (out << 1) | int(b)
     return out
-
-
-def bytes_to_bits(data: bytes) -> BitArray:
-    arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    return np.unpackbits(arr)
-
-
-def bits_to_bytes(bits: BitArray) -> bytes:
-    bits = as_bits(bits)
-    if bits.size % 8:
-        raise ValueError(f"bit count {bits.size} is not a whole number of octets")
-    return np.packbits(bits).tobytes()

@@ -60,7 +60,7 @@ class BurstScan:
         return [f.message for f in self.frames]
 
 
-def recover_frames(buf: SampleBuffer, cfg: ModemConfig, search_from: int = 0) -> BurstScan:
+def recover_frames(buf: SampleBuffer, cfg: ModemConfig) -> BurstScan:
     """Find and decode every valid frame in a received waveform.
 
     Each frame is located by its own preamble, so a lost or garbled frame
@@ -78,7 +78,7 @@ def recover_frames(buf: SampleBuffer, cfg: ModemConfig, search_from: int = 0) ->
     # pad with one silent slot so a lock that lands a few samples late on
     # the final frame still has a full window to decode from
     scanner = ToneScanner(buf, cfg, pad=spb)
-    pos = search_from
+    pos = 0
     while True:
         hit = scanner.find_preamble(pos)
         if hit is None:

@@ -2,8 +2,9 @@
 
 Every subcommand resolves its configuration, runs one pipeline, writes
 its outputs plus a `manifest.json` into the output directory, and exits
-0 only if the operation's postconditions held.  `ultralink rerun
-manifest.json --verify` re-executes the recorded run and checks that
+0 only if the operation's postconditions held.  An expected failure
+prints `error: ...`, exits 1 and writes no manifest.  `ultralink rerun
+manifest.json --verify` replays the recorded arguments and checks that
 every output is reproduced bit-identically.  Diagnostics go to stderr;
 data goes to files.
 """
@@ -30,6 +31,16 @@ except Exception:  # pragma: no cover - metadata missing in odd installs
     TOOL_VERSION = "unknown"
 
 
+class CliError(Exception):
+    """An expected failure of a command, reported as `error: ...` and exit 1."""
+
+
+def _abspath(text: str) -> str:
+    """argparse type of every path argument: absolute, so a manifest's
+    recorded arguments mean the same from any working directory."""
+    return str(Path(text).resolve())
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -38,31 +49,30 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, seed, inputs, outputs,
-                    started: str) -> Path:
-    manifest = {
-        "command": command,
-        "args": args,
-        "seed": seed,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
-        "tool_version": TOOL_VERSION,
-        "started_at": started,
-        "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
-
-
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_sections(config_path: str | None) -> dict:
+def _write_manifest(args: argparse.Namespace, inputs, outputs, started: str) -> None:
+    recorded = dict(vars(args))
+    manifest = {
+        "command": recorded.pop("command"),
+        "args": recorded,
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "outputs": {p.name: _sha256(p) for p in outputs},
+        "tool_version": TOOL_VERSION,
+        "started_at": started,
+        "finished_at": _now(),
+    }
+    path = Path(args.out) / "manifest.json"
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def _load_sections(config_path: str | None) -> tuple[dict, list[Path]]:
+    """The sections of a --config document, and the files read for them."""
     if not config_path:
-        return {}
-    return configdoc.parse(Path(config_path).read_text())
+        return {}, []
+    return configdoc.parse(Path(config_path).read_text()), [Path(config_path)]
 
 
 def _resolve_modem(sections: dict, rate: float | None):
@@ -82,100 +92,64 @@ def _resolve_channel(sections: dict, preset_name: str | None, seed: int):
     return model
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+def _out_dir(args) -> Path:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 # ------------------------------------------------------------- commands
+#
+# Each command returns its exit status, the files it read and the files
+# it wrote; `run` records them in the manifest.
 
-def cmd_modulate(args) -> int:
+def cmd_modulate(args):
     src = Path(args.input)
-    out_dir = Path(args.out)
-    started = _now()
-    try:
-        data = src.read_bytes()
-    except OSError as exc:
-        return _fail(f"cannot read {src}: {exc}")
+    data = src.read_bytes()
     if not data:
-        return _fail(f"{src}: empty payload")
-    sections = _load_sections(args.config)
-    try:
-        cfg = _resolve_modem(sections, args.rate)
-        messages = framing.pack_payload(data)
-        wave = burst.messages_to_waveform(messages, cfg)
-    except (ConfigError, ValueError) as exc:
-        return _fail(str(exc))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wav_path = out_dir / f"{src.stem}.wav"
+        raise CliError(f"{src}: empty payload")
+    sections, config = _load_sections(args.config)
+    cfg = _resolve_modem(sections, args.rate)
+    messages = framing.pack_payload(data)
+    wave = burst.messages_to_waveform(messages, cfg)
+    wav_path = _out_dir(args) / f"{src.stem}.wav"
     write_wav(wav_path, wave)
     print(f"{len(data)} bytes -> {len(messages)} frames -> {wave.duration:.3f} s",
           file=sys.stderr)
-    _write_manifest(out_dir, "modulate",
-                    {"input": str(src.resolve()), "config": args.config,
-                     "rate": args.rate, "out": str(out_dir)},
-                    args.seed, [src], [wav_path], started)
-    return 0
+    return 0, [src, *config], [wav_path]
 
 
-def cmd_demodulate(args) -> int:
+def cmd_demodulate(args):
     src = Path(args.input)
-    out_dir = Path(args.out)
-    started = _now()
-    sections = _load_sections(args.config)
-    try:
-        cfg = _resolve_modem(sections, args.rate)
-        wave = read_wav(src, expected_rate=cfg.sample_rate)
-    except (AudioError, ConfigError, OSError) as exc:
-        return _fail(str(exc))
+    sections, config = _load_sections(args.config)
+    cfg = _resolve_modem(sections, args.rate)
+    wave = read_wav(src, expected_rate=cfg.sample_rate)
     scan = burst.recover_frames(wave, cfg)
     result = burst.reassemble_burst(scan, cfg).result()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bin_path = out_dir / f"{src.stem}.bin"
+    bin_path = _out_dir(args) / f"{src.stem}.bin"
     bin_path.write_bytes(result.data)
     print(f"{len(scan.frames)} frames recovered, {len(scan.corrupt_offsets)} corrupt; "
           f"payload {'complete' if result.complete else 'INCOMPLETE'}", file=sys.stderr)
-    _write_manifest(out_dir, "demodulate",
-                    {"input": str(src.resolve()), "config": args.config,
-                     "rate": args.rate, "out": str(out_dir)},
-                    args.seed, [src], [bin_path], started)
-    return 0 if result.complete else 1
+    return (0 if result.complete else 1), [src, *config], [bin_path]
 
 
-def cmd_simulate_session(args) -> int:
-    config_path = Path(args.config)
-    started = _now()
-    sections = _load_sections(args.config)
-    session = sections.get("session", {})
-    payload_name = session.get("payload")
-    if not payload_name:
-        return _fail("session config needs payload = <path> in [session]")
-    payload_path = (config_path.parent / payload_name).resolve()
-    try:
-        payload = payload_path.read_bytes()
-    except OSError as exc:
-        return _fail(f"cannot read payload {payload_path}: {exc}")
-    mode = session.get("mode", "bidirectional")
-    budget = float(session.get("budget_s", 600.0))
-    try:
-        link_cfg = configdoc.link_from_sections(sections)
-        channel = _resolve_channel(sections, session.get("preset"), args.seed)
-    except (ConfigError, ValueError) as exc:
-        return _fail(str(exc))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if mode == "unidirectional":
+def cmd_simulate_session(args):
+    sections, config = _load_sections(args.config)
+    session = configdoc.session_from_sections(sections)
+    payload_path = (Path(args.config).parent / session.payload).resolve()
+    payload = payload_path.read_bytes()
+    link_cfg = configdoc.link_from_sections(sections)
+    channel = _resolve_channel(sections, session.preset, args.seed)
+    out_dir = _out_dir(args)
+    if session.mode is configdoc.SessionMode.UNIDIRECTIONAL:
         trace = unidirectional_schedule(
             link_cfg, link_cfg, channel, payload,
-            start_time=float(session.get("start_time", 0.0)),
-            rx_guard=float(session.get("rx_guard_s", 2.0)),
+            start_time=session.start_time, rx_guard=session.rx_guard_s,
             seed=args.seed, keep_audio=True,
         )
-    elif mode == "bidirectional":
-        trace = run_session(link_cfg, link_cfg, channel, payload,
-                            seed=args.seed, budget=budget, keep_audio=True)
     else:
-        return _fail(f"unknown session mode {mode!r}")
+        trace = run_session(link_cfg, link_cfg, channel, payload,
+                            seed=args.seed, budget=session.budget_s, keep_audio=True)
     outputs = []
     trace_path = out_dir / "trace.json"
     trace_path.write_text(trace.to_json(indent=2) + "\n")
@@ -190,22 +164,15 @@ def cmd_simulate_session(args) -> int:
     complete = trace.summary["complete"]
     print(f"session {'complete' if complete else 'INCOMPLETE'}: "
           f"{trace.summary['delivered_bytes']}", file=sys.stderr)
-    _write_manifest(out_dir, "simulate-session",
-                    {"config": str(config_path.resolve()), "out": str(out_dir)},
-                    args.seed, [config_path, payload_path], outputs, started)
-    return 0 if complete else 1
+    return (0 if complete else 1), [*config, payload_path], outputs
 
 
-def cmd_capacity(args) -> int:
-    started = _now()
-    try:
-        sweep = read_wav(Path(args.sweep))
-        noise = read_wav(Path(args.noise))
-        report = analysis.capacity_profile(sweep, noise, resolution=args.resolution)
-    except (AudioError, ConfigError, ValueError) as exc:
-        return _fail(str(exc))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_capacity(args):
+    sweep_path, noise_path = Path(args.sweep), Path(args.noise)
+    sweep = read_wav(sweep_path)
+    noise = read_wav(noise_path)
+    report = analysis.capacity_profile(sweep, noise, resolution=args.resolution)
+    out_dir = _out_dir(args)
     outputs = []
     csv_path = out_dir / "capacity.csv"
     csv_path.write_text(report.to_csv())
@@ -220,33 +187,19 @@ def cmd_capacity(args) -> int:
     total = report.total_capacity_over(18_000.0, 24_000.0)
     print(f"{len(report.bands)} bands, {report.window_count} windows; "
           f"18-24 kHz capacity {total:.0f} bit/s", file=sys.stderr)
-    _write_manifest(out_dir, "capacity",
-                    {"sweep": str(Path(args.sweep).resolve()),
-                     "noise": str(Path(args.noise).resolve()),
-                     "resolution": args.resolution,
-                     "spectrogram": bool(args.spectrogram), "out": str(out_dir)},
-                    args.seed, [Path(args.sweep), Path(args.noise)], outputs, started)
-    return 0
+    return 0, [sweep_path, noise_path], outputs
 
 
-def cmd_ber_sweep(args) -> int:
-    started = _now()
+def cmd_ber_sweep(args):
     rates = [float(r) for r in args.rates.split(",")]
     names = args.preset.split(",") if args.preset else ["paper-3m"]
-    try:
-        models = [(n, preset(n)) for n in names]
-    except KeyError as exc:
-        return _fail(str(exc))
-    sections = _load_sections(args.config)
+    models = [(n, preset(n)) for n in names]
+    sections, config = _load_sections(args.config)
     base = configdoc.modem_from_sections(sections)
     seeds = list(range(args.seed, args.seed + args.seeds))
-    try:
-        cells = analysis.ber_sweep(rates, models, payload_bits=args.bits,
-                                   seeds=seeds, base_modem=base)
-    except (ConfigError, ValueError) as exc:
-        return _fail(str(exc))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cells = analysis.ber_sweep(rates, models, payload_bits=args.bits,
+                               seeds=seeds, base_modem=base)
+    out_dir = _out_dir(args)
     rows = [c.to_row() for c in cells]
     csv_path = out_dir / "ber.csv"
     csv_path.write_text(analysis.rows_to_csv(rows))
@@ -255,23 +208,14 @@ def cmd_ber_sweep(args) -> int:
     for row in rows:
         print(f"{row['model']} @ {row['bit_rate']} bit/s: "
               f"BER {row['mean_ber']:.4f}", file=sys.stderr)
-    _write_manifest(out_dir, "ber-sweep",
-                    {"rates": args.rates, "preset": ",".join(names),
-                     "bits": args.bits, "seeds": args.seeds,
-                     "config": args.config, "out": str(out_dir)},
-                    args.seed, [], [csv_path, json_path], started)
-    return 0
+    return 0, config, [csv_path, json_path]
 
 
-def cmd_detect(args) -> int:
-    started = _now()
-    try:
-        wave = read_wav(Path(args.input))
-        events = analysis.detect_ultrasonic(wave, threshold_db=args.threshold)
-    except (AudioError, ValueError) as exc:
-        return _fail(str(exc))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_detect(args):
+    src = Path(args.input)
+    wave = read_wav(src)
+    events = analysis.detect_ultrasonic(wave, threshold_db=args.threshold)
+    out_dir = _out_dir(args)
     rows = [e.to_row() for e in events]
     outputs = []
     csv_path = out_dir / "events.csv"
@@ -286,59 +230,45 @@ def cmd_detect(args) -> int:
         outputs.append(png_path)
     print(f"{len(events)} events "
           f"({sum(e.classified_as_fsk for e in events)} classified FSK)", file=sys.stderr)
-    _write_manifest(out_dir, "detect",
-                    {"input": str(Path(args.input).resolve()),
-                     "threshold": args.threshold,
-                     "spectrogram": bool(args.spectrogram), "out": str(out_dir)},
-                    args.seed, [Path(args.input)], outputs, started)
-    return 0
+    return 0, [src], outputs
 
 
-def cmd_filter(args) -> int:
-    started = _now()
+def cmd_filter(args):
     src = Path(args.input)
-    try:
-        wave = read_wav(src)
-        filtered = analysis.lowpass_filter(wave, args.cutoff)
-    except (AudioError, ValueError) as exc:
-        return _fail(str(exc))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wav_path = out_dir / f"{src.stem}_filtered.wav"
+    wave = read_wav(src)
+    filtered = analysis.lowpass_filter(wave, args.cutoff)
+    wav_path = _out_dir(args) / f"{src.stem}_filtered.wav"
     write_wav(wav_path, filtered)
     print(f"low-pass at {args.cutoff} Hz -> {wav_path.name}", file=sys.stderr)
-    _write_manifest(out_dir, "filter",
-                    {"input": str(src.resolve()), "cutoff": args.cutoff,
-                     "out": str(out_dir)},
-                    args.seed, [src], [wav_path], started)
-    return 0
+    return 0, [src], [wav_path]
+
+
+COMMANDS = {
+    "modulate": cmd_modulate,
+    "demodulate": cmd_demodulate,
+    "simulate-session": cmd_simulate_session,
+    "capacity": cmd_capacity,
+    "ber-sweep": cmd_ber_sweep,
+    "detect": cmd_detect,
+    "filter": cmd_filter,
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command and record it in `manifest.json` in its --out."""
+    started = _now()
+    status, inputs, outputs = COMMANDS[args.command](args)
+    _write_manifest(args, inputs, outputs, started)
+    return status
 
 
 def cmd_rerun(args) -> int:
+    """Replay a manifest's recorded arguments, with --out set to its directory."""
     manifest_path = Path(args.manifest)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot load manifest: {exc}")
-    recorded = dict(manifest["args"])
-    recorded["out"] = str(manifest_path.parent)
-    command = manifest["command"]
-    argv = [command]
-    for key, value in recorded.items():
-        if value is None:
-            continue
-        if command in ("modulate", "demodulate", "detect", "filter") and key == "input":
-            argv.append(str(value))
-            continue
-        if command == "rerun":
-            return _fail("cannot rerun a rerun manifest")
-        if isinstance(value, bool):
-            if value:
-                argv.append(f"--{key}")
-            continue
-        argv += [f"--{key}", str(value)]
-    argv += ["--seed", str(manifest["seed"])]
-    status = main(argv)
+    manifest = json.loads(manifest_path.read_text())
+    recorded = argparse.Namespace(command=manifest["command"], **manifest["args"])
+    recorded.out = str(manifest_path.parent)
+    status = run(recorded)
     if status != 0:
         return status
     if args.verify:
@@ -348,7 +278,7 @@ def cmd_rerun(args) -> int:
             if fresh["outputs"].get(name) != digest
         ]
         if mismatches:
-            return _fail(f"outputs differ after rerun: {', '.join(mismatches)}")
+            raise CliError(f"outputs differ after rerun: {', '.join(mismatches)}")
         print("all outputs reproduced bit-identically", file=sys.stderr)
     return 0
 
@@ -364,35 +294,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ultralink {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
-        p.add_argument("--config", help="key=value configuration document")
+    def common(p):
+        p.add_argument("--config", type=_abspath, help="key=value configuration document")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", type=_abspath, required=True, help="output directory")
 
     p = sub.add_parser("modulate", help="binary file -> framed B-FSK WAV")
-    p.add_argument("input")
+    p.add_argument("input", type=_abspath)
     p.add_argument("--rate", type=float, help="bit rate override")
     common(p)
-    p.set_defaults(func=cmd_modulate)
 
     p = sub.add_parser("demodulate", help="WAV -> recovered binary file")
-    p.add_argument("input")
+    p.add_argument("input", type=_abspath)
     p.add_argument("--rate", type=float, help="bit rate override")
     common(p)
-    p.set_defaults(func=cmd_demodulate)
 
     p = sub.add_parser("simulate-session", help="two-node session over a simulated room")
     common(p)
-    p.set_defaults(func=cmd_simulate_session)
 
     p = sub.add_parser("capacity", help="per-band SNR and Shannon capacity report")
-    p.add_argument("--sweep", required=True, help="received sweep WAV")
-    p.add_argument("--noise", required=True, help="noise floor WAV")
+    p.add_argument("--sweep", type=_abspath, required=True, help="received sweep WAV")
+    p.add_argument("--noise", type=_abspath, required=True, help="noise floor WAV")
     p.add_argument("--resolution", type=float, default=100.0, help="band width Hz")
     p.add_argument("--spectrogram", action="store_true", help="also write a PNG spectrogram")
     common(p)
-    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("ber-sweep", help="full-stack BER over rates x channel presets")
     p.add_argument("--rates", default="10,166", help="comma-separated bit rates")
@@ -400,32 +325,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=1000, help="payload bits per seed")
     p.add_argument("--seeds", type=int, default=20, help="number of seeds")
     common(p)
-    p.set_defaults(func=cmd_ber_sweep)
 
     p = sub.add_parser("detect", help="scan a recording for ultrasonic transmissions")
-    p.add_argument("input")
+    p.add_argument("input", type=_abspath)
     p.add_argument("--threshold", type=float, default=10.0, help="dB over noise floor")
     p.add_argument("--spectrogram", action="store_true", help="also write a PNG spectrogram")
     common(p)
-    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("filter", help="apply the low-pass countermeasure to a WAV")
-    p.add_argument("input")
+    p.add_argument("input", type=_abspath)
     p.add_argument("--cutoff", type=float, default=18_000.0, help="cutoff Hz")
     common(p)
-    p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("rerun", help="re-execute a recorded run from its manifest")
-    p.add_argument("manifest")
+    p.add_argument("manifest", type=_abspath)
     p.add_argument("--verify", action="store_true",
                    help="fail unless outputs are reproduced bit-identically")
-    p.set_defaults(func=cmd_rerun)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return cmd_rerun(args) if args.command == "rerun" else run(args)
+    except (CliError, ConfigError, AudioError, OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

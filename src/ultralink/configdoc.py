@@ -3,8 +3,8 @@
 One INI document can carry any of the [modem], [link], [channel],
 [noise], and [session] sections; unknown keys are rejected so typos
 fail loudly.  A field's value converts to and from text by its declared
-type: int, float, bool (true/yes/on/1 or false/no/off/0), an enum (by
-value), or any of these `| None` (written `none`).  The nested [modem]
+type: int, float, str, bool (true/yes/on/1 or false/no/off/0), an enum
+(by value), or any of these `| None` (written `none`).  The nested [modem]
 and [noise] sections and the channel's response curve are converted
 explicitly.
 """
@@ -16,11 +16,29 @@ import enum
 import io
 import types
 import typing
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 from .channel import ChannelModel, NoiseProfile
 from .link import LinkConfig
 from .modem import ModemConfig
+
+
+class SessionMode(enum.Enum):
+    BIDIRECTIONAL = "bidirectional"
+    UNIDIRECTIONAL = "unidirectional"
+
+
+@dataclass(frozen=True)
+class SessionConfig:
+    """The [session] section of a `simulate-session` config document."""
+
+    payload: str = ""             # payload file, relative to the config document
+    mode: SessionMode = SessionMode.BIDIRECTIONAL
+    preset: str | None = None     # channel preset; else [channel], else noiseless
+    budget_s: float = 600.0       # bidirectional: simulated-time budget
+    start_time: float = 0.0       # unidirectional: when the burst starts
+    rx_guard_s: float = 2.0       # unidirectional: receiver starts this much earlier
+
 
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
           "false": False, "no": False, "off": False, "0": False}
@@ -35,7 +53,8 @@ def _scalar_fields(cls) -> dict[str, tuple[type, bool]]:
         rest = [a for a in typing.get_args(kind) if a is not type(None)]
         if typing.get_origin(kind) in (typing.Union, types.UnionType) and len(rest) == 1:
             kind, optional = rest[0], True
-        if kind in (int, float, bool) or (isinstance(kind, type) and issubclass(kind, enum.Enum)):
+        if kind in (int, float, str, bool) or (
+                isinstance(kind, type) and issubclass(kind, enum.Enum)):
             scalars[f.name] = (kind, optional)
     return scalars
 
@@ -130,3 +149,10 @@ def link_from_sections(sections: dict) -> LinkConfig:
     if "link" not in sections:
         return LinkConfig(modem=modem)
     return LinkConfig(modem=modem, **_section_to_kwargs(sections["link"], LinkConfig))
+
+
+def session_from_sections(sections: dict) -> SessionConfig:
+    session = SessionConfig(**_section_to_kwargs(sections.get("session", {}), SessionConfig))
+    if not session.payload:
+        raise ValueError("session config needs payload = <path> in [session]")
+    return session

@@ -172,7 +172,6 @@ class NodeState:
 
     cfg: LinkConfig
     node_id: int
-    rng_seed: int
     rng: np.random.Generator
     name: str = "A"
     phase: Phase = Phase.DISCOVERING
@@ -193,7 +192,6 @@ class NodeState:
     rate_request: int = 0        # +-1 queued by policy/tests, sent next turn
     awaiting_rate_ack: int = 0   # sender applies after the turn is acked
     pending_rate_apply: int = 0  # receiver applies after its ack turn is sent
-    clean_turns: int = 0
     # incoming transfer
     rx: Reassembler = field(default_factory=Reassembler)
     got_data_since_feedback: bool = False
@@ -220,7 +218,6 @@ def make_node(
     state = NodeState(
         cfg=cfg,
         node_id=int(rng.integers(0, 256)) if node_id is None else int(node_id),
-        rng_seed=seed,
         rng=rng,
         name=name,
         bit_rate_current=cfg.modem.bit_rate,
@@ -421,7 +418,6 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
             return
         _on_data_ack(st, msg, actions)
     elif kind == MessageKind.RETRANSMIT:
-        st.clean_turns = 0
         if st.cfg.auto_rate:
             st.rate_request = 0
         # honor the request even for chunks we believe were acked: a
@@ -481,10 +477,8 @@ def _on_data_ack(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) 
         st.awaiting_rate_ack = 0
     if not st.tx_unacked:
         st.tx_done = True
-    if advanced:
-        st.clean_turns += 1
-        if st.cfg.auto_rate and st.tx_unacked:
-            st.rate_request = 1
+    if advanced and st.cfg.auto_rate and st.tx_unacked:
+        st.rate_request = 1
 
 
 def _owes_feedback(st: NodeState) -> bool:
@@ -616,17 +610,14 @@ class _Timers:
 
     def __init__(self):
         self.generation: dict[TimerKind, int] = {}
-        self.fire_at: dict[TimerKind, float] = {}
 
-    def set(self, kind: TimerKind, when: float) -> int:
+    def set(self, kind: TimerKind) -> int:
         gen = self.generation.get(kind, 0) + 1
         self.generation[kind] = gen
-        self.fire_at[kind] = when
         return gen
 
     def cancel(self, kind: TimerKind) -> None:
         self.generation[kind] = self.generation.get(kind, 0) + 1
-        self.fire_at.pop(kind, None)
 
     def is_current(self, kind: TimerKind, gen: int) -> bool:
         return self.generation.get(kind) == gen
@@ -634,14 +625,10 @@ class _Timers:
 
 @dataclass
 class _Burst:
-    ident: int
     tx: int                 # node index
     t0: float
     t1: float
-    messages: tuple[ControlMessage, ...]
     waveform: SampleBuffer
-    bit_rate: float
-    is_turn: bool
 
 
 class _Engine:
@@ -682,7 +669,6 @@ class _Engine:
         self.expected_payloads: list[Optional[bytes]] = [None, None]
         self.heard: list[list[tuple[float, np.ndarray]]] = [[], []]
         self.now = 0.0
-        self.stopped = False
 
     # ------------------------------------------------------------ heap
 
@@ -735,26 +721,21 @@ class _Engine:
                 wave = bursts.messages_to_waveform(list(act.messages), cfg, state.cfg.gap_slots)
                 ident = self.burst_count
                 self.burst_count += 1
-                b = _Burst(
-                    ident=ident, tx=idx, t0=cursor, t1=cursor + wave.duration,
-                    messages=act.messages, waveform=wave,
-                    bit_rate=state.bit_rate_current,
-                    is_turn=act.messages[0].kind == MessageKind.ACQUIRE,
-                )
+                b = _Burst(tx=idx, t0=cursor, t1=cursor + wave.duration, waveform=wave)
                 self.bursts[ident] = b
                 self.trace.log(
                     cursor, state.name, "tx_burst",
                     burst=ident, start=b.t0, end=b.t1,
                     frames=[m.kind.name for m in act.messages],
                     bit_rate=float(state.bit_rate_current),
-                    turn=b.is_turn,
+                    turn=act.messages[0].kind == MessageKind.ACQUIRE,
                 )
                 self._push(b.t1 + self.channel.propagation_delay, ("burst_end", ident))
                 cursor = b.t1
                 self.busy_until[idx] = max(self.busy_until[idx], cursor)
             elif isinstance(act, SetTimer):
                 when = cursor + act.delay
-                gen = self.timers[idx].set(act.kind, when)
+                gen = self.timers[idx].set(act.kind)
                 self._push(when, ("timer", idx, act.kind, gen))
             elif isinstance(act, CancelTimer):
                 self.timers[idx].cancel(act.kind)
@@ -810,14 +791,14 @@ class _Engine:
         if not self.timers[idx].is_current(kind, gen):
             return
         if self.busy_until[idx] > self.now:
-            gen = self.timers[idx].set(kind, self.busy_until[idx] + self.BUSY_BACKOFF)
+            gen = self.timers[idx].set(kind)
             self._push(self.busy_until[idx] + self.BUSY_BACKOFF, ("timer", idx, kind, gen))
             return
         if kind in (TimerKind.TURN_START, TimerKind.INACTIVITY, TimerKind.RESPONSE_WAIT):
             carrier = self._carrier_busy_until(idx)
             if carrier > self.now:
                 when = carrier + self.CARRIER_BACKOFF
-                gen = self.timers[idx].set(kind, when)
+                gen = self.timers[idx].set(kind)
                 self._push(when, ("timer", idx, kind, gen))
                 return
         self.trace.log(self.now, self.nodes[idx].name, "timer", kind=kind.value)

@@ -69,11 +69,18 @@ class TestModulateDemodulate:
 
     def test_manifest_records_hashes(self, tmp_path, payload_file):
         out = tmp_path / "m"
-        main(["modulate", str(payload_file), "--out", str(out), "--rate", "166"])
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("[modem]\nbit_rate = 166.0\n")
+        main(["modulate", str(payload_file), "--out", str(out), "--config", str(cfg)])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "modulate"
         assert manifest["outputs"]["payload.wav"] == sha(out / "payload.wav")
         assert str(payload_file.resolve()) in manifest["inputs"]
+        assert manifest["inputs"][str(cfg.resolve())] == sha(cfg)
+        main(["demodulate", str(out / "payload.wav"), "--out", str(tmp_path / "d"),
+              "--config", str(cfg)])
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["inputs"][str(cfg.resolve())] == sha(cfg)
 
 
 class TestSimulateSession:
@@ -137,6 +144,15 @@ class TestSimulateSession:
                      "--out", str(out)]) == 1
         assert json.loads((out / "summary.json").read_text())["incomplete"]
 
+    @pytest.mark.parametrize("line", ["budget = 2", "mode = duplex"])
+    def test_bad_session_key_rejected(self, tmp_path, payload_file, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[session]\npayload = {payload_file.name}\npreset = noiseless\n{line}\n")
+        out = tmp_path / "bad"
+        assert main(["simulate-session", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestAnalysisCommands:
     @pytest.fixture
@@ -187,6 +203,29 @@ class TestAnalysisCommands:
         assert scan.frames == []  # countermeasure leaves nothing decodable
 
 
+class TestExpectedErrors:
+    @pytest.mark.parametrize("case", ["modulate-config", "demodulate-config", "ber-sweep-config",
+                                      "ber-sweep-rates", "session-budget"])
+    def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
+        missing = str(tmp_path / "missing.cfg")
+        wav = tmp_path / "quiet.wav"
+        write_wav(wav, SampleBuffer(np.zeros(4800), 48000))
+        session = tmp_path / "session.cfg"
+        session.write_text(f"[session]\npayload = {payload_file.name}\nbudget_s = abc\n")
+        argv = {
+            "modulate-config": ["modulate", str(payload_file), "--config", missing],
+            "demodulate-config": ["demodulate", str(wav), "--config", missing],
+            "ber-sweep-config": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
+                                 "--bits", "100", "--seeds", "1", "--config", missing],
+            "ber-sweep-rates": ["ber-sweep", "--rates", "abc", "--preset", "noiseless"],
+            "session-budget": ["simulate-session", "--config", str(session)],
+        }[case]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert not (out / "manifest.json").exists()
+
+
 class TestRerun:
     @pytest.mark.parametrize("command", ["modulate", "session", "ber"])
     def test_rerun_reproduces_bit_identically(self, tmp_path, payload_file, command):
@@ -212,3 +251,16 @@ class TestRerun:
         before = out_hashes(out)
         assert main(["rerun", str(out / "manifest.json"), "--verify"]) == 0
         assert out_hashes(out) == before
+
+    def test_rerun_from_another_directory(self, tmp_path, payload_file, monkeypatch):
+        (tmp_path / "m.cfg").write_text("[modem]\nbit_rate = 166.0\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["modulate", payload_file.name, "--config", "m.cfg", "--out", "m"]) == 0
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(
+            str(p.resolve()) for p in (payload_file, tmp_path / "m.cfg"))
+        before = out_hashes(tmp_path / "m")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["rerun", "../m/manifest.json", "--verify"]) == 0
+        assert out_hashes(tmp_path / "m") == before

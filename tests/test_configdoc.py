@@ -1,5 +1,7 @@
 """Config document round-trips and type-driven value coercion."""
 
+from pathlib import Path
+
 import pytest
 
 from ultralink import configdoc
@@ -76,3 +78,24 @@ class TestCoercion:
     def test_nested_section_key_rejected(self):
         with pytest.raises(ValueError):
             configdoc.link_from_sections(configdoc.parse("[link]\nmodem = fast\n"))
+
+
+class TestSession:
+    def test_readme_session_config_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("<<'CFG'\n")[1].split("\nCFG\n")[0]
+        session = configdoc.session_from_sections(configdoc.parse(text))
+        assert session == configdoc.SessionConfig(
+            payload="secret.bin", mode=configdoc.SessionMode.BIDIRECTIONAL,
+            preset="paper-3m", budget_s=600.0)
+
+    def test_unidirectional_keys(self):
+        text = ("[session]\npayload = p.bin\nmode = unidirectional\n"
+                "start_time = 5\nrx_guard_s = -0.5\n")
+        session = configdoc.session_from_sections(configdoc.parse(text))
+        assert session.mode is configdoc.SessionMode.UNIDIRECTIONAL
+        assert (session.start_time, session.rx_guard_s, session.preset) == (5.0, -0.5, None)
+
+    def test_payload_required(self):
+        with pytest.raises(ValueError, match="payload"):
+            configdoc.session_from_sections(configdoc.parse("[session]\nmode = bidirectional\n"))

@@ -335,9 +335,9 @@ class TestBoundedPreambleScan:
         calls = []
         original = burst.recover_frames
 
-        def recording(buf, cfg, search_from=0):
-            scan = original(buf, cfg, search_from)
-            calls.append((buf, cfg, search_from, scan))
+        def recording(buf, cfg):
+            scan = original(buf, cfg)
+            calls.append((buf, cfg, scan))
             return scan
 
         monkeypatch.setattr(burst, "recover_frames", recording)
@@ -349,8 +349,8 @@ class TestBoundedPreambleScan:
         assert any(scan.corrupt_offsets for *_, scan in calls)
 
         monkeypatch.setattr(ToneScanner, "find_preamble", full_scan)
-        for buf, cfg, search_from, scan in calls:
-            reference = original(buf, cfg, search_from)
+        for buf, cfg, scan in calls:
+            reference = original(buf, cfg)
             assert scan.frames == reference.frames
             assert scan.corrupt_offsets == reference.corrupt_offsets
 
