@@ -10,7 +10,9 @@ producing bogus messages.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,18 +22,35 @@ from .modem import ModemConfig, ToneScanner, modulate
 
 FRAME_GAP_SLOTS = 4
 
+# frames a session's frame cache keeps: its control frames repeat
+FRAME_CACHE_SIZE = 32
+
 
 def frame_airtime(cfg: ModemConfig) -> float:
     """Seconds of air for one 46-bit frame at cfg's rate."""
     return framing.FRAME_BITS * (cfg.samples_per_bit / cfg.sample_rate)
 
 
+def _frame_samples(msg: framing.ControlMessage, cfg: ModemConfig) -> np.ndarray:
+    """One frame's samples (read-only, like every SampleBuffer's)."""
+    return modulate(framing.encode_frame(framing.encode_message(msg)), cfg).samples
+
+
+def frame_cache() -> Callable[[framing.ControlMessage, ModemConfig], np.ndarray]:
+    """`_frame_samples` behind an LRU of FRAME_CACHE_SIZE (message, config)
+    keys, for one session to own.  Each frame is modulated from phase 0 on
+    its own, so a repeat is the same waveform."""
+    return functools.lru_cache(maxsize=FRAME_CACHE_SIZE)(_frame_samples)
+
+
 def messages_to_waveform(
     messages: list[framing.ControlMessage],
     cfg: ModemConfig,
     gap_slots: int = FRAME_GAP_SLOTS,
+    frames: Callable[[framing.ControlMessage, ModemConfig], np.ndarray] = _frame_samples,
 ) -> SampleBuffer:
-    """Encode and modulate messages into one burst waveform."""
+    """Encode and modulate messages into one burst waveform, taking each
+    frame's samples from `frames` (a `frame_cache()` to reuse them)."""
     if not messages:
         return SampleBuffer(np.zeros(0), cfg.sample_rate)
     gap = np.zeros(gap_slots * cfg.samples_per_bit)
@@ -39,8 +58,7 @@ def messages_to_waveform(
     for i, msg in enumerate(messages):
         if i:
             pieces.append(gap)
-        frame_bits = framing.encode_frame(framing.encode_message(msg))
-        pieces.append(modulate(frame_bits, cfg).samples)
+        pieces.append(frames(msg, cfg))
     return SampleBuffer(np.concatenate(pieces), cfg.sample_rate)
 
 

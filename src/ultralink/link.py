@@ -659,6 +659,7 @@ class _Engine:
         self.keep_audio = keep_audio
         self.stop_after_discovery = stop_after_discovery
         self.trace = SessionTrace()
+        self.frames = bursts.frame_cache()
         self.heap: list = []
         self.counter = 0
         self.timers = [_Timers(), _Timers()]
@@ -718,7 +719,8 @@ class _Engine:
                 if self.mic_since[idx] != math.inf:
                     raise ProtocolError("Transmit while transducer is not a speaker")
                 cfg = state.cfg.modem.at_rate(state.bit_rate_current)
-                wave = bursts.messages_to_waveform(list(act.messages), cfg, state.cfg.gap_slots)
+                wave = bursts.messages_to_waveform(list(act.messages), cfg, state.cfg.gap_slots,
+                                                   self.frames)
                 ident = self.burst_count
                 self.burst_count += 1
                 b = _Burst(tx=idx, t0=cursor, t1=cursor + wave.duration, waveform=wave)

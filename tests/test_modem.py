@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import awgn_per_band_snr
-from ultralink import burst, link, modem
+from ultralink import burst, framing, link, modem
 from ultralink.audio import SampleBuffer
 from ultralink.bits import as_bits
 from ultralink.channel import preset, propagate
@@ -397,6 +397,66 @@ class TestScannerPadding:
             reference = burst.recover_frames(buf, cfg)
             assert scan.frames == reference.frames
             assert scan.corrupt_offsets == reference.corrupt_offsets
+
+
+class TestFrameCache:
+    MESSAGES = [
+        ControlMessage(kind, seq=9, body=0x1234) if kind == MessageKind.DATA
+        else ControlMessage(kind, sender_id=0x2A, seq=9, body=0x5A)
+        for kind in MessageKind
+    ]
+
+    @staticmethod
+    def uncached(messages, cfg, gap_slots=burst.FRAME_GAP_SLOTS):
+        gap = np.zeros(gap_slots * cfg.samples_per_bit)
+        pieces = []
+        for i, msg in enumerate(messages):
+            if i:
+                pieces.append(gap)
+            bits = framing.encode_frame(framing.encode_message(msg))
+            pieces.append(modulate(bits, cfg).samples)
+        return np.concatenate(pieces)
+
+    def test_byte_identical_to_uncached_modulation(self):
+        frames = burst.frame_cache()
+        for cfg in (CFG10, CFG166):
+            for messages in (self.MESSAGES, self.MESSAGES[::-1] + self.MESSAGES[:2]):
+                expected = self.uncached(messages, cfg).tobytes()
+                assert burst.messages_to_waveform(messages, cfg).samples.tobytes() == expected
+                for _ in range(2):  # cold, then served from the cache
+                    wave = burst.messages_to_waveform(messages, cfg, frames=frames)
+                    assert wave.samples.tobytes() == expected
+        assert frames.cache_info().hits > 0
+
+    def test_entries_read_only_and_bounded(self):
+        frames = burst.frame_cache()
+        messages = [ControlMessage(MessageKind.DATA, seq=i, body=i)
+                    for i in range(burst.FRAME_CACHE_SIZE + 5)]
+        burst.messages_to_waveform(messages, CFG166, frames=frames)
+        assert frames.cache_info().currsize == burst.FRAME_CACHE_SIZE
+        samples = frames(messages[-1], CFG166)
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0] = 0.0
+
+    def test_each_session_starts_with_an_empty_cache(self, monkeypatch):
+        # a session's work must not depend on what ran before it in the process
+        calls = []
+
+        def counting(bits, cfg):
+            calls.append(len(bits))
+            return modulate(bits, cfg)
+
+        monkeypatch.setattr(burst, "modulate", counting)
+        link_cfg = link.LinkConfig(modem=CFG166)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            trace = link.run_session(link_cfg, link_cfg, preset("paper-3m"), b"abcd", seed=3)
+            assert trace.summary["complete"]
+            counts.append(len(calls))
+        frames = sum(len(e["frames"]) for e in trace.entries if e["event"] == "tx_burst")
+        assert counts[0] == counts[1] < frames
 
 
 class TestCarrierPhasor:
