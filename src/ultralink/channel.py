@@ -6,6 +6,13 @@ configured distance, off-axis directivity loss, then additive noise (a
 shaped ambient profile and/or a white floor pinned to a per-band SNR).
 Everything is a pure function of the inputs and an explicit seed.
 
+The signal-path response is applied by an FFT over the burst zero-padded
+to the next 5-smooth length (2^a 3^b 5^c samples, which the FFT
+transforms fast), then trimmed back to the burst.  That is a linear
+filter of the burst, save for any part of the response's impulse
+response longer than the padding; a whole-buffer FFT would be circular,
+wrapping the burst's tail onto its start.
+
 Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 19 kHz tone at the modem's default peak amplitude (0.9) would enjoy at
 1 m on-axis.  That makes the white floor an absolute property of the
@@ -146,9 +153,25 @@ def _transfer_gain_db(model: ChannelModel, freqs: np.ndarray) -> np.ndarray:
     return gains
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length the FFT transforms fast."""
+    # for each 3^b 5^c below the best so far, the power of two that lifts it to n
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-n // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _transfer_gain(model: ChannelModel, n: int):
     """Signal-path gain for an n-sample buffer: a scalar when the gain is
-    uniform over frequency, else the read-only rFFT mask.
+    uniform over frequency, else the read-only rFFT mask at the padded
+    length `_fast_len(n)`.
 
     Memoised in a small LRU keyed by n, the sample rate and the fields
     `_transfer_gain_db` reads, so models that differ only in seed or
@@ -160,7 +183,7 @@ def _transfer_gain(model: ChannelModel, n: int):
     if gain is not None:
         _TRANSFER_CACHE.move_to_end(key)
         return gain
-    freqs = np.fft.rfftfreq(n, d=1.0 / model.sample_rate)
+    freqs = np.fft.rfftfreq(_fast_len(n), d=1.0 / model.sample_rate)
     gain_db = _transfer_gain_db(model, freqs)
     if np.allclose(gain_db, gain_db[0], atol=1e-12):
         gain = 10.0 ** (gain_db[0] / 20.0)
@@ -271,7 +294,8 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
         # uniform gain: skip the FFT so the identity case is sample-exact
         y = tx.samples * gain
     else:
-        y = np.fft.irfft(np.fft.rfft(tx.samples) * gain, n)
+        m = _fast_len(n)
+        y = np.fft.irfft(np.fft.rfft(tx.samples, m) * gain, m)[:n]
     if model.sample_shift_delay:
         shift = int(round(model.propagation_delay * tx.sample_rate))
         y = np.concatenate([np.zeros(shift), y])

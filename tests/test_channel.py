@@ -196,6 +196,34 @@ class TestTransferCache:
         assert [key[0] for key in transfer_cache] == kept[2:] + [kept[0], 5000]
 
 
+class TestPaddedFilter:
+    def test_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        for n in range(1, 20_000):
+            assert channel._fast_len(n) == next_fast_len(n, real=True), n
+
+    def test_fast_len_of_session_and_sweep_lengths(self):
+        # a 1000-bit sweep cell and an 11-frame burst at 166 bit/s
+        assert channel._fast_len(289_000) == 291_600
+        assert channel._fast_len(157_794) == 160_000
+        assert channel._fast_len(28_800) == 28_800   # already 2^7 3^2 5^2
+
+    def test_noiseless_paper_3m_equals_padded_reference(self, transfer_cache):
+        model = preset("paper-3m", base_snr_at_1m=None)
+        rng = np.random.default_rng(8)
+        for n_bits in (46, 100, 545):   # 13 294, 28 900 and 157 505 samples
+            tx = modulate(rng.integers(0, 2, n_bits, dtype=np.uint8), ModemConfig(bit_rate=166))
+            n = len(tx)
+            m = channel._fast_len(n)
+            mask = 10.0 ** (channel._transfer_gain_db(model, np.fft.rfftfreq(m, 1.0 / FS)) / 20.0)
+            expected = np.fft.irfft(np.fft.rfft(tx.samples, m) * mask, m)[:n]
+            for _ in range(2):   # cold and warm mask cache
+                rx = propagate(tx, model)
+                assert len(rx) == n
+                assert rx.samples.tobytes() == expected.tobytes()
+
+
 class TestNoise:
     def test_silent_is_zeros(self):
         buf = synthesize_noise(NoiseProfile(NoiseKind.SILENT), 1.0, FS)
