@@ -266,7 +266,12 @@ def cmd_rerun(args) -> int:
     """Replay a manifest's recorded arguments, with --out set to its directory."""
     manifest_path = Path(args.manifest)
     manifest = json.loads(manifest_path.read_text())
-    recorded = argparse.Namespace(command=manifest["command"], **manifest["args"])
+    command = manifest["command"]
+    missing = sorted(_argument_names(command) - {"out"} - set(manifest["args"]))
+    if missing:
+        raise CliError(f"{manifest_path}: recorded args lack {', '.join(missing)}, "
+                       f"which {command} reads")
+    recorded = argparse.Namespace(command=command, **manifest["args"])
     recorded.out = str(manifest_path.parent)
     status = run(recorded)
     if status != 0:
@@ -294,23 +299,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ultralink {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=_abspath, help="key=value configuration document")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    def common(p, *options):
+        # a command declares only the options it reads
+        if "config" in options:
+            p.add_argument("--config", type=_abspath, help="key=value configuration document")
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--out", type=_abspath, required=True, help="output directory")
 
     p = sub.add_parser("modulate", help="binary file -> framed B-FSK WAV")
     p.add_argument("input", type=_abspath)
     p.add_argument("--rate", type=float, help="bit rate override")
-    common(p)
+    common(p, "config")
 
     p = sub.add_parser("demodulate", help="WAV -> recovered binary file")
     p.add_argument("input", type=_abspath)
     p.add_argument("--rate", type=float, help="bit rate override")
-    common(p)
+    common(p, "config")
 
     p = sub.add_parser("simulate-session", help="two-node session over a simulated room")
-    common(p)
+    common(p, "config", "seed")
 
     p = sub.add_parser("capacity", help="per-band SNR and Shannon capacity report")
     p.add_argument("--sweep", type=_abspath, required=True, help="received sweep WAV")
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="paper-3m", help="comma-separated channel presets")
     p.add_argument("--bits", type=int, default=1000, help="payload bits per seed")
     p.add_argument("--seeds", type=int, default=20, help="number of seeds")
-    common(p)
+    common(p, "config", "seed")
 
     p = sub.add_parser("detect", help="scan a recording for ultrasonic transmissions")
     p.add_argument("input", type=_abspath)
@@ -342,6 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="fail unless outputs are reproduced bit-identically")
     return parser
+
+
+def _argument_names(command: str) -> set[str]:
+    """The destinations of every argument the parser gives `command`."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
 
 
 def main(argv=None) -> int:

@@ -129,6 +129,9 @@ LinkAction = Union[Transmit, Retask, SetTimer, CancelTimer, DeliverData, AdjustB
 
 # ---------------------------------------------------------------- config
 
+MIN_TURN_FRAMES = 3  # ACQUIRE, one DATA frame, RELEASE
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Per-node protocol parameters on top of the modem config."""
@@ -152,6 +155,11 @@ class LinkConfig:
             raise ConfigError(f"t_max must be positive, got {self.t_max}")
         if self.retask_latency <= 0:
             raise ConfigError(f"retask_latency must be positive, got {self.retask_latency}")
+        if _turn_frames(self, self.modem) < MIN_TURN_FRAMES:
+            raise ConfigError(
+                f"a {self.t_max} s turn at {self.modem.bit_rate} bit/s holds fewer than "
+                f"the {MIN_TURN_FRAMES} frames of ACQUIRE, DATA and RELEASE"
+            )
         try:
             fastest = self.modem.at_rate(max(self.modem.bit_rate, self.max_bit_rate))
         except ConfigError as err:
@@ -271,12 +279,17 @@ def _spontaneous_delay(st: NodeState) -> float:
     return float(st.rng.uniform(1.3, 1.8))
 
 
-def _turn_frame_capacity(cfg: LinkConfig, modem: ModemConfig) -> int:
+def _turn_frames(cfg: LinkConfig, modem: ModemConfig) -> int:
     """Frames that fit in one turn of at most cfg.t_max at modem's rate."""
     slot = modem.samples_per_bit / modem.sample_rate
     per_frame = (framing.FRAME_BITS + cfg.gap_slots) * slot
-    n = int((cfg.t_max + cfg.gap_slots * slot) / per_frame)
-    return max(n, 3)
+    return int((cfg.t_max + cfg.gap_slots * slot) / per_frame)
+
+
+def _turn_frame_capacity(cfg: LinkConfig, modem: ModemConfig) -> int:
+    """Frames one turn at modem's rate may carry: those that fit in
+    cfg.t_max, but never fewer than a minimal turn's."""
+    return max(_turn_frames(cfg, modem), MIN_TURN_FRAMES)
 
 
 # ------------------------------------------------------ sequence algebra

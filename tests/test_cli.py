@@ -226,6 +226,26 @@ class TestExpectedErrors:
         assert not (out / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "{wav}", "--config", "/nonexistent.cfg"],
+        ["filter", "{wav}", "--seed", "3"],
+        ["capacity", "--sweep", "{wav}", "--noise", "{wav}", "--config", "{wav}"],
+        ["modulate", "{payload}", "--seed", "3"],
+        ["demodulate", "{wav}", "--seed", "3"],
+    ])
+    def test_options_a_command_does_not_read_are_usage_errors(self, tmp_path, payload_file,
+                                                               capsys, argv):
+        wav = tmp_path / "quiet.wav"
+        write_wav(wav, SampleBuffer(np.zeros(4800), 48000))
+        out = tmp_path / "out"
+        argv = [a.format(wav=wav, payload=payload_file) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestRerun:
     @pytest.mark.parametrize("command", ["modulate", "session", "ber"])
     def test_rerun_reproduces_bit_identically(self, tmp_path, payload_file, command):
@@ -251,6 +271,19 @@ class TestRerun:
         before = out_hashes(out)
         assert main(["rerun", str(out / "manifest.json"), "--verify"]) == 0
         assert out_hashes(out) == before
+
+    def test_manifest_lacking_an_argument_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["ber-sweep", "--rates", "166", "--preset", "noiseless",
+                     "--bits", "100", "--seeds", "1", "--out", str(out)]) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["args"]["seed"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: ") and "seed" in err
 
     def test_rerun_from_another_directory(self, tmp_path, payload_file, monkeypatch):
         (tmp_path / "m.cfg").write_text("[modem]\nbit_rate = 166.0\n")

@@ -85,6 +85,14 @@ class TestLinkConfig:
     def test_turn_within_seq_window_accepted(self, kwargs):
         LinkConfig(**kwargs)
 
+    def test_turn_too_short_for_a_minimal_turn_rejected(self):
+        # at 10 bit/s ACQUIRE, one DATA and RELEASE are 14.6 s of air
+        slow = ModemConfig(bit_rate=10.0)
+        with pytest.raises(ConfigError, match="fewer than the 3 frames"):
+            LinkConfig(modem=slow)
+        cfg = LinkConfig(modem=slow, t_max=15.0)
+        assert link._turn_frame_capacity(cfg, slow) == 3
+
     def test_max_rate_beyond_modem_rejected(self):
         # 900 Hz tone separation cannot carry the default 500 bit/s ceiling
         with pytest.raises(ConfigError, match="max_bit_rate"):
