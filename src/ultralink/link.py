@@ -784,7 +784,7 @@ class _Engine:
         if self.keep_audio:
             self.heard[rx].append((b.t0 + delay, rx_wave.samples))
         cfg = state.cfg.modem.at_rate(state.bit_rate_current)
-        scan = bursts.recover_frames(rx_wave, cfg)
+        scan = bursts.recover_frames(rx_wave, cfg, state.cfg.gap_slots)
         if scan.corrupt_offsets:
             self.trace.log(
                 self.now, state.name, "rx_corrupt",
@@ -968,7 +968,7 @@ def unidirectional_schedule(
     rx_start = start_time - rx_guard
     skip = max(0, int(round((rx_start - t0) * cfg.sample_rate)))
     heard = rx_wave.slice(skip, len(rx_wave)) if skip else rx_wave
-    scan = bursts.recover_frames(heard, rx_cfg.modem)
+    scan = bursts.recover_frames(heard, rx_cfg.modem, rx_cfg.gap_slots)
     if scan.corrupt_offsets:
         trace.log(t1, "RX", "rx_corrupt", burst=0, count=len(scan.corrupt_offsets))
     for msg in scan.messages:

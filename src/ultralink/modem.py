@@ -3,10 +3,12 @@
 Symbols are two carrier tones inside the 18-24 kHz band.  Modulation is
 continuous-phase (one phase accumulator across bit boundaries) to avoid
 clicks and spectral splatter.  Demodulation projects each bit slot onto
-complex exponentials at the two carriers and compares energies; the
-preamble detector slides the same projection over candidate offsets at
-1/8-slot granularity.  The carrier phasors come from one shared table per
-(carrier, sample rate), so receivers do not rebuild them per buffer.
+complex exponentials at the two carriers and compares energies; the burst
+receiver projects its slots onto the same tones as a real cos/sin basis
+(`slot_basis`), and the preamble detector slides the projection over
+candidate offsets at 1/8-slot granularity.  The carrier phasors come from
+one shared table per (carrier, sample rate), so receivers do not rebuild
+them per buffer.
 """
 
 from __future__ import annotations
@@ -152,6 +154,40 @@ def tone_energy(buf: SampleBuffer, freq: float, window: tuple[int, int]) -> floa
     return float(np.abs(np.dot(buf.samples[start:stop], phasor) / (stop - start)) ** 2)
 
 
+def slot_basis(cfg: ModemConfig) -> np.ndarray:
+    """Real (samples_per_bit, 4) projection basis of one bit slot.
+
+    Its columns are the real and imaginary parts of the f0 phasor, then of
+    the f1 phasor, sliced from the shared `carrier_phasor` tables, so they
+    are bitwise those of a fresh np.exp.  A real basis keeps the slot
+    matrix real: projecting a frame's slots is one small real product.
+    """
+    spb = cfg.samples_per_bit
+    p0 = carrier_phasor(cfg.f0, cfg.sample_rate, spb)
+    p1 = carrier_phasor(cfg.f1, cfg.sample_rate, spb)
+    return np.stack([p0.real, p0.imag, p1.real, p1.imag], axis=1)
+
+
+def slot_energies(slots: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tone energies at f0 and f1 of each row of `slots`, one bit slot per
+    row, on a `slot_basis`: the squared magnitude of the row's projection
+    over its length."""
+    proj = slots @ basis
+    proj *= proj
+    scale = float(len(basis)) ** 2
+    return (proj[:, 0] + proj[:, 1]) / scale, (proj[:, 2] + proj[:, 3]) / scale
+
+
+def _decide(e0: np.ndarray, e1: np.ndarray) -> tuple[BitArray, np.ndarray]:
+    """Bit decisions (1 where f1 is stronger) and their confidences
+    |E1 - E0| / (E1 + E0), 0 where both energies are 0."""
+    bits = (e1 > e0).astype(np.uint8)
+    total = e0 + e1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        conf = np.where(total > 0, np.abs(e1 - e0) / total, 0.0)
+    return bits, conf
+
+
 def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> DemodResult:
     """Waveform to bits: energy compare at f1 vs f0 per whole bit slot.
 
@@ -165,27 +201,28 @@ def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> De
     if n_slots == 0:
         return DemodResult(np.zeros(0, dtype=np.uint8), np.zeros(0), 0)
     view = buf.samples[start_offset:start_offset + n_slots * spb].reshape(n_slots, spb)
+    # complex products, not `slot_energies`: freeing their buffer-sized
+    # temporaries keeps glibc serving a BER op's later buffers from the
+    # heap; without them the op takes about twice the page faults, which
+    # costs more than the real basis saves
     e0 = np.abs(view @ carrier_phasor(cfg.f0, buf.sample_rate, spb) / spb) ** 2
     e1 = np.abs(view @ carrier_phasor(cfg.f1, buf.sample_rate, spb) / spb) ** 2
-    bits = (e1 > e0).astype(np.uint8)
-    total = e0 + e1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        conf = np.where(total > 0, np.abs(e1 - e0) / total, 0.0)
+    bits, conf = _decide(e0, e1)
     return DemodResult(bits, conf, n_slots * spb)
 
 
 class ToneScanner:
-    """Sliding tone-energy probe over one buffer, for synchronization.
+    """Tone-energy probe over one buffer, for synchronization.
 
-    Precomputes cumulative complex projections at f0 and f1 so the energy
-    of any sample window is O(1).  The carrier phasors are slices of the
-    shared `carrier_phasor` tables, so set-up is one multiply and one
-    cumulative sum per carrier.  Used by the preamble detector and the
-    burst receiver; one instance per received buffer.
+    Decodes bit slots straight from the samples through `slot_basis`, and
+    scores preamble candidates from cumulative projections at f0 and f1
+    built only over the stretch a call scores, so set-up copies nothing and
+    each call costs time and memory in proportion to the samples it reads.
+    Used by the preamble detector and the burst receiver; one instance per
+    received buffer.
 
-    `pad` appends that many silent samples to the buffer: the cumulative
-    sums carry them as repeats of their final entry, so no sample is
-    copied and every window energy is the one over the zero-padded buffer.
+    `pad` appends that many silent samples to the buffer: every read past
+    the buffer end sees zeros, as on a zero-padded copy.
     """
 
     def __init__(self, buf: SampleBuffer, cfg: ModemConfig, pad: int = 0):
@@ -197,49 +234,50 @@ class ToneScanner:
         self.n = len(buf) + pad
         self.spb = cfg.samples_per_bit
         self.step = max(1, self.spb // PREAMBLE_SEARCH_DIVISOR)
-        self._cum0 = self._cumulative_projection(buf.samples, cfg.f0)
-        self._cum1 = self._cumulative_projection(buf.samples, cfg.f1)
+        self._x = buf.samples
+        self._basis = slot_basis(cfg)
 
-    def _cumulative_projection(self, x: np.ndarray, freq: float) -> np.ndarray:
-        # in place in one array: no temporaries the size of the buffer
-        cum = np.empty(self.n + 1, dtype=complex)
-        cum[0] = 0.0
-        body = cum[1:len(x) + 1]
-        np.multiply(x, carrier_phasor(freq, self.cfg.sample_rate, len(x)), out=body)
-        np.cumsum(body, out=body)
-        cum[len(x) + 1:] = cum[len(x)]
-        return cum
+    def _samples(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop), zero outside the buffer."""
+        if 0 <= start and stop <= len(self._x):
+            return self._x[start:stop]
+        out = np.zeros(stop - start)
+        lo, hi = max(start, 0), min(stop, len(self._x))
+        if lo < hi:
+            out[lo - start:hi - start] = self._x[lo:hi]
+        return out
 
-    def _window_energies(self, starts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        stops = starts + width
-        e0 = np.abs((self._cum0[stops] - self._cum0[starts]) / width) ** 2
-        e1 = np.abs((self._cum1[stops] - self._cum1[starts]) / width) ** 2
-        return e0, e1
+    def slot_energies(self, offset: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """f0 and f1 energies of `count` bit slots from `offset` on; samples
+        outside the buffer read as zeros."""
+        slots = self._samples(offset, offset + count * self.spb).reshape(count, self.spb)
+        return slot_energies(slots, self._basis)
 
     def decode_bits(self, offset: int, count: int) -> tuple[BitArray, np.ndarray]:
         """Decide `count` bits from slot windows starting at `offset`."""
-        starts = offset + self.spb * np.arange(count)
-        if starts[-1] + self.spb > self.n:
+        if offset < 0 or offset + count * self.spb > self.n:
             raise ValueError("not enough samples to decode requested bits")
-        e0, e1 = self._window_energies(starts, self.spb)
-        bits = (e1 > e0).astype(np.uint8)
-        total = e0 + e1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            conf = np.where(total > 0, np.abs(e1 - e0) / total, 0.0)
-        return bits, conf
+        return _decide(*self.slot_energies(offset, count))
 
-    def _candidate_scores(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Preamble match flags and mean confidences for candidate offsets."""
-        slots = offsets[:, None] + self.spb * np.arange(len(PREAMBLE_PATTERN))[None, :]
-        e0, e1 = self._window_energies(slots.ravel(), self.spb)
-        e0 = e0.reshape(slots.shape)
-        e1 = e1.reshape(slots.shape)
-        decisions = e1 > e0
-        total = e0 + e1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            conf = np.where(total > 0, np.abs(e1 - e0) / total, 0.0)
-        matches = np.all(decisions == PREAMBLE_PATTERN.astype(bool)[None, :], axis=1)
-        return matches, conf.mean(axis=1)
+    def _candidate_scores(self, offsets: np.ndarray, sums: Optional["_RunningProjections"] = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Preamble match flags and mean confidences for candidate offsets,
+        from `sums` (default: running projections from the first offset)."""
+        if sums is None:
+            sums = _RunningProjections(self, int(offsets[0]))
+        slots = len(PREAMBLE_PATTERN)
+        starts = (offsets[:, None] + self.spb * np.arange(slots)[None, :]).ravel()
+        bits, conf = _decide(*sums.window_energies(starts, self.spb))
+        matches = np.all(bits.reshape(-1, slots) == PREAMBLE_PATTERN[None, :], axis=1)
+        return matches, conf.reshape(-1, slots).mean(axis=1)
+
+    def _passing(self, offsets: np.ndarray, matches: np.ndarray, scores: np.ndarray
+                 ) -> list[PreambleHit]:
+        """The candidates that pass as a preamble, best score first (the
+        earlier of equal scores first)."""
+        passing = np.flatnonzero(matches & (scores >= PREAMBLE_MIN_SCORE))
+        order = passing[np.argsort(-scores[passing], kind="stable")]
+        return [PreambleHit(int(offsets[i]), float(scores[i])) for i in order]
 
     def find_preamble(self, search_from: int = 0) -> Optional[PreambleHit]:
         """First offset >= search_from that looks like '101010'.
@@ -249,32 +287,75 @@ class ToneScanner:
         candidates are scored in blocks, the first PREAMBLE_FIRST_BLOCK
         long and each later one twice the last, every block extended by
         PREAMBLE_SEARCH_DIVISOR candidates so a hit in its last offset
-        still has its whole refinement window.  The search stops at the
-        first block holding a hit, so recovering a burst frame by frame
-        scores each offset about once, and the hit is the one a scan of
-        every offset to the end of the buffer returns.
+        still has its whole refinement window.  The blocks share running
+        projections from `search_from`, so each sample is projected once,
+        and the search stops at the first block holding a hit, so a scan
+        reads at most about twice the samples up to its hit, and the hit is
+        the one a scan of every offset to the end of the buffer returns.
         """
         span = len(PREAMBLE_PATTERN) * self.spb
         last_start = self.n - span
         if last_start < search_from:
             return None
         n_offsets = (last_start - search_from) // self.step + 1
+        sums = _RunningProjections(self, search_from)
         lo, size = 0, PREAMBLE_FIRST_BLOCK
         while lo < n_offsets:
             stop = min(lo + size + PREAMBLE_SEARCH_DIVISOR, n_offsets)
             block = search_from + self.step * np.arange(lo, stop)
-            matches, scores = self._candidate_scores(block)
+            matches, scores = self._candidate_scores(block, sums)
             passing = matches & (scores >= PREAMBLE_MIN_SCORE)
             hits = np.flatnonzero(passing[:size])
             if hits.size:
-                first = hits[0]
                 # refine: best score among passing candidates within one slot
-                window = slice(first, first + PREAMBLE_SEARCH_DIVISOR + 1)
-                local_scores = np.where(passing[window], scores[window], -1.0)
-                best = first + int(np.argmax(local_scores))
-                return PreambleHit(int(block[best]), float(scores[best]))
+                window = slice(hits[0], hits[0] + PREAMBLE_SEARCH_DIVISOR + 1)
+                return self._passing(block[window], matches[window], scores[window])[0]
             lo, size = lo + size, 2 * size
         return None
+
+    def preambles_near(self, offset: int, lo: int, hi: int) -> list[PreambleHit]:
+        """Passing preambles among the 1/8-slot candidates within one slot
+        of `offset` that lie in [lo, hi], best score first."""
+        hi = min(hi, self.n - len(PREAMBLE_PATTERN) * self.spb)
+        k = np.arange(-PREAMBLE_SEARCH_DIVISOR, PREAMBLE_SEARCH_DIVISOR + 1)
+        offsets = offset + self.step * k
+        offsets = offsets[(offsets >= max(lo, 0)) & (offsets <= hi)]
+        if not offsets.size:
+            return []
+        return self._passing(offsets, *self._candidate_scores(offsets))
+
+
+class _RunningProjections:
+    """Cumulative projections at f0 and f1 of a scanner's samples from
+    `origin` on, extended as far as the windows asked for reach.  Each
+    extension continues the running sums, so a window's energy depends on
+    the origin alone, not on how the extensions were split."""
+
+    def __init__(self, scanner: ToneScanner, origin: int):
+        self.scanner = scanner
+        self.origin = origin
+        self.cums = [np.zeros(1, dtype=complex), np.zeros(1, dtype=complex)]
+
+    def window_energies(self, starts: np.ndarray, width: int) -> list[np.ndarray]:
+        """Energies at f0 and f1 of the windows [start, start + width)."""
+        starts = starts - self.origin
+        self._extend(int(starts.max()) + width)
+        return [np.abs((cum[starts + width] - cum[starts]) / width) ** 2 for cum in self.cums]
+
+    def _extend(self, stop: int) -> None:
+        done = len(self.cums[0]) - 1
+        if stop <= done:
+            return
+        cfg = self.scanner.cfg
+        x = self.scanner._samples(self.origin + done, self.origin + stop)
+        for i, freq in enumerate((cfg.f0, cfg.f1)):
+            cum = np.empty(stop + 1, dtype=complex)
+            cum[:done + 1] = self.cums[i]
+            part = cum[done + 1:]
+            np.multiply(x, carrier_phasor(freq, cfg.sample_rate, stop)[done:], out=part)
+            part[0] += cum[done]
+            np.cumsum(part, out=part)
+            self.cums[i] = cum
 
 
 def detect_preamble(

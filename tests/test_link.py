@@ -460,24 +460,40 @@ class TestUnidirectional:
         with pytest.raises(ValueError):
             unidirectional_schedule(CFG, CFG, preset("noiseless"), b"")
 
+    # frames recovered from these streams before the receiver decoded on the
+    # frame grid, when a lock in one frame's payload could pass as a frame
+    SCAN_PER_FRAME_RECOVERED = {0: 363, 1: 341, 2: 345, 3: 339}
+
     @pytest.mark.parametrize("seed", range(4))
     def test_lossy_stream_places_chunks_at_their_index(self, seed, monkeypatch):
         # 601 frames: seqs wrap twice, and paper-3m loses about a third of them
         data = payload_bytes(1200)
         sent = framing.pack_payload(data)
-        placed = {}
+        placed, scans = {}, []
         unpack = framing.unpack_payload
+        recover = link.bursts.recover_frames
 
         def spy(chunks):
             placed.update(chunks)
             return unpack(chunks)
 
+        def recording(*args):
+            scans.append(recover(*args))
+            return scans[-1]
+
         monkeypatch.setattr(framing, "unpack_payload", spy)
+        monkeypatch.setattr(link.bursts, "recover_frames", recording)
         trace = unidirectional_schedule(CFG, CFG, preset("paper-3m"), data, seed=seed)
         s = trace.summary
         assert s["frames_sent"] == len(sent)
-        # (a few CRC-passing corruptions decode as control frames)
+        assert s["frames_recovered"] >= self.SCAN_PER_FRAME_RECOVERED[seed]
+        # every recovered frame is the sent frame at its grid index, on the grid
+        period = (framing.FRAME_BITS + CFG.gap_slots) * CFG.modem.samples_per_bit
+        (scan,) = scans
+        for frame in scan.frames:
+            assert abs(frame.offset - frame.index * period) <= CFG.modem.samples_per_bit
+            assert frame.message == sent[frame.index]
         data_frames = sum(e["kind"] == "DATA" for e in trace.of_kind("rx_frame"))
-        assert 0 < len(placed) == data_frames < len(sent)
+        assert 0 < len(placed) == data_frames == len(scan.frames) < len(sent)
         assert all(0 <= i < len(sent) for i in s["missing_chunks"])
         assert all(0 <= i < len(sent) and sent[i].body == body for i, body in placed.items())

@@ -335,9 +335,9 @@ class TestBoundedPreambleScan:
         calls = []
         original = burst.recover_frames
 
-        def recording(buf, cfg):
-            scan = original(buf, cfg)
-            calls.append((buf, cfg, scan))
+        def recording(buf, cfg, *args):
+            scan = original(buf, cfg, *args)
+            calls.append((buf, cfg, args, scan))
             return scan
 
         monkeypatch.setattr(burst, "recover_frames", recording)
@@ -348,11 +348,19 @@ class TestBoundedPreambleScan:
         assert sum(len(scan.frames) for *_, scan in calls) > 100
         assert any(scan.corrupt_offsets for *_, scan in calls)
 
-        monkeypatch.setattr(ToneScanner, "find_preamble", full_scan)
-        for buf, cfg, scan in calls:
-            reference = original(buf, cfg)
+        full_scans = []
+
+        def counted_full_scan(scanner, search_from=0):
+            full_scans.append(search_from)
+            return full_scan(scanner, search_from)
+
+        monkeypatch.setattr(ToneScanner, "find_preamble", counted_full_scan)
+        for buf, cfg, args, scan in calls:
+            reference = original(buf, cfg, *args)
             assert scan.frames == reference.frames
             assert scan.corrupt_offsets == reference.corrupt_offsets
+        # the receiver locks through the scan: the replay did use the full one
+        assert len(full_scans) >= len(calls)
 
 
 def concatenating_scanner(buf, cfg, pad=0):
@@ -364,14 +372,25 @@ def concatenating_scanner(buf, cfg, pad=0):
 class TestScannerPadding:
     MESSAGES = [ControlMessage(MessageKind.DATA, seq=i, body=1000 + i) for i in range(3)]
 
-    def test_sums_equal_those_of_a_padded_copy(self, rng):
+    def test_reads_past_the_end_equal_those_of_a_padded_copy(self, rng):
+        # a frame whose last slot runs past the buffer end decodes as on a
+        # zero-padded copy, and so do preamble candidates there
         buf = SampleBuffer(rng.standard_normal(5000), 48_000)
-        for pad in (0, 1, CFG166.samples_per_bit):
+        spb = CFG166.samples_per_bit
+        for pad in (0, 1, spb):
             padded = ToneScanner(buf, CFG166, pad=pad)
             copied = concatenating_scanner(buf, CFG166, pad)
             assert padded.n == copied.n == len(buf) + pad
-            assert np.array_equal(padded._cum0, copied._cum0)
-            assert np.array_equal(padded._cum1, copied._cum1)
+            for offset in range(padded.n - 17 * spb, padded.n - 16 * spb + 1, 37):
+                for decoded, reference in zip(padded.decode_bits(offset, 16),
+                                              copied.decode_bits(offset, 16)):
+                    assert decoded.tobytes() == reference.tobytes()
+            offsets = np.arange(padded.n - 8 * spb, padded.n - 6 * spb + 1, padded.step)
+            for scores, reference in zip(padded._candidate_scores(offsets),
+                                         copied._candidate_scores(offsets)):
+                assert scores.tobytes() == reference.tobytes()
+            with pytest.raises(ValueError):
+                padded.decode_bits(padded.n - 16 * spb + 1, 16)
 
     def test_recover_frames_matches_the_concatenating_path(self, monkeypatch):
         cfg = CFG166
@@ -487,11 +506,33 @@ class TestCarrierPhasor:
             demodulate(buf, cfg)
         assert set(modem._PHASOR_TABLES) == {(18_500.0, 48_000), (19_500.0, 48_000)}
 
-    def test_scanner_projection_bitwise_equal_to_fresh_exp(self, rng):
+    def test_slot_projection_bitwise_equal_to_fresh_exp(self, rng):
+        spb = CFG166.samples_per_bit
+        basis = modem.slot_basis(CFG166)
+        for column, freq in ((0, CFG166.f0), (2, CFG166.f1)):
+            fresh = self.fresh(freq, 48_000, spb)
+            assert basis[:, column].tobytes() == fresh.real.tobytes()
+            assert basis[:, column + 1].tobytes() == fresh.imag.tobytes()
         buf = SampleBuffer(rng.standard_normal(5000), 48_000)
-        scanner = ToneScanner(buf, CFG166)
-        for cum, freq in ((scanner._cum0, CFG166.f0), (scanner._cum1, CFG166.f1)):
-            expected = np.concatenate(
-                [[0.0 + 0.0j], np.cumsum(buf.samples * self.fresh(freq, 48_000, len(buf)))]
-            )
-            assert cum.tobytes() == expected.tobytes()
+        fresh_basis = np.stack([f(self.fresh(freq, 48_000, spb))
+                                for freq in (CFG166.f0, CFG166.f1) for f in (np.real, np.imag)],
+                               axis=1)
+        rows = buf.samples[100:100 + 12 * spb].reshape(12, spb)
+        expected = modem.slot_energies(rows, fresh_basis)
+        for got, want in zip(ToneScanner(buf, CFG166).slot_energies(100, 12), expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_slot_energies_match_the_complex_projection(self, rng):
+        # the real cos/sin basis gives the energies of the complex phasor
+        # projection `demodulate` makes, up to rounding
+        spb = CFG166.samples_per_bit
+        rows = rng.standard_normal((40, spb))
+        e0, e1 = modem.slot_energies(rows, modem.slot_basis(CFG166))
+        for energy, freq in ((e0, CFG166.f0), (e1, CFG166.f1)):
+            reference = np.abs(rows @ self.fresh(freq, 48_000, spb) / spb) ** 2
+            np.testing.assert_allclose(energy, reference, rtol=1e-12, atol=1e-18)
+        buf = SampleBuffer(rows.ravel(), 48_000)
+        decoded = demodulate(buf, CFG166)
+        bits, conf = ToneScanner(buf, CFG166).decode_bits(0, 40)
+        assert np.array_equal(decoded.bits, bits)
+        np.testing.assert_allclose(decoded.confidences, conf, rtol=1e-9, atol=1e-12)
