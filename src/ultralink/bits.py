@@ -39,7 +39,7 @@ def int_to_bits(value: int, width: int) -> BitArray:
 
 
 def bits_to_int(bits: BitArray) -> int:
-    out = 0
-    for b in np.asarray(bits):
-        out = (out << 1) | int(b)
-    return out
+    """Big-endian integer of a bit sequence (its inverse is int_to_bits)."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    # packbits zero-fills the last octet from its low end
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)

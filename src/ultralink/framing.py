@@ -53,17 +53,24 @@ class MessageError(Exception):
     """Malformed control message (unknown kind, field out of range)."""
 
 
-def _crc_table() -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint8)
+def _crc_table() -> bytes:
+    table = bytearray(256)
     for byte in range(256):
         crc = byte
         for _ in range(8):
             crc = ((crc << 1) ^ CRC_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
         table[byte] = crc
-    return table
+    return bytes(table)
 
 
 _CRC_TABLE = _crc_table()
+
+
+def _crc_of_octets(octets: bytes) -> int:
+    crc = 0
+    for byte in octets:
+        crc = _CRC_TABLE[crc ^ byte]
+    return crc
 
 
 def crc8(payload: BitArray) -> BitArray:
@@ -71,10 +78,7 @@ def crc8(payload: BitArray) -> BitArray:
     payload = as_bits(payload)
     if payload.size != PAYLOAD_BITS:
         raise ValueError(f"crc8 expects {PAYLOAD_BITS} bits, got {payload.size}")
-    crc = 0
-    for byte in np.packbits(payload):
-        crc = int(_CRC_TABLE[crc ^ int(byte)])
-    return int_to_bits(crc, CRC_BITS)
+    return int_to_bits(_crc_of_octets(np.packbits(payload).tobytes()), CRC_BITS)
 
 
 def encode_frame(payload: BitArray) -> BitArray:
@@ -97,11 +101,11 @@ def decode_frame(frame: BitArray) -> BitArray:
         raise ValueError(f"frame must be {FRAME_BITS} bits, got {frame.size}")
     if not np.array_equal(frame[:PREAMBLE_BITS], PREAMBLE):
         raise PreambleError("frame does not start with the alternating preamble")
-    payload = frame[PREAMBLE_BITS:PREAMBLE_BITS + PAYLOAD_BITS]
-    received_crc = frame[PREAMBLE_BITS + PAYLOAD_BITS:]
-    if not np.array_equal(crc8(payload), received_crc):
+    # the payload's four octets, then the received CRC
+    octets = np.packbits(frame[PREAMBLE_BITS:]).tobytes()
+    if _crc_of_octets(octets[:-1]) != octets[-1]:
         raise CrcError("payload CRC mismatch")
-    return payload
+    return frame[PREAMBLE_BITS:PREAMBLE_BITS + PAYLOAD_BITS]
 
 
 class MessageKind(enum.IntEnum):

@@ -188,6 +188,15 @@ def _decide(e0: np.ndarray, e1: np.ndarray) -> tuple[BitArray, np.ndarray]:
     return bits, conf
 
 
+def _preamble_scores(e0: np.ndarray, e1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Preamble match flags and mean confidences of candidates whose
+    PREAMBLE_PATTERN slots have the energies e0, e1 (in candidate order)."""
+    slots = len(PREAMBLE_PATTERN)
+    bits, conf = _decide(e0, e1)
+    matches = np.all(bits.reshape(-1, slots) == PREAMBLE_PATTERN, axis=1)
+    return matches, conf.reshape(-1, slots).sum(axis=1) / slots
+
+
 def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> DemodResult:
     """Waveform to bits: energy compare at f1 vs f0 per whole bit slot.
 
@@ -265,11 +274,8 @@ class ToneScanner:
         from `sums` (default: running projections from the first offset)."""
         if sums is None:
             sums = _RunningProjections(self, int(offsets[0]))
-        slots = len(PREAMBLE_PATTERN)
-        starts = (offsets[:, None] + self.spb * np.arange(slots)[None, :]).ravel()
-        bits, conf = _decide(*sums.window_energies(starts, self.spb))
-        matches = np.all(bits.reshape(-1, slots) == PREAMBLE_PATTERN[None, :], axis=1)
-        return matches, conf.reshape(-1, slots).mean(axis=1)
+        starts = (offsets[:, None] + self.spb * np.arange(len(PREAMBLE_PATTERN))).ravel()
+        return _preamble_scores(*sums.window_energies(starts, self.spb))
 
     def _passing(self, offsets: np.ndarray, matches: np.ndarray, scores: np.ndarray
                  ) -> list[PreambleHit]:
@@ -322,7 +328,16 @@ class ToneScanner:
         offsets = offsets[(offsets >= max(lo, 0)) & (offsets <= hi)]
         if not offsets.size:
             return []
-        return self._passing(offsets, *self._candidate_scores(offsets))
+        # so few candidates cost less projected slot by slot than through
+        # running sums: a strided view gives each candidate's slots
+        slots = len(PREAMBLE_PATTERN)
+        x = self._samples(int(offsets[0]), int(offsets[-1]) + slots * self.spb)
+        unit = x.strides[0]
+        windows = np.lib.stride_tricks.as_strided(
+            x, (offsets.size, slots, self.spb), (self.step * unit, self.spb * unit, unit),
+            writeable=False)
+        energies = slot_energies(windows.reshape(-1, self.spb), self._basis)
+        return self._passing(offsets, *_preamble_scores(*energies))
 
 
 class _RunningProjections:

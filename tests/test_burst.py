@@ -8,7 +8,7 @@ from ultralink.audio import SampleBuffer
 from ultralink.channel import preset
 from ultralink.framing import FRAME_BITS, ControlMessage, MessageKind
 from ultralink.link import LinkConfig, run_session
-from ultralink.modem import ModemConfig, modulate
+from ultralink.modem import ModemConfig, ToneScanner, modulate
 
 CFG = ModemConfig(bit_rate=166)
 LINK_CFG = LinkConfig(modem=CFG)
@@ -119,6 +119,30 @@ def test_rx_corrupt_counts_heard_grid_slots():
     scan = burst.recover_frames(SampleBuffer(samples, CFG.sample_rate), CFG)
     assert [f.index for f in scan.frames] == [0, 2]
     assert scan.corrupt_offsets == [PERIOD]
+
+
+@pytest.mark.parametrize("unsure", [3, 4])
+def test_a_frame_with_four_doubtful_bits_is_refused(unsure):
+    # frame 1 keeps every bit and its CRC, but `unsure` of its slots also
+    # carry the other tone at 0.9 of the amplitude: confidence about 0.1
+    messages = [ControlMessage(MessageKind.DATA, seq=i, body=7 * i) for i in range(3)]
+    samples = burst.messages_to_waveform(messages, CFG).samples.copy()
+    bits = framing.encode_frame(framing.encode_message(messages[1]))
+    doubtful = [10, 20, 30, 40][:unsure]
+    for slot in doubtful:
+        start = PERIOD + slot * SPB
+        samples[start:start + SPB] += 0.9 * modulate([1 - bits[slot]], CFG).samples
+    buf = SampleBuffer(samples, CFG.sample_rate)
+    decoded, conf = ToneScanner(buf, CFG).decode_bits(PERIOD, FRAME_BITS)
+    assert decoded.tobytes() == bits.tobytes()
+    assert np.count_nonzero(conf < burst.UNSURE_BIT_CONFIDENCE) == unsure
+    scan = burst.recover_frames(buf, CFG)
+    if unsure < burst.CRC_MISSED_ERROR_BITS:
+        assert scan.messages == messages
+        assert scan.corrupt_offsets == []
+    else:
+        assert [f.index for f in scan.frames] == [0, 2]
+        assert scan.corrupt_offsets == [PERIOD]
 
 
 def test_link_passes_its_gap_slots(monkeypatch):

@@ -369,6 +369,34 @@ def concatenating_scanner(buf, cfg, pad=0):
     return ToneScanner(padded, cfg)
 
 
+def test_preambles_near_match_the_running_sum_scores():
+    # the ±1-slot candidates are projected slot by slot; the scan scores
+    # the same candidates from running sums
+    wave = burst.messages_to_waveform(TestScannerPadding.MESSAGES, CFG166)
+    rx = propagate(wave, preset("paper-3m"), seed=3)
+    scanner = ToneScanner(rx, CFG166)
+    spb, step = scanner.spb, scanner.step
+    period = (FRAME_BITS + burst.FRAME_GAP_SLOTS) * spb
+    seen = 0
+    for offset in range(0, len(rx) - 7 * spb, 5 * step + 1):
+        lo, hi = period // 3, len(rx) - 8 * spb
+        near = scanner.preambles_near(offset, lo, hi)
+        offsets = offset + step * np.arange(-PREAMBLE_SEARCH_DIVISOR, PREAMBLE_SEARCH_DIVISOR + 1)
+        offsets = offsets[(offsets >= lo) & (offsets <= hi)]
+        if not offsets.size:
+            assert near == []
+            continue
+        matches, scores = scanner._candidate_scores(offsets)
+        passing = matches & (scores >= PREAMBLE_MIN_SCORE)
+        assert sorted(h.offset for h in near) == sorted(offsets[passing].tolist())
+        expected = dict(zip(offsets.tolist(), scores.tolist()))
+        for hit in near:
+            assert hit.score == pytest.approx(expected[hit.offset], rel=1e-9)
+        assert [h.score for h in near] == sorted((h.score for h in near), reverse=True)
+        seen += len(near)
+    assert seen > 50
+
+
 class TestScannerPadding:
     MESSAGES = [ControlMessage(MessageKind.DATA, seq=i, body=1000 + i) for i in range(3)]
 
@@ -389,6 +417,9 @@ class TestScannerPadding:
             for scores, reference in zip(padded._candidate_scores(offsets),
                                          copied._candidate_scores(offsets)):
                 assert scores.tobytes() == reference.tobytes()
+            for offset in offsets:
+                assert padded.preambles_near(offset, 0, padded.n) == \
+                    copied.preambles_near(offset, 0, copied.n)
             with pytest.raises(ValueError):
                 padded.decode_bits(padded.n - 16 * spb + 1, 16)
 
