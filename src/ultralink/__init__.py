@@ -35,7 +35,6 @@ from .link import (
     Phase,
     Role,
     SessionTrace,
-    adapt_bitrate,
     run_session,
     step,
     unidirectional_schedule,

@@ -116,8 +116,8 @@ class MessageKind(enum.IntEnum):
     RELEASE = 3        # give the transmission token back
     ACK_OK = 4         # frame(s) received successfully
     RETRANSMIT = 5     # request a frame again
-    BITRATE_INC = 6    # raise the shared bit rate by 5%
-    BITRATE_DEC = 7    # lower the shared bit rate by 5%
+    BITRATE_INC = 6    # reserved: decoded, ignored by the link
+    BITRATE_DEC = 7    # reserved: decoded, ignored by the link
     DATA = 8           # 16 bits of chunk data
 
 

@@ -11,12 +11,12 @@ inactivity/response timeouts.
 
 `run_session` drives two nodes over a simulated channel with a discrete
 event loop.  Audio exists per transmission burst: the burst waveform is
-synthesized at the sender's current bit rate, pushed through the channel
-(noise seeded per burst), and scanned by the receiver — so corruption,
-retransmission, and rate mismatch all emerge physically.  A node hears a
-burst only if its transducer stayed in MIC for the burst's whole flight;
-turn-starting timers are deferred while a burst is audibly in flight
-(energy-based carrier sensing, modeled as exact).
+synthesized at the nodes' shared bit rate, pushed through the channel
+(noise seeded per burst), and scanned by the receiver — so corruption and
+retransmission emerge physically.  A node hears a burst only if its
+transducer stayed in MIC for the burst's whole flight; turn-starting
+timers are deferred while a burst is audibly in flight (energy-based
+carrier sensing, modeled as exact).
 
 Everything is deterministic given the session seed: node RNGs, jitters,
 and per-burst channel noise all derive from it.
@@ -119,12 +119,7 @@ class DeliverData:
     data: bytes
 
 
-@dataclass(frozen=True)
-class AdjustBitrate:
-    direction: int  # +1 = x1.05, -1 = /1.05
-
-
-LinkAction = Union[Transmit, Retask, SetTimer, CancelTimer, DeliverData, AdjustBitrate]
+LinkAction = Union[Transmit, Retask, SetTimer, CancelTimer, DeliverData]
 
 
 # ---------------------------------------------------------------- config
@@ -142,32 +137,21 @@ class LinkConfig:
     gap_slots: int = bursts.FRAME_GAP_SLOTS
     discovery_window: float = 5.0     # broadcasts at random delays in [0, this]
     max_retransmit_per_turn: int = 16
-    auto_rate: bool = False
-    min_bit_rate: float = 10.0
-    max_bit_rate: float = 500.0
 
     def __post_init__(self):
-        if self.min_bit_rate > self.max_bit_rate:
-            raise ConfigError(
-                f"min_bit_rate {self.min_bit_rate} above max_bit_rate {self.max_bit_rate}"
-            )
         if self.t_max <= 0:
             raise ConfigError(f"t_max must be positive, got {self.t_max}")
         if self.retask_latency <= 0:
             raise ConfigError(f"retask_latency must be positive, got {self.retask_latency}")
-        if _turn_frames(self, self.modem) < MIN_TURN_FRAMES:
+        frames = _turn_frames(self)
+        if frames < MIN_TURN_FRAMES:
             raise ConfigError(
                 f"a {self.t_max} s turn at {self.modem.bit_rate} bit/s holds fewer than "
                 f"the {MIN_TURN_FRAMES} frames of ACQUIRE, DATA and RELEASE"
             )
-        try:
-            fastest = self.modem.at_rate(max(self.modem.bit_rate, self.max_bit_rate))
-        except ConfigError as err:
-            raise ConfigError(f"max_bit_rate {self.max_bit_rate} beyond the modem: {err}") from None
-        capacity = _turn_frame_capacity(self, fastest)
-        if capacity > SEQ_WINDOW:
+        if frames > SEQ_WINDOW:
             raise ConfigError(
-                f"a {self.t_max} s turn at {fastest.bit_rate} bit/s holds {capacity} frames, "
+                f"a {self.t_max} s turn at {self.modem.bit_rate} bit/s holds {frames} frames, "
                 f"more than the {SEQ_WINDOW}-chunk seq window"
             )
 
@@ -184,7 +168,6 @@ class NodeState:
     name: str = "A"
     phase: Phase = Phase.DISCOVERING
     transducer_role: Role = Role.MIC
-    bit_rate_current: float = 0.0
     last_event_time: float = -math.inf
     # discovery
     peer_id: Optional[int] = None
@@ -197,9 +180,6 @@ class NodeState:
     tx_done: bool = True
     awaiting_feedback: bool = False
     turn_counter: int = 0
-    rate_request: int = 0        # +-1 queued by policy/tests, sent next turn
-    awaiting_rate_ack: int = 0   # sender applies after the turn is acked
-    pending_rate_apply: int = 0  # receiver applies after its ack turn is sent
     # incoming transfer
     rx: Reassembler = field(default_factory=Reassembler)
     got_data_since_feedback: bool = False
@@ -208,10 +188,6 @@ class NodeState:
     # token view
     token_free: bool = True
     token_deadline: Optional[float] = None
-
-    @property
-    def modem_now(self) -> ModemConfig:
-        return self.cfg.modem.at_rate(self.bit_rate_current)
 
 
 def make_node(
@@ -228,7 +204,6 @@ def make_node(
         node_id=int(rng.integers(0, 256)) if node_id is None else int(node_id),
         rng=rng,
         name=name,
-        bit_rate_current=cfg.modem.bit_rate,
     )
     if payload:
         chunks = framing.pack_payload(payload)
@@ -238,28 +213,17 @@ def make_node(
     return state
 
 
-def adapt_bitrate(state: NodeState, direction: int) -> NodeState:
-    """Apply a +-5% rate change (multiplicative, so INC and DEC invert),
-    clamped to the configured [min, max] range."""
-    if state.phase == Phase.DISCOVERING:
-        raise ProtocolError("bit rate changes are negotiated only after discovery")
-    rate = state.bit_rate_current * 1.05 if direction > 0 else state.bit_rate_current / 1.05
-    st = _copy_state(state)
-    st.bit_rate_current = min(max(rate, state.cfg.min_bit_rate), state.cfg.max_bit_rate)
-    return st
-
-
 # ------------------------------------------------------- timing helpers
 
 def _discovery_ack_wait(st: NodeState) -> float:
     # the nominal 5 s wait cannot see an ack at very low bit rates, where
     # a single frame outlasts it; scale with airtime
-    airtime = bursts.frame_airtime(st.modem_now)
+    airtime = bursts.frame_airtime(st.cfg.modem)
     return max(st.cfg.discovery_window, 2 * airtime + 2 * st.cfg.retask_latency + 0.5)
 
 
 def _inactivity_wait(st: NodeState) -> float:
-    return 3 * bursts.frame_airtime(st.modem_now) + 0.5
+    return 3 * bursts.frame_airtime(st.cfg.modem) + 0.5
 
 
 def _response_wait(st: NodeState) -> float:
@@ -279,17 +243,11 @@ def _spontaneous_delay(st: NodeState) -> float:
     return float(st.rng.uniform(1.3, 1.8))
 
 
-def _turn_frames(cfg: LinkConfig, modem: ModemConfig) -> int:
-    """Frames that fit in one turn of at most cfg.t_max at modem's rate."""
-    slot = modem.samples_per_bit / modem.sample_rate
+def _turn_frames(cfg: LinkConfig) -> int:
+    """Frames that fit in one turn of at most cfg.t_max at the modem rate."""
+    slot = cfg.modem.samples_per_bit / cfg.modem.sample_rate
     per_frame = (framing.FRAME_BITS + cfg.gap_slots) * slot
     return int((cfg.t_max + cfg.gap_slots * slot) / per_frame)
-
-
-def _turn_frame_capacity(cfg: LinkConfig, modem: ModemConfig) -> int:
-    """Frames one turn at modem's rate may carry: those that fit in
-    cfg.t_max, but never fewer than a minimal turn's."""
-    return max(_turn_frames(cfg, modem), MIN_TURN_FRAMES)
 
 
 # ------------------------------------------------------ sequence algebra
@@ -431,8 +389,6 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
             return
         _on_data_ack(st, msg, actions)
     elif kind == MessageKind.RETRANSMIT:
-        if st.cfg.auto_rate:
-            st.rate_request = 0
         # honor the request even for chunks we believe were acked: a
         # CRC-passing corruption of an earlier ack batch can desynchronize
         # the two views, and the explicit request is the ground truth
@@ -465,9 +421,7 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
                 want_turn = True
         if want_turn:
             actions.append(SetTimer(TimerKind.TURN_START, _reactive_delay(st)))
-    elif kind in (MessageKind.BITRATE_INC, MessageKind.BITRATE_DEC):
-        st.pending_rate_apply = 1 if kind == MessageKind.BITRATE_INC else -1
-        actions.append(SetTimer(TimerKind.INACTIVITY, _inactivity_wait(st)))
+    # BITRATE_INC and BITRATE_DEC are reserved kinds: decoded, and ignored
 
 
 def _on_data(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) -> None:
@@ -483,15 +437,9 @@ def _on_data_ack(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) 
     if st.tx_highest_sent < 0:
         return
     acked_through = _resolve_at_most(msg.body, st.tx_highest_sent)
-    advanced = any(i <= acked_through for i in st.tx_unacked)
     st.tx_unacked = [i for i in st.tx_unacked if i > acked_through]
-    if st.awaiting_rate_ack:
-        actions.append(AdjustBitrate(st.awaiting_rate_ack))
-        st.awaiting_rate_ack = 0
     if not st.tx_unacked:
         st.tx_done = True
-    if advanced and st.cfg.auto_rate and st.tx_unacked:
-        st.rate_request = 1
 
 
 def _owes_feedback(st: NodeState) -> bool:
@@ -526,13 +474,8 @@ def _build_turn(st: NodeState) -> list[ControlMessage]:
                         body=i % 256,
                     )
                 )
-    if st.rate_request and st.awaiting_rate_ack == 0:
-        rate_kind = MessageKind.BITRATE_INC if st.rate_request > 0 else MessageKind.BITRATE_DEC
-        msgs.append(ControlMessage(rate_kind, sender_id=st.node_id, seq=st.turn_counter % 256))
-        st.awaiting_rate_ack = st.rate_request
-        st.rate_request = 0
     # then a window of data chunks, as many as fit under T_max
-    room = _turn_frame_capacity(st.cfg, st.modem_now) - len(msgs) - 1
+    room = _turn_frames(st.cfg) - len(msgs) - 1
     window = st.tx_unacked[: max(room, 0)]
     for index in window:
         msgs.append(ControlMessage(MessageKind.DATA, seq=index % 256, body=st.tx_queue[index]))
@@ -561,13 +504,8 @@ def _start_turn(st: NodeState, actions: list[LinkAction], now: float) -> None:
         Retask(Role.SPEAKER, st.cfg.retask_latency),
         Transmit(tuple(msgs)),
         Retask(Role.MIC, st.cfg.retask_latency),
+        SetTimer(TimerKind.TURN_SENT, 0.0),
     ]
-    if st.pending_rate_apply:
-        # a negotiated change commits once our acknowledging turn is on
-        # the air; the burst itself still went out at the old rate
-        actions.append(AdjustBitrate(st.pending_rate_apply))
-        st.pending_rate_apply = 0
-    actions.append(SetTimer(TimerKind.TURN_SENT, 0.0))
 
 
 def _after_own_turn(st: NodeState, actions: list[LinkAction]) -> None:
@@ -584,7 +522,7 @@ def _after_own_turn(st: NodeState, actions: list[LinkAction]) -> None:
 # ---------------------------------------------------------------- traces
 
 # bump when entry/summary fields change; docs/protocol.md describes the schema
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -661,9 +599,10 @@ class _Engine:
         keep_audio: bool = False,
         stop_after_discovery: bool = False,
     ):
-        if nodes[0].cfg.modem.band_low != nodes[1].cfg.modem.band_low or \
-           nodes[0].cfg.modem.band_high != nodes[1].cfg.modem.band_high:
-            raise ConfigError("nodes must share the modem band")
+        a, b = (node.cfg for node in nodes)
+        if (a.modem, a.gap_slots) != (b.modem, b.gap_slots):
+            # a receiver decodes only bursts sent in its own air format
+            raise ConfigError("nodes must share the modem config and gap_slots")
         self.nodes = nodes
         self.channel = channel
         self.seed = seed
@@ -703,7 +642,7 @@ class _Engine:
 
     def _deliver(self, idx: int, event: LinkEvent) -> None:
         node = self.nodes[idx]
-        before = (node.phase, node.node_id, node.bit_rate_current)
+        before = (node.phase, node.node_id)
         state, actions = step(node, event)
         self.nodes[idx] = state
         if state.phase != before[0]:
@@ -731,9 +670,8 @@ class _Engine:
             elif isinstance(act, Transmit):
                 if self.mic_since[idx] != math.inf:
                     raise ProtocolError("Transmit while transducer is not a speaker")
-                cfg = state.cfg.modem.at_rate(state.bit_rate_current)
-                wave = bursts.messages_to_waveform(list(act.messages), cfg, state.cfg.gap_slots,
-                                                   self.frames)
+                wave = bursts.messages_to_waveform(list(act.messages), state.cfg.modem,
+                                                   state.cfg.gap_slots, self.frames)
                 ident = self.burst_count
                 self.burst_count += 1
                 b = _Burst(tx=idx, t0=cursor, t1=cursor + wave.duration, waveform=wave)
@@ -742,7 +680,7 @@ class _Engine:
                     cursor, state.name, "tx_burst",
                     burst=ident, start=b.t0, end=b.t1,
                     frames=[m.kind.name for m in act.messages],
-                    bit_rate=float(state.bit_rate_current),
+                    bit_rate=float(state.cfg.modem.bit_rate),
                     turn=act.messages[0].kind == MessageKind.ACQUIRE,
                 )
                 self._push(b.t1 + self.channel.propagation_delay, ("burst_end", ident))
@@ -756,11 +694,6 @@ class _Engine:
                 self.timers[idx].cancel(act.kind)
             elif isinstance(act, DeliverData):
                 self.trace.log(cursor, state.name, "deliver", bytes=len(act.data))
-            elif isinstance(act, AdjustBitrate):
-                self.nodes[idx] = adapt_bitrate(self.nodes[idx], act.direction)
-                state = self.nodes[idx]
-                self.trace.log(cursor, state.name, "rate",
-                               bit_rate=float(state.bit_rate_current))
             else:
                 raise ProtocolError(f"unknown action {act!r}")
 
@@ -783,8 +716,7 @@ class _Engine:
             rx_wave = self.rx_filter(rx_wave)
         if self.keep_audio:
             self.heard[rx].append((b.t0 + delay, rx_wave.samples))
-        cfg = state.cfg.modem.at_rate(state.bit_rate_current)
-        scan = bursts.recover_frames(rx_wave, cfg, state.cfg.gap_slots)
+        scan = bursts.recover_frames(rx_wave, state.cfg.modem, state.cfg.gap_slots)
         if scan.corrupt_offsets:
             self.trace.log(
                 self.now, state.name, "rx_corrupt",
@@ -798,7 +730,6 @@ class _Engine:
                 seq=msg.seq, body=msg.body,
             )
             self._deliver(rx, FrameReceived(self.now, msg))
-            state = self.nodes[rx]
 
     # ------------------------------------------------------------- run
 
@@ -873,7 +804,6 @@ class _Engine:
         self.trace.summary = {
             "schema": TRACE_SCHEMA_VERSION,
             "complete": complete,
-            "incomplete": not complete,
             "duration": self.now,
             "seed": self.seed,
             "delivered_bytes": delivered,
@@ -884,7 +814,6 @@ class _Engine:
             "ack_frames": kinds.count("ACK_OK"),
             "broadcast_rounds": {n.name: n.broadcast_rounds for n in self.nodes},
             "rerandomizations": {n.name: n.rerandomizations for n in self.nodes},
-            "final_bit_rate": {n.name: float(n.bit_rate_current) for n in self.nodes},
             "goodput_bps": goodput,
         }
         if self.keep_audio:
@@ -980,7 +909,6 @@ def unidirectional_schedule(
     trace.summary = {
         "schema": TRACE_SCHEMA_VERSION,
         "complete": result.complete,
-        "incomplete": not result.complete,
         "duration": t1 - min(t0, rx_start),
         "seed": seed,
         "frames_sent": len(messages),

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ultralink import configdoc
 from ultralink.analysis import make_sweep
 from ultralink.audio import SampleBuffer, read_wav, write_wav
 from ultralink.channel import preset, propagate
@@ -142,7 +143,7 @@ class TestSimulateSession:
         out = tmp_path / "short"
         assert main(["simulate-session", "--config", str(cfg), "--seed", "7",
                      "--out", str(out)]) == 1
-        assert json.loads((out / "summary.json").read_text())["incomplete"]
+        assert not json.loads((out / "summary.json").read_text())["complete"]
 
     @pytest.mark.parametrize("line", ["budget = 2", "mode = duplex"])
     def test_bad_session_key_rejected(self, tmp_path, payload_file, capsys, line):
@@ -151,6 +152,19 @@ class TestSimulateSession:
         out = tmp_path / "bad"
         assert main(["simulate-session", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["auto_rate = true", "min_bit_rate = 10", "max_bit_rate = 500"])
+    def test_removed_rate_keys_rejected(self, tmp_path, payload_file, capsys, line):
+        # the link has no rate negotiation: its old [link] keys are unknown
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=f"unknown LinkConfig key '{key}'"):
+            configdoc.link_from_sections(configdoc.parse(f"[link]\n{line}\n"))
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(f"[session]\npayload = {payload_file.name}\npreset = noiseless\n[link]\n{line}\n")
+        out = tmp_path / "rate"
+        assert main(["simulate-session", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown LinkConfig key '{key}'")
         assert not out.exists()
 
 

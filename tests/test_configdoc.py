@@ -35,7 +35,7 @@ class TestRoundtrips:
 
     def test_link_roundtrip(self):
         cfg = LinkConfig(modem=ModemConfig(bit_rate=50.0), t_max=7.5,
-                         retask_latency=0.02, auto_rate=True)
+                         retask_latency=0.02, max_retransmit_per_turn=8)
         text = configdoc.dump(configdoc.link_to_sections(cfg))
         assert configdoc.link_from_sections(configdoc.parse(text)) == cfg
 
@@ -58,12 +58,12 @@ class TestCoercion:
 
     @pytest.mark.parametrize("raw, value", [("yes", True), ("off", False), ("ON", True), ("0", False)])
     def test_bool_words(self, raw, value):
-        parsed = configdoc.parse(f"[link]\nauto_rate = {raw}\n")
-        assert configdoc.link_from_sections(parsed).auto_rate is value
+        parsed = configdoc.parse(f"[channel]\nsample_shift_delay = {raw}\n")
+        assert configdoc.channel_from_sections(parsed).sample_shift_delay is value
 
     def test_non_bool_rejected(self):
         with pytest.raises(ValueError):
-            configdoc.link_from_sections(configdoc.parse("[link]\nauto_rate = maybe\n"))
+            configdoc.channel_from_sections(configdoc.parse("[channel]\nsample_shift_delay = maybe\n"))
 
     def test_ints_and_enums(self):
         parsed = configdoc.parse("[channel]\nseed = 12\n[noise]\nkind = white\nlevel_db = -6\n")

@@ -25,7 +25,6 @@ from ultralink.link import (
     Timeout,
     TimerKind,
     Transmit,
-    adapt_bitrate,
     make_node,
     run_session,
     step,
@@ -45,7 +44,6 @@ class TestLinkConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"min_bit_rate": 200.0, "max_bit_rate": 100.0},
             {"t_max": 0.0},
             {"t_max": -1.0},
             {"retask_latency": 0.0},
@@ -56,17 +54,12 @@ class TestLinkConfig:
         with pytest.raises(ConfigError):
             LinkConfig(**kwargs)
 
-    def test_equal_rate_bounds_accepted(self):
-        cfg = LinkConfig(min_bit_rate=166.0, max_bit_rate=166.0)
-        assert cfg.min_bit_rate == cfg.max_bit_rate
-
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"t_max": 30.0},                    # 300 frames per turn at 500 bit/s
-            {"t_max": 22.6},                    # 226 frames
-            {"t_max": 12.0, "max_bit_rate": 100.0,  # the modem's own 1000 bit/s is the fastest
-             "modem": ModemConfig(f0=18_000.0, f1=21_000.0, bit_rate=1000.0)},
+            {"t_max": 30.0, "modem": ModemConfig(bit_rate=500.0)},  # 300 frames per turn
+            {"t_max": 22.6, "modem": ModemConfig(bit_rate=500.0)},  # 226 frames
+            {"t_max": 12.0, "modem": ModemConfig(f0=18_000.0, f1=21_000.0, bit_rate=1000.0)},
         ],
     )
     def test_turn_longer_than_seq_window_rejected(self, kwargs):
@@ -78,8 +71,8 @@ class TestLinkConfig:
         [
             {},
             {"t_max": 7.5, "modem": ModemConfig(bit_rate=50.0)},
-            {"t_max": 22.4},                    # exactly 224 frames at 500 bit/s
-            {"t_max": 30.0, "max_bit_rate": 300.0},
+            {"t_max": 22.4, "modem": ModemConfig(bit_rate=500.0)},  # exactly 224 frames
+            {"t_max": 30.0, "modem": ModemConfig(bit_rate=300.0)},  # 180 frames
         ],
     )
     def test_turn_within_seq_window_accepted(self, kwargs):
@@ -91,41 +84,27 @@ class TestLinkConfig:
         with pytest.raises(ConfigError, match="fewer than the 3 frames"):
             LinkConfig(modem=slow)
         cfg = LinkConfig(modem=slow, t_max=15.0)
-        assert link._turn_frame_capacity(cfg, slow) == 3
-
-    def test_max_rate_beyond_modem_rejected(self):
-        # 900 Hz tone separation cannot carry the default 500 bit/s ceiling
-        with pytest.raises(ConfigError, match="max_bit_rate"):
-            LinkConfig(modem=ModemConfig(f0=18_200.0, f1=19_100.0))
-        LinkConfig(modem=ModemConfig(f0=18_200.0, f1=19_100.0), max_bit_rate=450.0)
+        assert link._turn_frames(cfg) == 3
 
     @given(
         t_max=st.floats(0.01, 60.0),
         gap_slots=st.integers(0, 8),
         modem_rate=st.sampled_from([10.0, 50.0, 166.0, 500.0, 1000.0, 2000.0]),
         wide=st.booleans(),
-        max_bit_rate=st.floats(10.0, 3000.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_accepted_configs_never_overrun_the_window(
-        self, t_max, gap_slots, modem_rate, wide, max_bit_rate
-    ):
+    def test_accepted_configs_never_overrun_the_window(self, t_max, gap_slots, modem_rate, wide):
         try:
             modem = ModemConfig(f0=18_000.0, f1=22_000.0 if wide else 19_000.0, bit_rate=modem_rate)
-            cfg = LinkConfig(modem=modem, t_max=t_max, gap_slots=gap_slots,
-                             min_bit_rate=10.0, max_bit_rate=max_bit_rate)
+            cfg = LinkConfig(modem=modem, t_max=t_max, gap_slots=gap_slots)
         except ConfigError:
             return
-        # climb every rate negotiation can reach and fill one turn at each
+        # fill one turn at the modem rate
         node = make_node(cfg, seed=0, name="A", payload=bytes(4 * SEQ_WINDOW))
         node.phase = Phase.IDLE
-        rates = []
-        while node.bit_rate_current not in rates:
-            rates.append(node.bit_rate_current)
-            turn = link._build_turn(dataclasses.replace(node))
-            data = sum(1 for m in turn if m.kind == MessageKind.DATA)
-            assert data <= SEQ_WINDOW, (node.bit_rate_current, data)
-            node = adapt_bitrate(node, +1)
+        turn = link._build_turn(node)
+        data = sum(1 for m in turn if m.kind == MessageKind.DATA)
+        assert 1 <= data <= SEQ_WINDOW, data
 
 
 class TestStep:
@@ -234,6 +213,26 @@ class TestStep:
         state, _ = step(state, Timeout(7.0, TimerKind.TURN_SENT))
         assert state.phase == Phase.IDLE  # nothing awaited back
 
+    @pytest.mark.parametrize("kind", [MessageKind.BITRATE_INC, MessageKind.BITRATE_DEC])
+    def test_rate_frames_are_ignored(self, kind):
+        # a discovering node, and one listening to the peer's data turn
+        discovering, _ = step(make_node(CFG, seed=6, name="B", node_id=4), ScheduleTick(0.0))
+        listening = discovering
+        for t, msg in [(1.0, ControlMessage(MessageKind.DISCOVERY, sender_id=8)),
+                       (2.0, ControlMessage(MessageKind.ACK_OK, sender_id=8, body=4)),
+                       (5.0, ControlMessage(MessageKind.ACQUIRE, sender_id=8)),
+                       (5.1, ControlMessage(MessageKind.DATA, seq=0, body=2))]:
+            listening, _ = step(listening, FrameReceived(t, msg))
+        assert listening.phase == Phase.LISTENING
+        for node in (discovering, listening):
+            state, actions = step(node, FrameReceived(6.0, ControlMessage(kind, sender_id=8)))
+            assert actions == []
+            assert state.last_event_time == 6.0
+            assert state.rng.bit_generator.state == node.rng.bit_generator.state
+            for f in dataclasses.fields(NodeState):
+                if f.name not in ("last_event_time", "rng"):
+                    assert getattr(state, f.name) == getattr(node, f.name), f.name
+
     def test_out_of_order_event_rejected(self):
         node = make_node(CFG, seed=5, name="A")
         node, _ = step(node, ScheduleTick(10.0))
@@ -277,42 +276,6 @@ class TestStep:
         deep = [run_session(CFG, CFG, preset("paper-3m"), payload, seed=s, budget=900.0).to_json()
                 for s in seeds]
         assert shallow == deep
-
-
-class TestAdaptBitrate:
-    def _discovered(self, rate=100.0):
-        node = make_node(CFG, seed=1, name="A")
-        node.phase = Phase.IDLE
-        node.bit_rate_current = rate
-        return node
-
-    def test_increase_is_5_percent(self):
-        assert adapt_bitrate(self._discovered(100.0), +1).bit_rate_current == pytest.approx(105.0)
-
-    def test_floor_clamp(self):
-        assert adapt_bitrate(self._discovered(10.0), -1).bit_rate_current == 10.0
-
-    def test_ceiling_clamp(self):
-        assert adapt_bitrate(self._discovered(500.0), +1).bit_rate_current == 500.0
-
-    def test_inc_then_dec_is_identity(self):
-        node = self._discovered(166.0)
-        back = adapt_bitrate(adapt_bitrate(node, +1), -1)
-        assert abs(back.bit_rate_current - 166.0) < 1e-9
-
-    def test_rejected_while_discovering(self):
-        node = make_node(CFG, seed=1, name="A")
-        with pytest.raises(ProtocolError):
-            adapt_bitrate(node, +1)
-
-    def test_result_shares_no_state_with_input(self):
-        node = self._discovered(100.0)
-        snapshot = copy.deepcopy(node)
-        faster = adapt_bitrate(node, +1)
-        faster.rng.uniform()
-        assert node.rng.bit_generator.state == snapshot.rng.bit_generator.state
-        faster.rx.accept(0, 4)
-        assert node.rx == snapshot.rx
 
 
 class TestSessions:
@@ -389,7 +352,16 @@ class TestSessions:
     def test_budget_exhaustion_flags_incomplete(self):
         data = payload_bytes(64)
         trace = run_session(CFG, CFG, preset("noiseless"), data, seed=3, budget=3.0)
-        assert trace.summary["incomplete"]
+        assert not trace.summary["complete"]
+
+    @pytest.mark.parametrize("b_cfg", [
+        LinkConfig(modem=ModemConfig(bit_rate=100)),
+        LinkConfig(modem=ModemConfig(bit_rate=166, f1=19_600.0)),
+        LinkConfig(modem=ModemConfig(bit_rate=166), gap_slots=5),
+    ], ids=["bit_rate", "carrier", "gap_slots"])
+    def test_nodes_with_different_air_formats_rejected(self, b_cfg):
+        with pytest.raises(ConfigError, match="share the modem config"):
+            run_session(CFG, b_cfg, preset("noiseless"), b"hi", seed=0)
 
     def test_bidirectional_payloads(self):
         data_ab = payload_bytes(48, seed=1)
@@ -401,17 +373,6 @@ class TestSessions:
         assert s["delivered_intact"] == {"B": True, "A": True}
         inv = verify_trace(trace, t_max=CFG.t_max)
         assert not any(inv.values())
-
-    def test_auto_rate_negotiation_on_clean_channel(self):
-        auto = LinkConfig(modem=ModemConfig(bit_rate=166), auto_rate=True)
-        data = payload_bytes(200)
-        trace = run_session(auto, auto, preset("noiseless"), data, seed=9)
-        s = trace.summary
-        assert s["complete"] and s["delivered_intact"]["B"]
-        rates = s["final_bit_rate"]
-        assert rates["A"] == rates["B"]        # peers stayed in sync
-        assert rates["A"] > 166.0              # and the rate actually rose
-        assert any(k in ("BITRATE_INC", "BITRATE_DEC") for k in trace.frame_kinds())
 
 
 class TestDiscoveryLiveness:
