@@ -17,8 +17,9 @@ class SampleBuffer:
     """Mono audio: float amplitudes (nominally in [-1, 1]) plus a sample rate.
 
     The physical-layer currency — every signal in the stack is one of these.
-    Buffers are immutable after construction; the samples array is set
-    read-only so instances can be shared freely.
+    Buffers are immutable after construction; the samples array is a
+    read-only view, so instances can be shared freely (an array handed in
+    is not copied, so its owner should not change it afterwards).
     """
 
     samples: np.ndarray = field(repr=False)
@@ -32,6 +33,8 @@ class SampleBuffer:
             raise AudioError(f"sample_rate must be positive, got {self.sample_rate}")
         if samples.size and not np.all(np.isfinite(samples)):
             raise AudioError("samples contain NaN or Inf")
+        # a read-only view: the caller's own array stays writeable
+        samples = samples.view()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))

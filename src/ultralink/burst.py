@@ -10,10 +10,8 @@ reported as corrupt) rather than producing bogus messages.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,35 +28,35 @@ FRAME_GAP_SLOTS = 4
 CRC_MISSED_ERROR_BITS = 4
 UNSURE_BIT_CONFIDENCE = 0.2
 
-# frames a session's frame cache keeps: its control frames repeat
-FRAME_CACHE_SIZE = 32
-
 
 def frame_airtime(cfg: ModemConfig) -> float:
     """Seconds of air for one 46-bit frame at cfg's rate."""
     return framing.FRAME_BITS * (cfg.samples_per_bit / cfg.sample_rate)
 
 
-def _frame_samples(msg: framing.ControlMessage, cfg: ModemConfig) -> np.ndarray:
-    """One frame's samples (read-only, like every SampleBuffer's)."""
+def frame_period(cfg: ModemConfig, gap_slots: int = FRAME_GAP_SLOTS) -> int:
+    """Samples from one frame's start to the next's in a burst."""
+    return (framing.FRAME_BITS + gap_slots) * cfg.samples_per_bit
+
+
+def burst_length(n_frames: int, cfg: ModemConfig, gap_slots: int = FRAME_GAP_SLOTS) -> int:
+    """Samples of a burst of n_frames >= 1 frames."""
+    return n_frames * frame_period(cfg, gap_slots) - gap_slots * cfg.samples_per_bit
+
+
+def frame_samples(msg: framing.ControlMessage, cfg: ModemConfig) -> np.ndarray:
+    """One frame's samples (read-only, like every SampleBuffer's).  Each
+    frame is modulated from phase 0 on its own, so a repeat is the same
+    waveform."""
     return modulate(framing.encode_frame(framing.encode_message(msg)), cfg).samples
-
-
-def frame_cache() -> Callable[[framing.ControlMessage, ModemConfig], np.ndarray]:
-    """`_frame_samples` behind an LRU of FRAME_CACHE_SIZE (message, config)
-    keys, for one session to own.  Each frame is modulated from phase 0 on
-    its own, so a repeat is the same waveform."""
-    return functools.lru_cache(maxsize=FRAME_CACHE_SIZE)(_frame_samples)
 
 
 def messages_to_waveform(
     messages: list[framing.ControlMessage],
     cfg: ModemConfig,
     gap_slots: int = FRAME_GAP_SLOTS,
-    frames: Callable[[framing.ControlMessage, ModemConfig], np.ndarray] = _frame_samples,
 ) -> SampleBuffer:
-    """Encode and modulate messages into one burst waveform, taking each
-    frame's samples from `frames` (a `frame_cache()` to reuse them)."""
+    """Encode and modulate messages into one burst waveform."""
     if not messages:
         return SampleBuffer(np.zeros(0), cfg.sample_rate)
     gap = np.zeros(gap_slots * cfg.samples_per_bit)
@@ -66,7 +64,7 @@ def messages_to_waveform(
     for i, msg in enumerate(messages):
         if i:
             pieces.append(gap)
-        pieces.append(frames(msg, cfg))
+        pieces.append(frame_samples(msg, cfg))
     return SampleBuffer(np.concatenate(pieces), cfg.sample_rate)
 
 
@@ -124,7 +122,7 @@ class _GridReceiver:
         self.gap_slots = gap_slots
         self.spb = cfg.samples_per_bit
         self.span = framing.FRAME_BITS * self.spb
-        self.period = (framing.FRAME_BITS + gap_slots) * self.spb
+        self.period = frame_period(cfg, gap_slots)
         # pad with one silent slot so a lock that lands a few samples late
         # on the final frame still has a full window to decode from
         self.scanner = ToneScanner(buf, cfg, pad=self.spb)
@@ -269,8 +267,7 @@ def reassemble_burst(scan: BurstScan, cfg: ModemConfig, gap_slots: int = FRAME_G
     if start is None:
         base = data[0].message.seq - data[0].index
     else:
-        period = (framing.FRAME_BITS + gap_slots) * cfg.samples_per_bit
-        base = round((data[0].offset - start) / period) - data[0].index
+        base = round((data[0].offset - start) / frame_period(cfg, gap_slots)) - data[0].index
     for frame in data:
         index = frame.index + base
         if index % 256 == frame.message.seq:

@@ -6,12 +6,18 @@ configured distance, off-axis directivity loss, then additive noise (a
 shaped ambient profile and/or a white floor pinned to a per-band SNR).
 Everything is a pure function of the inputs and an explicit seed.
 
-The signal-path response is applied by an FFT over the burst zero-padded
-to the next 5-smooth length (2^a 3^b 5^c samples, which the FFT
-transforms fast), then trimmed back to the burst.  That is a linear
-filter of the burst, save for any part of the response's impulse
-response longer than the padding; a whole-buffer FFT would be circular,
-wrapping the burst's tail onto its start.
+The signal path is one fixed zero-phase FIR per room.  With L =
+FILTER_TAPS (1920), `_transfer_gain_db` is sampled every sample_rate / L
+Hz (25 Hz at 48 kHz, which puts the default carriers and the 18 kHz
+absorption edge on the grid) and inverse-transformed to L + 1 taps over
+lags -L/2..L/2.  A tone on the grid is received at exactly its gain;
+between grid points the response interpolates it.  `apply_signal_path`
+convolves a buffer with the taps, linearly, by an FFT at the next 5-smooth
+length of at least n + L/2 samples, and keeps the n output samples aligned
+with the input; `add_noise` then adds the noise (`propagate` is the two in
+turn).  The room being linear and time-invariant, a frame is received the
+same in whatever burst it is sent, so the session engine adds up cached
+received frames instead of filtering whole bursts.
 
 Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 19 kHz tone at the modem's default peak amplitude (0.9) would enjoy at
@@ -23,8 +29,8 @@ delivered SNR exactly as the geometry says it should.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,10 +57,14 @@ DIRECTIVITY_K = 4.36
 # decay to -12 dB at the 24 kHz band edge
 DEFAULT_RESPONSE_CURVE = ((0.0, 0.0), (18_000.0, 0.0), (24_000.0, -12.0))
 
-# transfer gains of recent (length, rate, geometry, response) keys: a
-# session sends bursts of a few recurring lengths through one room
-TRANSFER_CACHE_SIZE = 8
-_TRANSFER_CACHE: OrderedDict[tuple, np.float64 | np.ndarray] = OrderedDict()
+# the signal path's FIR: FILTER_TAPS + 1 taps, lags -FILTER_TAPS/2 to
+# FILTER_TAPS/2; at most 2601, so a 1000-bit sweep cell at 166 bit/s
+# (289 000 samples) keeps its 291 600-point FFT
+FILTER_TAPS = 1920
+
+# rFFT masks of the signal path kept, per (path, FFT length): a sweep cell
+# and a session's frames each use one length
+RESPONSE_CACHE_SIZE = 4
 
 
 class NoiseKind(enum.Enum):
@@ -92,12 +102,14 @@ class ChannelModel:
     sample_shift_delay: bool = False
 
     def __post_init__(self):
-        if self.distance <= 0:
-            raise ConfigError(f"distance must be positive, got {self.distance}")
+        for name in ("distance", "cone_diameter", "speed_of_sound", "sample_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name.replace('_', ' ')} must be positive and finite, got {value}")
         if not 0 <= self.angle_off_axis <= 90:
             raise ConfigError(f"angle {self.angle_off_axis} outside [0, 90] degrees")
-        if self.cone_diameter <= 0:
-            raise ConfigError(f"cone diameter must be positive, got {self.cone_diameter}")
+        if self.base_snr_at_1m is not None and math.isnan(self.base_snr_at_1m):
+            raise ConfigError("base snr at 1m must be a number or None, got nan")
         gains = [g for _, g in self.response_curve]
         if not all(math.isfinite(g) for g in gains):
             raise ConfigError("response curve gains must be finite")
@@ -168,32 +180,63 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _transfer_gain(model: ChannelModel, n: int):
-    """Signal-path gain for an n-sample buffer: a scalar when the gain is
-    uniform over frequency, else the read-only rFFT mask at the padded
-    length `_fast_len(n)`.
+def _signal_path(model: ChannelModel) -> ChannelModel:
+    """`model` with only the fields `_transfer_gain_db` and the sample rate
+    kept, so rooms that differ in seed or noise share one response."""
+    return replace(model, base_snr_at_1m=None, noise=NoiseProfile(), seed=0,
+                   sample_shift_delay=False)
 
-    Memoised in a small LRU keyed by n, the sample rate and the fields
-    `_transfer_gain_db` reads, so models that differ only in seed or
-    noise share an entry.
-    """
-    key = (n, model.sample_rate, model.distance, model.angle_off_axis,
-           model.cone_diameter, model.speed_of_sound, model.response_curve)
-    gain = _TRANSFER_CACHE.get(key)
-    if gain is not None:
-        _TRANSFER_CACHE.move_to_end(key)
-        return gain
-    freqs = np.fft.rfftfreq(_fast_len(n), d=1.0 / model.sample_rate)
-    gain_db = _transfer_gain_db(model, freqs)
+
+def _kernel(path: ChannelModel):
+    """The signal path's FIR, or a scalar when its gain is uniform over
+    frequency.  Taps run over lags -L/2..L/2 (tap L/2 is lag 0); the tap at
+    lag L/2 of the L-point inverse FFT is split over lags -L/2 and L/2, so
+    the taps are symmetric (zero phase) and still sum to the sampled gain
+    on the grid."""
+    freqs = np.fft.rfftfreq(FILTER_TAPS, d=1.0 / path.sample_rate)
+    gain_db = _transfer_gain_db(path, freqs)
     if np.allclose(gain_db, gain_db[0], atol=1e-12):
-        gain = 10.0 ** (gain_db[0] / 20.0)
-    else:
-        gain = 10.0 ** (gain_db / 20.0)
-        gain.flags.writeable = False
-    _TRANSFER_CACHE[key] = gain
-    if len(_TRANSFER_CACHE) > TRANSFER_CACHE_SIZE:
-        _TRANSFER_CACHE.popitem(last=False)
-    return gain
+        return 10.0 ** (gain_db[0] / 20.0)
+    half = FILTER_TAPS // 2
+    kernel = np.fft.irfft(10.0 ** (gain_db / 20.0), FILTER_TAPS)   # lag k at index k mod L
+    taps = np.concatenate([kernel[half:], kernel[:half + 1]])
+    taps[[0, -1]] /= 2.0
+    # symmetric to the last bit, which the inverse FFT is only up to rounding
+    return (taps + taps[::-1]) / 2.0
+
+
+@functools.lru_cache(maxsize=RESPONSE_CACHE_SIZE)
+def _response(path: ChannelModel, m: int):
+    """The signal path for an m-point FFT: a scalar gain, or the read-only
+    (real) rFFT of the taps laid out circularly, negative lags at the end."""
+    taps = _kernel(path)
+    if np.ndim(taps) == 0:
+        return taps
+    half = FILTER_TAPS // 2
+    circular = np.zeros(m)
+    circular[:half + 1] = taps[half:]
+    circular[m - half:] = taps[:half]
+    # symmetric taps have a real spectrum; the imaginary part is rounding.
+    # A contiguous copy: the `.real` view would keep the complex spectrum
+    # alive and slow the multiply down
+    mask = np.fft.rfft(circular).real.copy()
+    mask.flags.writeable = False
+    return mask
+
+
+def apply_signal_path(samples: np.ndarray, model: ChannelModel) -> np.ndarray:
+    """The room's response, spreading, absorption and directivity applied
+    to `samples`: their linear convolution with the signal path's FIR,
+    output sample i aligned with input sample i (same length)."""
+    path = _signal_path(model)
+    n = samples.size
+    # n + L/2 points: the centred kernel's lags never wrap onto the output
+    m = _fast_len(n + FILTER_TAPS // 2)
+    gain = _response(path, m)
+    if np.ndim(gain) == 0:
+        # uniform gain: skip the FFT so the identity case is sample-exact
+        return samples * gain
+    return np.fft.irfft(np.fft.rfft(samples, m) * gain, m)[:n]
 
 
 def reference_received_power(model: ChannelModel) -> float:
@@ -286,26 +329,26 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
         raise ConfigError(
             f"buffer rate {tx.sample_rate} != channel rate {model.sample_rate}"
         )
-    n = len(tx)
-    if n == 0:
+    if len(tx) == 0:
         return tx
-    gain = _transfer_gain(model, n)
-    if np.ndim(gain) == 0:
-        # uniform gain: skip the FFT so the identity case is sample-exact
-        y = tx.samples * gain
-    else:
-        m = _fast_len(n)
-        y = np.fft.irfft(np.fft.rfft(tx.samples, m) * gain, m)[:n]
+    return add_noise(apply_signal_path(tx.samples, model), model, seed)
+
+
+def add_noise(y: np.ndarray, model: ChannelModel, seed=None) -> SampleBuffer:
+    """The receiving end of `propagate`: the flight time as leading zeros
+    when sample_shift_delay is set, then the room's noise, drawn from
+    (model.seed, seed) alone."""
+    fs = model.sample_rate
     if model.sample_shift_delay:
-        shift = int(round(model.propagation_delay * tx.sample_rate))
+        shift = int(round(model.propagation_delay * fs))
         y = np.concatenate([np.zeros(shift), y])
     entropy = (model.seed,) if seed is None else (model.seed, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     if model.noise.kind != NoiseKind.SILENT:
         shaped = synthesize_noise(
             model.noise,
-            duration=len(y) / tx.sample_rate,
-            sample_rate=tx.sample_rate,
+            duration=len(y) / fs,
+            sample_rate=fs,
             seed=rng.integers(2**63),
             reference_power=reference_received_power(model),
         )
@@ -313,7 +356,7 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
     sigma = white_noise_sigma(model)
     if sigma > 0:
         y = y + sigma * rng.standard_normal(len(y))
-    return SampleBuffer(y, tx.sample_rate)
+    return SampleBuffer(y, fs)
 
 
 # Frozen room presets.  The paper-* SNR values were calibrated once by

@@ -10,13 +10,15 @@ any frame, including RELEASE or the whole feedback turn, is recovered by
 inactivity/response timeouts.
 
 `run_session` drives two nodes over a simulated channel with a discrete
-event loop.  Audio exists per transmission burst: the burst waveform is
-synthesized at the nodes' shared bit rate, pushed through the channel
-(noise seeded per burst), and scanned by the receiver — so corruption and
-retransmission emerge physically.  A node hears a burst only if its
-transducer stayed in MIC for the burst's whole flight; turn-starting
-timers are deferred while a burst is audibly in flight (energy-based
-carrier sensing, modeled as exact).
+event loop.  Audio exists per received burst: each frame is modulated at
+the nodes' shared bit rate and pushed through the channel's signal path
+once per session (the channel is linear, so a frame sounds the same in
+every burst), the burst's frames are added up at their places, noise
+seeded per burst is added, and the receiver scans the result — so
+corruption and retransmission emerge physically.  A node hears a burst
+only if its transducer stayed in MIC for the burst's whole flight;
+turn-starting timers are deferred while a burst is audibly in flight
+(energy-based carrier sensing, modeled as exact).
 
 Everything is deterministic given the session seed: node RNGs, jitters,
 and per-burst channel noise all derive from it.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import heapq
 import json
 import math
@@ -37,7 +40,7 @@ import numpy as np
 from . import burst as bursts
 from . import framing
 from .audio import SampleBuffer
-from .channel import ChannelModel, propagate
+from .channel import FILTER_TAPS, ChannelModel, add_noise, apply_signal_path, propagate
 from .framing import SEQ_WINDOW, ControlMessage, MessageKind, Reassembler
 from .modem import ConfigError, ModemConfig
 
@@ -139,10 +142,12 @@ class LinkConfig:
     max_retransmit_per_turn: int = 16
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max}")
-        if self.retask_latency <= 0:
-            raise ConfigError(f"retask_latency must be positive, got {self.retask_latency}")
+        if not 0 < self.t_max < math.inf:
+            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
+        if not 0 < self.retask_latency < math.inf:
+            raise ConfigError(
+                f"retask_latency must be positive and finite, got {self.retask_latency}"
+            )
         frames = _turn_frames(self)
         if frames < MIN_TURN_FRAMES:
             raise ConfigError(
@@ -574,12 +579,26 @@ class _Timers:
         return self.generation.get(kind) == gen
 
 
+# received frames a session's engine keeps: its control frames repeat
+RX_FRAME_CACHE_SIZE = 32
+
+
+def _received_frame(msg: ControlMessage, modem: ModemConfig, channel: ChannelModel) -> np.ndarray:
+    """One frame as its receiver hears it before noise (read-only): the
+    frame with FILTER_TAPS // 2 silent samples on each side, so that its
+    whole response fits, through the channel's signal path."""
+    half = FILTER_TAPS // 2
+    samples = apply_signal_path(np.pad(bursts.frame_samples(msg, modem), half), channel)
+    samples.flags.writeable = False
+    return samples
+
+
 @dataclass
 class _Burst:
     tx: int                 # node index
     t0: float
     t1: float
-    waveform: SampleBuffer
+    messages: tuple[ControlMessage, ...]
 
 
 class _Engine:
@@ -611,7 +630,10 @@ class _Engine:
         self.keep_audio = keep_audio
         self.stop_after_discovery = stop_after_discovery
         self.trace = SessionTrace()
-        self.frames = bursts.frame_cache()
+        # keyed by (message, modem config); the partial holds the channel,
+        # not the engine, so the cache makes no reference cycle
+        self.received_frames = functools.lru_cache(maxsize=RX_FRAME_CACHE_SIZE)(
+            functools.partial(_received_frame, channel=channel))
         self.heap: list = []
         self.counter = 0
         self.timers = [_Timers(), _Timers()]
@@ -670,11 +692,11 @@ class _Engine:
             elif isinstance(act, Transmit):
                 if self.mic_since[idx] != math.inf:
                     raise ProtocolError("Transmit while transducer is not a speaker")
-                wave = bursts.messages_to_waveform(list(act.messages), state.cfg.modem,
-                                                   state.cfg.gap_slots, self.frames)
+                n = bursts.burst_length(len(act.messages), state.cfg.modem, state.cfg.gap_slots)
                 ident = self.burst_count
                 self.burst_count += 1
-                b = _Burst(tx=idx, t0=cursor, t1=cursor + wave.duration, waveform=wave)
+                b = _Burst(tx=idx, t0=cursor, t1=cursor + n / state.cfg.modem.sample_rate,
+                           messages=act.messages)
                 self.bursts[ident] = b
                 self.trace.log(
                     cursor, state.name, "tx_burst",
@@ -711,7 +733,7 @@ class _Engine:
                 burst=ident, reason="not_listening",
             )
             return
-        rx_wave = propagate(b.waveform, self.channel, seed=(self.seed, ident))
+        rx_wave = self._received_burst(ident, b)
         if self.rx_filter is not None:
             rx_wave = self.rx_filter(rx_wave)
         if self.keep_audio:
@@ -730,6 +752,21 @@ class _Engine:
                 seq=msg.seq, body=msg.body,
             )
             self._deliver(rx, FrameReceived(self.now, msg))
+
+    def _received_burst(self, ident: int, b: _Burst) -> SampleBuffer:
+        """Burst `ident` as its receiver hears it: each frame's received
+        samples added in at its place, then the channel's noise.  By
+        linearity this is `propagate(messages_to_waveform(...), seed=(seed,
+        ident))` without filtering the whole burst."""
+        cfg = self.nodes[b.tx].cfg
+        period = bursts.frame_period(cfg.modem, cfg.gap_slots)
+        y = np.zeros(bursts.burst_length(len(b.messages), cfg.modem, cfg.gap_slots))
+        for k, msg in enumerate(b.messages):
+            frame = self.received_frames(msg, cfg.modem)
+            start = k * period - FILTER_TAPS // 2
+            lo, hi = max(start, 0), min(start + frame.size, y.size)
+            y[lo:hi] += frame[lo - start:hi - start]
+        return add_noise(y, self.channel, seed=(self.seed, ident))
 
     # ------------------------------------------------------------- run
 

@@ -28,6 +28,12 @@ class TestSampleBuffer:
         with pytest.raises(ValueError):
             buf.samples[0] = 1.0
 
+    def test_caller_array_stays_writeable(self):
+        x = np.zeros(5)
+        buf = SampleBuffer(x, 48000)
+        x[0] = 1.0
+        assert not buf.samples.flags.writeable
+
     def test_duration(self):
         assert SampleBuffer(np.zeros(24000), 48000).duration == 0.5
 

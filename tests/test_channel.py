@@ -1,7 +1,6 @@
 """Simulated-medium tests: geometry, noise shaping, frozen presets."""
 
 import math
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,8 @@ from ultralink.audio import SampleBuffer
 from ultralink.channel import (
     PAPER_3M_BASE_SNR_DB,
     PAPER_8M_BASE_SNR_DB,
-    TRANSFER_CACHE_SIZE,
+    FILTER_TAPS,
+    RESPONSE_CACHE_SIZE,
     ChannelModel,
     NoiseKind,
     NoiseProfile,
@@ -136,10 +136,15 @@ class TestPropagate:
 
 
 @pytest.fixture
-def transfer_cache(monkeypatch):
-    cache = OrderedDict()
-    monkeypatch.setattr(channel, "_TRANSFER_CACHE", cache)
-    return cache
+def transfer_cache():
+    """The signal path's mask cache, emptied for the test."""
+    channel._response.cache_clear()
+    yield channel._response
+    channel._response.cache_clear()
+
+
+def mask_length(n):
+    return channel._fast_len(n + FILTER_TAPS // 2)
 
 
 class TestTransferCache:
@@ -153,30 +158,39 @@ class TestTransferCache:
         tx = self.tx()
         for model in (preset("paper-3m"), preset("paper-8m"), self.FLAT,
                       replace(self.FLAT, distance=0.5), ChannelModel(distance=2.0, angle_off_axis=45.0)):
-            transfer_cache.clear()
+            transfer_cache.cache_clear()
             cold = propagate(tx, model, seed=4)
             warm = propagate(tx, model, seed=4)
-            assert len(transfer_cache) == 1
+            assert transfer_cache.cache_info().currsize == 1
+            assert transfer_cache.cache_info().hits == 1
             assert cold.samples.tobytes() == warm.samples.tobytes()
 
     def test_models_differing_only_in_seed_share_an_entry(self, transfer_cache):
         tx = self.tx()
         a = propagate(tx, preset("paper-3m", seed=1))
-        b = propagate(tx, preset("paper-3m", seed=2))
-        assert len(transfer_cache) == 1
+        b = propagate(tx, preset("paper-3m", seed=2, noise=NoiseProfile(NoiseKind.WHITE, -30.0)))
+        assert transfer_cache.cache_info().currsize == 1
         assert not np.array_equal(a.samples, b.samples)
 
     def test_masks_read_only(self, transfer_cache):
-        propagate(self.tx(), preset("paper-3m"))
-        (mask,) = transfer_cache.values()
+        tx = self.tx()
+        model = preset("paper-3m")
+        propagate(tx, model)
+        mask = transfer_cache(channel._signal_path(model), mask_length(len(tx)))
+        assert transfer_cache.cache_info().hits == 1
         assert mask.ndim == 1 and not mask.flags.writeable
+        # the taps are symmetric about lag 0, so the mask is real
+        taps = channel._kernel(channel._signal_path(model))
+        assert taps.size == FILTER_TAPS + 1
+        assert np.array_equal(taps, taps[::-1])
 
     def test_uniform_gain_stays_sample_exact(self, transfer_cache):
         # closer than 1 m: +6 dB spreading gain, no absorption, flat response
         tx = self.tx()
+        near = replace(self.FLAT, distance=0.5)
         for _ in range(2):
-            rx = propagate(tx, replace(self.FLAT, distance=0.5))
-            (gain,) = transfer_cache.values()
+            rx = propagate(tx, near)
+            gain = transfer_cache(channel._signal_path(near), mask_length(len(tx)))
             assert np.ndim(gain) == 0 and gain == pytest.approx(2.0)
             assert np.array_equal(rx.samples, tx.samples * gain)
         for _ in range(2):
@@ -184,16 +198,22 @@ class TestTransferCache:
 
     def test_lru_bounded(self, transfer_cache):
         model = preset("paper-3m")
-        lengths = [100 + k for k in range(TRANSFER_CACHE_SIZE + 3)]
+        by_length = {}
+        for n in range(100, 1000):
+            by_length.setdefault(mask_length(n), n)
+        lengths = list(by_length.values())[:RESPONSE_CACHE_SIZE + 3]
         for n in lengths:
             propagate(SampleBuffer(np.ones(n), FS), model)
-        assert len(transfer_cache) == TRANSFER_CACHE_SIZE
+        assert transfer_cache.cache_info().currsize == RESPONSE_CACHE_SIZE
         # the least recently used lengths went first; a hit refreshes an entry
-        kept = [key[0] for key in transfer_cache]
-        assert kept == lengths[-TRANSFER_CACHE_SIZE:]
+        kept = lengths[-RESPONSE_CACHE_SIZE:]
         propagate(SampleBuffer(np.ones(kept[0]), FS), model)
-        propagate(SampleBuffer(np.ones(5000), FS), model)
-        assert [key[0] for key in transfer_cache] == kept[2:] + [kept[0], 5000]
+        assert transfer_cache.cache_info().hits == 1
+        propagate(SampleBuffer(np.ones(lengths[0]), FS), model)    # evicts kept[1]
+        propagate(SampleBuffer(np.ones(kept[0]), FS), model)
+        assert transfer_cache.cache_info().hits == 2
+        propagate(SampleBuffer(np.ones(kept[1]), FS), model)
+        assert transfer_cache.cache_info().hits == 2
 
 
 class TestPaddedFilter:
@@ -208,20 +228,39 @@ class TestPaddedFilter:
         assert channel._fast_len(289_000) == 291_600
         assert channel._fast_len(157_794) == 160_000
         assert channel._fast_len(28_800) == 28_800   # already 2^7 3^2 5^2
+        # the signal path's taps do not lengthen the sweep cell's FFT
+        assert mask_length(289_000) == 291_600
 
     def test_noiseless_paper_3m_equals_padded_reference(self, transfer_cache):
+        # the reference: a direct linear convolution with the taps, whose
+        # lag-0 tap is FILTER_TAPS // 2, trimmed to the input
         model = preset("paper-3m", base_snr_at_1m=None)
+        taps = channel._kernel(channel._signal_path(model))
+        half = FILTER_TAPS // 2
         rng = np.random.default_rng(8)
         for n_bits in (46, 100, 545):   # 13 294, 28 900 and 157 505 samples
             tx = modulate(rng.integers(0, 2, n_bits, dtype=np.uint8), ModemConfig(bit_rate=166))
             n = len(tx)
-            m = channel._fast_len(n)
-            mask = 10.0 ** (channel._transfer_gain_db(model, np.fft.rfftfreq(m, 1.0 / FS)) / 20.0)
-            expected = np.fft.irfft(np.fft.rfft(tx.samples, m) * mask, m)[:n]
+            expected = np.convolve(tx.samples, taps)[half:half + n]
             for _ in range(2):   # cold and warm mask cache
                 rx = propagate(tx, model)
                 assert len(rx) == n
-                assert rx.samples.tobytes() == expected.tobytes()
+                np.testing.assert_allclose(rx.samples, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", [
+        preset("paper-3m"), preset("paper-8m"), ChannelModel(distance=2.0, angle_off_axis=45.0),
+    ], ids=["paper-3m", "paper-8m", "45deg"])
+    def test_steady_tones_received_at_transfer_gain(self, model):
+        cfg = ModemConfig()
+        t = np.arange(FS) / FS
+        for freq in (cfg.f0, cfg.f1):
+            rx = channel.apply_signal_path(np.sin(2 * np.pi * freq * t), model)
+            # away from the ends, over a whole number of cycles
+            steady = slice(FILTER_TAPS, FS - FILTER_TAPS)
+            phasor = np.exp(-2j * np.pi * freq * t[steady])
+            amplitude = 2 * abs(rx[steady] @ phasor) / phasor.size
+            expected = channel._transfer_gain_db(model, np.array([freq]))[0]
+            assert 20 * math.log10(amplitude) == pytest.approx(expected, abs=0.01)
 
 
 class TestNoise:
@@ -316,3 +355,17 @@ class TestPresets:
             ChannelModel(angle_off_axis=120.0)
         with pytest.raises(ConfigError):
             ChannelModel(cone_diameter=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_snr_at_1m", math.nan),     # was a silently noiseless room
+        ("speed_of_sound", 0.0),          # was a ZeroDivisionError in propagation_delay
+        ("speed_of_sound", -340.0),       # was a negative flight time
+        ("speed_of_sound", math.inf),
+        ("distance", math.nan),           # was an AudioError inside propagate
+        ("distance", math.inf),
+        ("cone_diameter", math.nan),
+        ("sample_rate", 0),
+    ])
+    def test_bad_fields_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field.replace("_", " ")):
+            ChannelModel(**{field: value})

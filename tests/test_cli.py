@@ -154,6 +154,14 @@ class TestSimulateSession:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_non_finite_link_value_rejected(self, tmp_path, payload_file, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(f"[session]\npayload = {payload_file.name}\npreset = noiseless\n[link]\nt_max = inf\n")
+        out = tmp_path / "inf"
+        assert main(["simulate-session", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["auto_rate = true", "min_bit_rate = 10", "max_bit_rate = 500"])
     def test_removed_rate_keys_rejected(self, tmp_path, payload_file, capsys, line):
         # the link has no rate negotiation: its old [link] keys are unknown

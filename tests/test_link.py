@@ -2,14 +2,16 @@
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultralink import burst as bursts
 from ultralink import framing, link
-from ultralink.channel import preset
+from ultralink.channel import ChannelModel, NoiseKind, NoiseProfile, preset, propagate
 from ultralink.framing import ControlMessage, MessageKind
 from ultralink.link import (
     SEQ_WINDOW,
@@ -48,6 +50,10 @@ class TestLinkConfig:
             {"t_max": -1.0},
             {"retask_latency": 0.0},
             {"retask_latency": -0.05},
+            {"t_max": math.inf},
+            {"t_max": math.nan},
+            {"retask_latency": math.inf},
+            {"retask_latency": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -373,6 +379,43 @@ class TestSessions:
         assert s["delivered_intact"] == {"B": True, "A": True}
         inv = verify_trace(trace, t_max=CFG.t_max)
         assert not any(inv.values())
+
+
+class TestReceivedBurst:
+    MESSAGES = [
+        ControlMessage(MessageKind.ACQUIRE, sender_id=0x11, seq=0, body=0),
+        ControlMessage(MessageKind.DATA, seq=5, body=0xBEEF),
+        ControlMessage(MessageKind.DATA, seq=6, body=0x0102),
+        ControlMessage(MessageKind.RELEASE, sender_id=0x11, seq=0, body=0),
+        ControlMessage(MessageKind.ACK_OK, sender_id=0x22, seq=6, body=0),
+        ControlMessage(MessageKind.DISCOVERY, sender_id=0x22, seq=0, body=0),
+    ]
+
+    @pytest.mark.parametrize("model", [
+        preset("paper-3m"),
+        ChannelModel(distance=2.0, angle_off_axis=45.0, base_snr_at_1m=20.0,
+                     noise=NoiseProfile(NoiseKind.MUSIC_LIKE, -10.0), sample_shift_delay=True),
+        ChannelModel(distance=0.5, response_curve=((0.0, 0.0), (24000.0, 0.0))),   # uniform gain
+    ], ids=["paper-3m", "45deg-shaped-noise-shifted", "uniform"])
+    def test_frames_add_up_to_the_propagated_burst(self, model):
+        # the engine's received burst is the same operator as propagating
+        # the whole burst: its frames' cached responses add up by linearity
+        bursts_sent = [
+            self.MESSAGES[:4], self.MESSAGES[4:5], self.MESSAGES[5:],
+            [self.MESSAGES[0], self.MESSAGES[1], self.MESSAGES[1], self.MESSAGES[3]],
+            self.MESSAGES[::-1],
+        ]
+        nodes = [make_node(CFG, 5, name) for name in "AB"]
+        engine = link._Engine(nodes, model, 5, 60.0)
+        for ident, messages in enumerate(bursts_sent):
+            b = link._Burst(tx=ident % 2, t0=0.0, t1=1.0, messages=tuple(messages))
+            got = engine._received_burst(ident, b)
+            wave = bursts.messages_to_waveform(messages, CFG.modem, CFG.gap_slots)
+            expected = propagate(wave, model, seed=(5, ident))
+            assert len(got) == len(expected) == len(wave) + (
+                round(model.propagation_delay * model.sample_rate) if model.sample_shift_delay else 0)
+            np.testing.assert_allclose(got.samples, expected.samples, rtol=0, atol=1e-9)
+        assert engine.received_frames.cache_info().hits > 0
 
 
 class TestDiscoveryLiveness:

@@ -1,5 +1,8 @@
 """Physical-layer tests: slot arithmetic, projections, sync, robustness."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from conftest import awgn_per_band_snr
 from ultralink import burst, framing, link, modem
 from ultralink.audio import SampleBuffer
 from ultralink.bits import as_bits
-from ultralink.channel import preset, propagate
+from ultralink.channel import FILTER_TAPS, apply_signal_path, preset, propagate
 from ultralink.framing import FRAME_BITS, ControlMessage, MessageKind
 from ultralink.modem import (
     PHASOR_TABLE_MIN,
@@ -467,27 +470,54 @@ class TestFrameCache:
             pieces.append(modulate(bits, cfg).samples)
         return np.concatenate(pieces)
 
+    @staticmethod
+    def engine(payload=None):
+        link_cfg = link.LinkConfig(modem=CFG166)
+        nodes = [link.make_node(link_cfg, 3, "A", payload=payload), link.make_node(link_cfg, 3, "B")]
+        engine = link._Engine(nodes, preset("paper-3m"), 3, 600.0)
+        engine.expected_payloads = [payload, None]
+        return engine
+
     def test_byte_identical_to_uncached_modulation(self):
-        frames = burst.frame_cache()
         for cfg in (CFG10, CFG166):
             for messages in (self.MESSAGES, self.MESSAGES[::-1] + self.MESSAGES[:2]):
                 expected = self.uncached(messages, cfg).tobytes()
                 assert burst.messages_to_waveform(messages, cfg).samples.tobytes() == expected
-                for _ in range(2):  # cold, then served from the cache
-                    wave = burst.messages_to_waveform(messages, cfg, frames=frames)
-                    assert wave.samples.tobytes() == expected
-        assert frames.cache_info().hits > 0
+        # a session's received frames: the same bytes cold and served from its cache
+        engine = self.engine()
+        half = FILTER_TAPS // 2
+        for msg in self.MESSAGES + self.MESSAGES[:2]:
+            padded = np.pad(self.uncached([msg], CFG166), half)
+            expected = apply_signal_path(padded, engine.channel).tobytes()
+            assert engine.received_frames(msg, CFG166).tobytes() == expected
+        assert engine.received_frames.cache_info().hits == 2
 
     def test_entries_read_only_and_bounded(self):
-        frames = burst.frame_cache()
+        engine = self.engine()
         messages = [ControlMessage(MessageKind.DATA, seq=i, body=i)
-                    for i in range(burst.FRAME_CACHE_SIZE + 5)]
-        burst.messages_to_waveform(messages, CFG166, frames=frames)
-        assert frames.cache_info().currsize == burst.FRAME_CACHE_SIZE
-        samples = frames(messages[-1], CFG166)
+                    for i in range(link.RX_FRAME_CACHE_SIZE + 5)]
+        for msg in messages:
+            engine.received_frames(msg, CFG166)
+        assert engine.received_frames.cache_info().currsize == link.RX_FRAME_CACHE_SIZE
+        samples = engine.received_frames(messages[-1], CFG166)
+        assert samples.size == burst.burst_length(1, CFG166) + FILTER_TAPS
         assert not samples.flags.writeable
         with pytest.raises(ValueError):
             samples[0] = 0.0
+
+    def test_freed_with_its_engine(self):
+        # the cache holds no reference to its engine, so reference counting
+        # frees both as soon as the session is over, without a gc pass
+        engine = self.engine(b"ab")
+        assert engine.run().summary["complete"]
+        assert engine.received_frames.cache_info().currsize > 0
+        cache, owner = weakref.ref(engine.received_frames), weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert cache() is None and owner() is None
+        finally:
+            gc.enable()
 
     def test_each_session_starts_with_an_empty_cache(self, monkeypatch):
         # a session's work must not depend on what ran before it in the process
