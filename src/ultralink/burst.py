@@ -10,16 +10,22 @@ reported as corrupt) rather than producing bogus messages.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import framing
 from .audio import SampleBuffer
-from .modem import ModemConfig, ToneScanner, modulate
+from .channel import FILTER_TAPS, ChannelModel, _signal_path, apply_signal_path
+from .modem import ConfigError, ModemConfig, ToneScanner, modulate, slot_phases
 
 FRAME_GAP_SLOTS = 4
+
+# filtered slot atoms kept, per (modem config, signal path)
+ATOM_CACHE_SIZE = 8
 
 # CRC-8 (x^8 + x^2 + x + 1 has the factor x + 1) detects every error of
 # one, two or an odd number of bits in a frame, so a corrupted frame that
@@ -44,19 +50,13 @@ def burst_length(n_frames: int, cfg: ModemConfig, gap_slots: int = FRAME_GAP_SLO
     return n_frames * frame_period(cfg, gap_slots) - gap_slots * cfg.samples_per_bit
 
 
-def frame_samples(msg: framing.ControlMessage, cfg: ModemConfig) -> np.ndarray:
-    """One frame's samples (read-only, like every SampleBuffer's).  Each
-    frame is modulated from phase 0 on its own, so a repeat is the same
-    waveform."""
-    return modulate(framing.encode_frame(framing.encode_message(msg)), cfg).samples
-
-
 def messages_to_waveform(
     messages: list[framing.ControlMessage],
     cfg: ModemConfig,
     gap_slots: int = FRAME_GAP_SLOTS,
 ) -> SampleBuffer:
-    """Encode and modulate messages into one burst waveform."""
+    """Encode and modulate messages into one burst waveform.  Each frame is
+    modulated from phase 0 on its own, so a repeat is the same waveform."""
     if not messages:
         return SampleBuffer(np.zeros(0), cfg.sample_rate)
     gap = np.zeros(gap_slots * cfg.samples_per_bit)
@@ -64,8 +64,63 @@ def messages_to_waveform(
     for i, msg in enumerate(messages):
         if i:
             pieces.append(gap)
-        pieces.append(frame_samples(msg, cfg))
+        pieces.append(modulate(framing.encode_frame(framing.encode_message(msg)), cfg).samples)
     return SampleBuffer(np.concatenate(pieces), cfg.sample_rate)
+
+
+@functools.lru_cache(maxsize=ATOM_CACHE_SIZE)
+def _slot_atoms(cfg: ModemConfig, path: ChannelModel) -> np.ndarray:
+    """One bit slot's four tones through the signal path, read-only, one
+    per row: gain * sin(omega_b (i + 1)) and gain * cos(omega_b (i + 1)) for
+    the f0 then the f1 step omega_b, each with FILTER_TAPS // 2 silent
+    samples on both sides so that its whole response fits, zero-padded to
+    a whole number of slots."""
+    spb = cfg.samples_per_bit
+    half = FILTER_TAPS // 2
+    atoms = np.zeros((4, -(-(spb + FILTER_TAPS) // spb) * spb))
+    omega, _ = slot_phases(np.arange(2), cfg)
+    for b in range(2):
+        angle = omega[b] * np.arange(1, spb + 1)
+        for c, wave in enumerate((np.sin(angle), np.cos(angle))):
+            tone = np.pad(cfg.gain * wave, half)
+            atoms[2 * b + c, :tone.size] = apply_signal_path(tone, path)
+    atoms.flags.writeable = False
+    return atoms
+
+
+def received_burst(messages: Sequence[framing.ControlMessage], cfg: ModemConfig,
+                   gap_slots: int, channel: ChannelModel) -> np.ndarray:
+    """The burst of `messages` as its receiver hears it before noise:
+    `apply_signal_path(messages_to_waveform(...).samples, channel)`, up to
+    rounding, without modulating or filtering it.
+
+    Slot k of a frame at bit b is gain * sin(start_k + omega_b (i + 1)) (see
+    `slot_phases`): cos(start_k) times the slot's sin atom plus sin(start_k)
+    times its cos atom.  The room being linear, output slot r is the sum
+    over the D slots of atom that reach it, j = 0..D-1, of slot r - j's
+    coefficients (zero in gap slots) times block j of the atoms: one
+    (rows x 4D) @ (4D x spb) product."""
+    if cfg.sample_rate != channel.sample_rate:
+        raise ConfigError(f"modem rate {cfg.sample_rate} != channel rate {channel.sample_rate}")
+    spb = cfg.samples_per_bit
+    atoms = _slot_atoms(cfg, _signal_path(channel))
+    blocks = atoms.shape[1] // spb
+    bits = np.array([framing.encode_frame(framing.encode_message(m)) for m in messages])
+    _, start = slot_phases(bits, cfg)
+    frames, period = len(messages), framing.FRAME_BITS + gap_slots
+    # the slots' coefficients with blocks - 1 zero rows on either side
+    padded = np.zeros((frames * period + 2 * (blocks - 1), 4))
+    coef = padded[blocks - 1:blocks - 1 + frames * period].reshape(frames, period, 4)
+    f, k = np.ogrid[:frames, :framing.FRAME_BITS]
+    coef[f, k, 2 * bits] = np.cos(start)
+    coef[f, k, 2 * bits + 1] = np.sin(start)
+    slots = frames * period - gap_slots
+    rows = slots + blocks - 1
+    # window r holds slots r - D + 1..r; reversed, column (c, j) is slot r - j's
+    windows = np.lib.stride_tricks.sliding_window_view(padded, blocks, axis=0)
+    out = windows[:rows, :, ::-1].reshape(rows, 4 * blocks) @ atoms.reshape(4 * blocks, spb)
+    half = FILTER_TAPS // 2
+    return out.ravel()[half:half + slots * spb]
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ between grid points the response interpolates it.  `apply_signal_path`
 convolves a buffer with the taps, linearly, by an FFT at the next 5-smooth
 length of at least n + L/2 samples, and keeps the n output samples aligned
 with the input; `add_noise` then adds the noise (`propagate` is the two in
-turn).  The room being linear and time-invariant, a frame is received the
-same in whatever burst it is sent, so the session engine adds up cached
-received frames instead of filtering whole bursts.
+turn).  The room is linear and time-invariant, and `modulate` computes
+each bit slot's phase in closed form from the phase the slot starts at
+(`modem.slot_phases`), so `burst.received_burst` builds the received bursts
+of sessions and one-way streams from four filtered slot tones, with no
+modulation and no FFT per burst.
 
 Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 19 kHz tone at the modem's default peak amplitude (0.9) would enjoy at
@@ -165,6 +167,7 @@ def _transfer_gain_db(model: ChannelModel, freqs: np.ndarray) -> np.ndarray:
     return gains
 
 
+@functools.lru_cache(maxsize=256)
 def _fast_len(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= n, a length the FFT transforms fast."""
     # for each 3^b 5^c below the best so far, the power of two that lifts it to n

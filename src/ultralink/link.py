@@ -10,15 +10,13 @@ any frame, including RELEASE or the whole feedback turn, is recovered by
 inactivity/response timeouts.
 
 `run_session` drives two nodes over a simulated channel with a discrete
-event loop.  Audio exists per received burst: each frame is modulated at
-the nodes' shared bit rate and pushed through the channel's signal path
-once per session (the channel is linear, so a frame sounds the same in
-every burst), the burst's frames are added up at their places, noise
-seeded per burst is added, and the receiver scans the result — so
-corruption and retransmission emerge physically.  A node hears a burst
-only if its transducer stayed in MIC for the burst's whole flight;
-turn-starting timers are deferred while a burst is audibly in flight
-(energy-based carrier sensing, modeled as exact).
+event loop.  Audio exists per received burst: the burst's bit slots at the
+nodes' shared bit rate are added up from the channel's filtered slot tones
+(`burst.received_burst`; the channel is linear), noise seeded per burst is
+added, and the receiver scans the result — so corruption and retransmission
+emerge physically.  A node hears a burst only if its transducer stayed in
+MIC for the burst's whole flight; turn-starting timers are deferred while a
+burst is audibly in flight (energy-based carrier sensing, modeled as exact).
 
 Everything is deterministic given the session seed: node RNGs, jitters,
 and per-burst channel noise all derive from it.
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import copy
 import enum
-import functools
 import heapq
 import json
 import math
@@ -40,7 +37,8 @@ import numpy as np
 from . import burst as bursts
 from . import framing
 from .audio import SampleBuffer
-from .channel import FILTER_TAPS, ChannelModel, add_noise, apply_signal_path, propagate
+from .channel import ChannelModel, add_noise
+from .channel import propagate  # noqa: F401  (link.propagate: the bench tracer wraps it)
 from .framing import SEQ_WINDOW, ControlMessage, MessageKind, Reassembler
 from .modem import ConfigError, ModemConfig
 
@@ -579,20 +577,6 @@ class _Timers:
         return self.generation.get(kind) == gen
 
 
-# received frames a session's engine keeps: its control frames repeat
-RX_FRAME_CACHE_SIZE = 32
-
-
-def _received_frame(msg: ControlMessage, modem: ModemConfig, channel: ChannelModel) -> np.ndarray:
-    """One frame as its receiver hears it before noise (read-only): the
-    frame with FILTER_TAPS // 2 silent samples on each side, so that its
-    whole response fits, through the channel's signal path."""
-    half = FILTER_TAPS // 2
-    samples = apply_signal_path(np.pad(bursts.frame_samples(msg, modem), half), channel)
-    samples.flags.writeable = False
-    return samples
-
-
 @dataclass
 class _Burst:
     tx: int                 # node index
@@ -630,10 +614,6 @@ class _Engine:
         self.keep_audio = keep_audio
         self.stop_after_discovery = stop_after_discovery
         self.trace = SessionTrace()
-        # keyed by (message, modem config); the partial holds the channel,
-        # not the engine, so the cache makes no reference cycle
-        self.received_frames = functools.lru_cache(maxsize=RX_FRAME_CACHE_SIZE)(
-            functools.partial(_received_frame, channel=channel))
         self.heap: list = []
         self.counter = 0
         self.timers = [_Timers(), _Timers()]
@@ -754,18 +734,10 @@ class _Engine:
             self._deliver(rx, FrameReceived(self.now, msg))
 
     def _received_burst(self, ident: int, b: _Burst) -> SampleBuffer:
-        """Burst `ident` as its receiver hears it: each frame's received
-        samples added in at its place, then the channel's noise.  By
-        linearity this is `propagate(messages_to_waveform(...), seed=(seed,
-        ident))` without filtering the whole burst."""
+        """Burst `ident` as its receiver hears it, noise included: up to
+        rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`."""
         cfg = self.nodes[b.tx].cfg
-        period = bursts.frame_period(cfg.modem, cfg.gap_slots)
-        y = np.zeros(bursts.burst_length(len(b.messages), cfg.modem, cfg.gap_slots))
-        for k, msg in enumerate(b.messages):
-            frame = self.received_frames(msg, cfg.modem)
-            start = k * period - FILTER_TAPS // 2
-            lo, hi = max(start, 0), min(start + frame.size, y.size)
-            y[lo:hi] += frame[lo - start:hi - start]
+        y = bursts.received_burst(b.messages, cfg.modem, cfg.gap_slots, self.channel)
         return add_noise(y, self.channel, seed=(self.seed, ident))
 
     # ------------------------------------------------------------- run
@@ -923,12 +895,12 @@ def unidirectional_schedule(
     trace = SessionTrace()
     cfg = tx_cfg.modem
     messages = framing.pack_payload(payload)
-    wave = bursts.messages_to_waveform(messages, cfg, tx_cfg.gap_slots)
-    t0, t1 = start_time, start_time + wave.duration
+    y = bursts.received_burst(messages, cfg, tx_cfg.gap_slots, channel)
+    t0, t1 = start_time, start_time + y.size / cfg.sample_rate
     trace.log(t0, "TX", "tx_burst", burst=0, start=t0, end=t1,
               frames=[m.kind.name for m in messages],
               bit_rate=float(cfg.bit_rate), turn=False)
-    rx_wave = propagate(wave, channel, seed=(seed, 0))
+    rx_wave = add_noise(y, channel, seed=(seed, 0))
     if keep_audio:
         trace.audio["RX"] = rx_wave
     rx_start = start_time - rx_guard

@@ -1,11 +1,11 @@
 """Physical layer: binary FSK between bits and near-ultrasonic waveforms.
 
 Symbols are two carrier tones inside the 18-24 kHz band.  Modulation is
-continuous-phase (one phase accumulator across bit boundaries) to avoid
-clicks and spectral splatter.  Demodulation projects each bit slot onto
-complex exponentials at the two carriers and compares energies; the burst
-receiver projects its slots onto the same tones as a real cos/sin basis
-(`slot_basis`), and the preamble detector slides the projection over
+continuous-phase (each slot starts at the phase the previous one ended
+on) to avoid clicks and spectral splatter.  Demodulation projects each bit
+slot onto complex exponentials at the two carriers and compares energies;
+the burst receiver projects its slots onto the same tones as a real cos/sin
+basis (`slot_basis`), and the preamble detector slides the projection over
 candidate offsets at 1/8-slot granularity.  The carrier phasors come from
 one shared table per (carrier, sample rate), so receivers do not rebuild
 them per buffer.
@@ -130,11 +130,24 @@ def modulate(bits: Bitsish, cfg: ModemConfig) -> SampleBuffer:
     bits = as_bits(bits)
     if bits.size == 0:
         return SampleBuffer(np.zeros(0), cfg.sample_rate)
-    spb = cfg.samples_per_bit
-    freq_per_bit = np.where(bits.astype(bool), cfg.f1, cfg.f0)
-    increments = np.repeat(2.0 * np.pi * freq_per_bit / cfg.sample_rate, spb)
-    phase = np.cumsum(increments)
-    return SampleBuffer(cfg.gain * np.sin(phase), cfg.sample_rate)
+    omega, start = slot_phases(bits, cfg)
+    # in place: one buffer-sized allocation
+    samples = omega[:, None] * np.arange(1, cfg.samples_per_bit + 1)
+    samples += start[:, None]
+    np.sin(samples, out=samples)
+    samples *= cfg.gain
+    return SampleBuffer(samples.ravel(), cfg.sample_rate)
+
+
+def slot_phases(bits: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per bit along the last axis: its carrier's phase step per sample,
+    omega = 2 pi f / fs, and the phase its slot starts from, the running sum
+    of the earlier slots' steps omega * samples_per_bit.  Sample i of slot k
+    is gain * sin(start_k + omega_k * (i + 1))."""
+    omega = 2.0 * np.pi * np.where(bits.astype(bool), cfg.f1, cfg.f0) / cfg.sample_rate
+    start = np.zeros(omega.shape)
+    np.cumsum(omega[..., :-1] * cfg.samples_per_bit, axis=-1, out=start[..., 1:])
+    return omega, start
 
 
 def tone_energy(buf: SampleBuffer, freq: float, window: tuple[int, int]) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from ultralink import burst, framing
 from ultralink.audio import SampleBuffer
-from ultralink.channel import preset
+from ultralink.channel import ChannelModel, _kernel, _signal_path, preset
 from ultralink.framing import FRAME_BITS, ControlMessage, MessageKind
 from ultralink.link import LinkConfig, run_session
 from ultralink.modem import ModemConfig, ToneScanner, modulate
@@ -168,3 +168,20 @@ def test_every_gap_length_recovers_a_clean_burst(gap_slots):
     assert scan.messages == messages
     assert [f.index for f in scan.frames] == list(range(5))
     assert scan.corrupt_offsets == []
+
+
+@pytest.mark.parametrize("model", [
+    preset("paper-3m"), preset("paper-8m"), ChannelModel(distance=2.0, angle_off_axis=45.0),
+], ids=["paper-3m", "paper-8m", "45deg"])
+def test_slot_atoms_are_the_slot_tones_convolved_with_the_taps(model):
+    path = _signal_path(model)
+    taps = _kernel(path)
+    atoms = burst._slot_atoms(CFG, path)
+    for row, (freq, wave) in enumerate([(CFG.f0, np.sin), (CFG.f0, np.cos),
+                                        (CFG.f1, np.sin), (CFG.f1, np.cos)]):
+        tone = CFG.gain * wave(2.0 * np.pi * freq / CFG.sample_rate * np.arange(1, SPB + 1))
+        # full convolution: output sample t is input sample t - FILTER_TAPS/2
+        # of the padded tone, the same alignment as the atom's
+        expected = np.convolve(tone, taps)
+        np.testing.assert_allclose(atoms[row, :expected.size], expected, rtol=0, atol=1e-12)
+        assert not atoms[row, expected.size:].any()

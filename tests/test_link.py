@@ -369,6 +369,22 @@ class TestSessions:
         with pytest.raises(ConfigError, match="share the modem config"):
             run_session(CFG, b_cfg, preset("noiseless"), b"hi", seed=0)
 
+    def test_600_bytes_pass_256_chunks(self):
+        # 300 chunks: sequence numbers wrap past 255 within one transfer
+        payload = payload_bytes(600, seed=0)
+        trace = run_session(CFG, CFG, preset("paper-3m"), payload, seed=0, budget=900.0)
+        assert trace.summary["complete"]
+        assert trace.summary["delivered_intact"]["B"]
+        assert not any(verify_trace(trace, t_max=CFG.t_max).values())
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "criterion-5 seed 1087: both nodes start a turn 41 ms apart, inside the "
+        "retask blind window, and both hold the token (ROADMAP item 2)"))
+    def test_criterion_5_seed_1087_holds_the_token_once(self):
+        payload = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
+        trace = run_session(CFG, CFG, preset("paper-3m"), payload, seed=1087, budget=900.0)
+        assert verify_trace(trace, t_max=CFG.t_max)["token_overlaps"] == 0
+
     def test_bidirectional_payloads(self):
         data_ab = payload_bytes(48, seed=1)
         data_ba = payload_bytes(36, seed=2)
@@ -391,15 +407,22 @@ class TestReceivedBurst:
         ControlMessage(MessageKind.DISCOVERY, sender_id=0x22, seq=0, body=0),
     ]
 
-    @pytest.mark.parametrize("model", [
+    MODELS = pytest.mark.parametrize("model", [
         preset("paper-3m"),
         ChannelModel(distance=2.0, angle_off_axis=45.0, base_snr_at_1m=20.0,
                      noise=NoiseProfile(NoiseKind.MUSIC_LIKE, -10.0), sample_shift_delay=True),
         ChannelModel(distance=0.5, response_curve=((0.0, 0.0), (24000.0, 0.0))),   # uniform gain
     ], ids=["paper-3m", "45deg-shaped-noise-shifted", "uniform"])
+
+    @staticmethod
+    def expected_length(wave, model):
+        shift = round(model.propagation_delay * model.sample_rate) if model.sample_shift_delay else 0
+        return len(wave) + shift
+
+    @MODELS
     def test_frames_add_up_to_the_propagated_burst(self, model):
         # the engine's received burst is the same operator as propagating
-        # the whole burst: its frames' cached responses add up by linearity
+        # the whole burst: its filtered slot atoms add up by linearity
         bursts_sent = [
             self.MESSAGES[:4], self.MESSAGES[4:5], self.MESSAGES[5:],
             [self.MESSAGES[0], self.MESSAGES[1], self.MESSAGES[1], self.MESSAGES[3]],
@@ -412,10 +435,20 @@ class TestReceivedBurst:
             got = engine._received_burst(ident, b)
             wave = bursts.messages_to_waveform(messages, CFG.modem, CFG.gap_slots)
             expected = propagate(wave, model, seed=(5, ident))
-            assert len(got) == len(expected) == len(wave) + (
-                round(model.propagation_delay * model.sample_rate) if model.sample_shift_delay else 0)
+            assert len(got) == len(expected) == self.expected_length(wave, model)
             np.testing.assert_allclose(got.samples, expected.samples, rtol=0, atol=1e-9)
-        assert engine.received_frames.cache_info().hits > 0
+
+    @MODELS
+    def test_one_way_stream_is_the_propagated_burst(self, model):
+        payload = bytes(range(40))
+        trace = unidirectional_schedule(CFG, CFG, model, payload, seed=7, keep_audio=True)
+        wave = bursts.messages_to_waveform(framing.pack_payload(payload), CFG.modem, CFG.gap_slots)
+        expected = propagate(wave, model, seed=(7, 0))
+        got = trace.audio["RX"]
+        assert len(got) == len(expected) == self.expected_length(wave, model)
+        np.testing.assert_allclose(got.samples, expected.samples, rtol=0, atol=1e-9)
+        tx = trace.of_kind("tx_burst")[0]
+        assert tx["end"] - tx["start"] == wave.duration
 
 
 class TestDiscoveryLiveness:

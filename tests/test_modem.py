@@ -1,6 +1,7 @@
 """Physical-layer tests: slot arithmetic, projections, sync, robustness."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import awgn_per_band_snr
 from ultralink import burst, framing, link, modem
 from ultralink.audio import SampleBuffer
 from ultralink.bits import as_bits
-from ultralink.channel import FILTER_TAPS, apply_signal_path, preset, propagate
+from ultralink.channel import FILTER_TAPS, _signal_path, preset, propagate
 from ultralink.framing import FRAME_BITS, ControlMessage, MessageKind
 from ultralink.modem import (
     PHASOR_TABLE_MIN,
@@ -87,6 +88,26 @@ class TestModulate:
         buf = modulate(rng.integers(0, 2, 64, dtype=np.uint8), CFG166)
         max_step = 0.9 * 2 * np.pi * 19500 / 48000
         assert np.abs(np.diff(buf.samples)).max() <= max_step * 1.001
+
+    def test_per_slot_phase_closed_form(self, rng):
+        # slot k at bit b is gain * sin(start_k + omega_b (i + 1)), start_k the
+        # running sum of the earlier slots' steps omega * spb; the filtered
+        # slot atoms of the received bursts rest on this definition
+        bits = rng.integers(0, 2, 10_000, dtype=np.uint8)
+        spb = CFG166.samples_per_bit
+        omegas = [2.0 * math.pi * f / CFG166.sample_rate for f in (CFG166.f0, CFG166.f1)]
+        starts, start = [], 0.0
+        for bit in bits:
+            starts.append(start)
+            start += omegas[bit] * spb
+        omega = np.array(omegas)[bits]
+        phase = np.array(starts)[:, None] + omega[:, None] * np.arange(1, spb + 1)
+        expected = CFG166.gain * np.sin(phase).ravel()
+        got = modulate(bits, CFG166).samples
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        # a running sum over every sample drifts away from it
+        per_sample = CFG166.gain * np.sin(np.cumsum(np.repeat(omega, spb)))
+        assert np.abs(per_sample - got).max() > 1e-9
 
     def test_preamble_spectrogram_alternates(self):
         buf = modulate("101010", CFG10)
@@ -453,6 +474,9 @@ class TestScannerPadding:
 
 
 class TestFrameCache:
+    """Frames modulate alike wherever they sit, and a session's received
+    bursts come from filtered slot atoms kept per (modem config, signal path)."""
+
     MESSAGES = [
         ControlMessage(kind, seq=9, body=0x1234) if kind == MessageKind.DATA
         else ControlMessage(kind, sender_id=0x2A, seq=9, body=0x5A)
@@ -483,44 +507,40 @@ class TestFrameCache:
             for messages in (self.MESSAGES, self.MESSAGES[::-1] + self.MESSAGES[:2]):
                 expected = self.uncached(messages, cfg).tobytes()
                 assert burst.messages_to_waveform(messages, cfg).samples.tobytes() == expected
-        # a session's received frames: the same bytes cold and served from its cache
-        engine = self.engine()
-        half = FILTER_TAPS // 2
-        for msg in self.MESSAGES + self.MESSAGES[:2]:
-            padded = np.pad(self.uncached([msg], CFG166), half)
-            expected = apply_signal_path(padded, engine.channel).tobytes()
-            assert engine.received_frames(msg, CFG166).tobytes() == expected
-        assert engine.received_frames.cache_info().hits == 2
 
     def test_entries_read_only_and_bounded(self):
-        engine = self.engine()
-        messages = [ControlMessage(MessageKind.DATA, seq=i, body=i)
-                    for i in range(link.RX_FRAME_CACHE_SIZE + 5)]
-        for msg in messages:
-            engine.received_frames(msg, CFG166)
-        assert engine.received_frames.cache_info().currsize == link.RX_FRAME_CACHE_SIZE
-        samples = engine.received_frames(messages[-1], CFG166)
-        assert samples.size == burst.burst_length(1, CFG166) + FILTER_TAPS
-        assert not samples.flags.writeable
+        burst._slot_atoms.cache_clear()
+        paths = [_signal_path(preset("paper-3m", distance=1.0 + i / 8))
+                 for i in range(burst.ATOM_CACHE_SIZE + 3)]
+        for path in paths:
+            burst.received_burst(self.MESSAGES[:1], CFG166, burst.FRAME_GAP_SLOTS, path)
+        assert burst._slot_atoms.cache_info().currsize == burst.ATOM_CACHE_SIZE
+        atoms = burst._slot_atoms(CFG166, paths[-1])
+        assert burst._slot_atoms.cache_info().hits == 1
+        spb = CFG166.samples_per_bit
+        assert atoms.shape == (4, -(-(spb + FILTER_TAPS) // spb) * spb)
+        assert not atoms.flags.writeable
         with pytest.raises(ValueError):
-            samples[0] = 0.0
+            atoms[0, 0] = 0.0
+        burst._slot_atoms.cache_clear()
 
     def test_freed_with_its_engine(self):
-        # the cache holds no reference to its engine, so reference counting
-        # frees both as soon as the session is over, without a gc pass
+        # an engine makes no reference cycle, so reference counting frees it
+        # as soon as the session is over, without a gc pass
         engine = self.engine(b"ab")
         assert engine.run().summary["complete"]
-        assert engine.received_frames.cache_info().currsize > 0
-        cache, owner = weakref.ref(engine.received_frames), weakref.ref(engine)
+        owner = weakref.ref(engine)
         gc.disable()
         try:
             del engine
-            assert cache() is None and owner() is None
+            assert owner() is None
         finally:
             gc.enable()
 
-    def test_each_session_starts_with_an_empty_cache(self, monkeypatch):
-        # a session's work must not depend on what ran before it in the process
+    def test_session_does_not_depend_on_earlier_sessions(self, monkeypatch):
+        # a session's work must not depend on what ran before it in the
+        # process: cold and warm atom caches give the same trace, and no
+        # frame is modulated to build a received burst
         calls = []
 
         def counting(bits, cfg):
@@ -529,14 +549,13 @@ class TestFrameCache:
 
         monkeypatch.setattr(burst, "modulate", counting)
         link_cfg = link.LinkConfig(modem=CFG166)
-        counts = []
-        for _ in range(2):
-            calls.clear()
-            trace = link.run_session(link_cfg, link_cfg, preset("paper-3m"), b"abcd", seed=3)
-            assert trace.summary["complete"]
-            counts.append(len(calls))
-        frames = sum(len(e["frames"]) for e in trace.entries if e["event"] == "tx_burst")
-        assert counts[0] == counts[1] < frames
+        burst._slot_atoms.cache_clear()
+        traces = [link.run_session(link_cfg, link_cfg, preset("paper-3m"), b"abcd", seed=3)
+                  for _ in range(2)]
+        assert traces[0].summary["complete"]
+        assert traces[0].to_json() == traces[1].to_json()
+        assert burst._slot_atoms.cache_info().hits > 0
+        assert calls == []
 
 
 class TestCarrierPhasor:
