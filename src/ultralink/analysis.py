@@ -25,8 +25,9 @@ import numpy as np
 
 from .audio import SampleBuffer
 from .bits import as_bits
-from .channel import ChannelModel, propagate
-from .modem import ConfigError, ModemConfig, demodulate, modulate
+from .burst import received_slots
+from .channel import ChannelModel, add_noise
+from .modem import ConfigError, ModemConfig, demodulate
 
 ANALYSIS_WINDOW_MS = 200.0
 ANALYSIS_OVERLAP = 0.25  # fraction of window shared between hops
@@ -238,9 +239,13 @@ def ber_sweep(
 
     Each seed draws fresh payload bits and fresh channel noise; the cell
     reports the across-seed mean with a 95% normal-approximation interval.
+    The received cell is `propagate(modulate(bits, cfg), model, seed=seed)`
+    up to rounding, built from filtered slot atoms (`burst.received_slots`).
     """
     if not rates or not models or not seeds:
         raise ValueError("rates, models, and seeds must be non-empty")
+    if payload_bits < 1:
+        raise ValueError(f"payload_bits must be at least 1, got {payload_bits}")
     base = base_modem or ModemConfig()
     cells = []
     for rate in rates:
@@ -250,7 +255,7 @@ def ber_sweep(
             for seed in seeds:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, int(rate * 1000))))
                 bits = rng.integers(0, 2, payload_bits, dtype=np.uint8)
-                rx = propagate(modulate(bits, cfg), model, seed=seed)
+                rx = add_noise(received_slots(bits[None], cfg, 0, model), model, seed=seed)
                 out = demodulate(rx, cfg)
                 bers.append(measure_ber(bits, out.bits))
             bers = np.asarray(bers)

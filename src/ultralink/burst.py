@@ -92,9 +92,19 @@ def received_burst(messages: Sequence[framing.ControlMessage], cfg: ModemConfig,
                    gap_slots: int, channel: ChannelModel) -> np.ndarray:
     """The burst of `messages` as its receiver hears it before noise:
     `apply_signal_path(messages_to_waveform(...).samples, channel)`, up to
-    rounding, without modulating or filtering it.
+    rounding, without modulating or filtering it (see `received_slots`)."""
+    bits = np.array([framing.encode_frame(framing.encode_message(m)) for m in messages])
+    return received_slots(bits, cfg, gap_slots, channel)
 
-    Slot k of a frame at bit b is gain * sin(start_k + omega_b (i + 1)) (see
+
+def received_slots(bits: np.ndarray, cfg: ModemConfig, gap_slots: int,
+                   channel: ChannelModel) -> np.ndarray:
+    """Rows of `bits`, each modulated from phase 0 and sent gap_slots silent
+    slots after the one before, as the receiver hears them before noise:
+    `apply_signal_path` of that waveform, up to rounding, without
+    modulating or filtering it.
+
+    Slot k of a row at bit b is gain * sin(start_k + omega_b (i + 1)) (see
     `slot_phases`): cos(start_k) times the slot's sin atom plus sin(start_k)
     times its cos atom.  The room being linear, output slot r is the sum
     over the D slots of atom that reach it, j = 0..D-1, of slot r - j's
@@ -105,13 +115,13 @@ def received_burst(messages: Sequence[framing.ControlMessage], cfg: ModemConfig,
     spb = cfg.samples_per_bit
     atoms = _slot_atoms(cfg, _signal_path(channel))
     blocks = atoms.shape[1] // spb
-    bits = np.array([framing.encode_frame(framing.encode_message(m)) for m in messages])
     _, start = slot_phases(bits, cfg)
-    frames, period = len(messages), framing.FRAME_BITS + gap_slots
+    frames, width = bits.shape
+    period = width + gap_slots
     # the slots' coefficients with blocks - 1 zero rows on either side
     padded = np.zeros((frames * period + 2 * (blocks - 1), 4))
     coef = padded[blocks - 1:blocks - 1 + frames * period].reshape(frames, period, 4)
-    f, k = np.ogrid[:frames, :framing.FRAME_BITS]
+    f, k = np.ogrid[:frames, :width]
     coef[f, k, 2 * bits] = np.cos(start)
     coef[f, k, 2 * bits + 1] = np.sin(start)
     slots = frames * period - gap_slots

@@ -17,9 +17,9 @@ length of at least n + L/2 samples, and keeps the n output samples aligned
 with the input; `add_noise` then adds the noise (`propagate` is the two in
 turn).  The room is linear and time-invariant, and `modulate` computes
 each bit slot's phase in closed form from the phase the slot starts at
-(`modem.slot_phases`), so `burst.received_burst` builds the received bursts
-of sessions and one-way streams from four filtered slot tones, with no
-modulation and no FFT per burst.
+(`modem.slot_phases`), so `burst.received_slots` builds the received audio
+of sessions, one-way streams and BER-sweep cells from four filtered slot
+tones, with no modulation and no FFT per burst or cell.
 
 Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 19 kHz tone at the modem's default peak amplitude (0.9) would enjoy at
@@ -60,12 +60,12 @@ DIRECTIVITY_K = 4.36
 DEFAULT_RESPONSE_CURVE = ((0.0, 0.0), (18_000.0, 0.0), (24_000.0, -12.0))
 
 # the signal path's FIR: FILTER_TAPS + 1 taps, lags -FILTER_TAPS/2 to
-# FILTER_TAPS/2; at most 2601, so a 1000-bit sweep cell at 166 bit/s
-# (289 000 samples) keeps its 291 600-point FFT
+# FILTER_TAPS/2; a filtered slot atom spans samples_per_bit + FILTER_TAPS
+# samples (8 slots at 166 bit/s, 2 at 10 bit/s)
 FILTER_TAPS = 1920
 
-# rFFT masks of the signal path kept, per (path, FFT length): a sweep cell
-# and a session's frames each use one length
+# rFFT masks of the signal path kept, per (path, FFT length): one length
+# per bit rate's slot atoms, and one per buffer length `propagate` is given
 RESPONSE_CACHE_SIZE = 4
 
 

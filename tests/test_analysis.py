@@ -22,9 +22,11 @@ from ultralink.analysis import (
 )
 from ultralink.audio import SampleBuffer
 from ultralink.channel import (
+    ChannelModel,
     NoiseKind,
     NoiseProfile,
     preset,
+    propagate,
     synthesize_noise,
 )
 from ultralink.modem import ConfigError, ModemConfig, demodulate, modulate, tone_energy
@@ -193,6 +195,51 @@ class TestBerSweep:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             ber_sweep([], [("noiseless", preset("noiseless"))])
+
+    @staticmethod
+    def reference_ber(rate, model, payload_bits, seed):
+        """One seed's BER the way the sweep defines it: its bits modulated,
+        propagated and demodulated."""
+        cfg = ModemConfig(bit_rate=rate)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, int(rate * 1000))))
+        bits = rng.integers(0, 2, payload_bits, dtype=np.uint8)
+        out = demodulate(propagate(modulate(bits, cfg), model, seed=seed), cfg)
+        return measure_ber(bits, out.bits)
+
+    @pytest.mark.parametrize("rate, payload_bits", [(10.0, 100), (166.0, 1000)])
+    @pytest.mark.parametrize("name", ["paper-3m", "paper-8m"])
+    def test_cells_equal_the_propagated_reference(self, rate, payload_bits, name):
+        model = preset(name)
+        for seed in range(20):
+            (cell,) = ber_sweep([rate], [(name, model)], payload_bits=payload_bits, seeds=[seed])
+            assert cell.mean_ber == self.reference_ber(rate, model, payload_bits, seed), seed
+
+    @pytest.mark.parametrize("rate, payload_bits, model", [
+        (166.0, 1000, ChannelModel(distance=3.0, base_snr_at_1m=21.0,
+                                   noise=NoiseProfile(NoiseKind.MUSIC_LIKE, 0.0))),
+        # the sweep demodulates from sample 0, so the flight time must stay
+        # well inside one slot: 282 samples of 4800
+        (10.0, 100, ChannelModel(distance=2.0, angle_off_axis=30.0, base_snr_at_1m=6.0,
+                                 sample_shift_delay=True)),
+    ], ids=["shaped-noise", "shifted"])
+    def test_cells_equal_the_propagated_reference_with_shaped_noise_or_shift(
+            self, rate, payload_bits, model):
+        bers = []
+        for seed in range(20):
+            (cell,) = ber_sweep([rate], [("room", model)], payload_bits=payload_bits, seeds=[seed])
+            bers.append(cell.mean_ber)
+            assert cell.mean_ber == self.reference_ber(rate, model, payload_bits, seed), seed
+        assert any(bers)
+
+    def test_channel_at_another_sample_rate_rejected(self):
+        with pytest.raises(ConfigError):
+            ber_sweep([166.0], [("44k1", ChannelModel(sample_rate=44_100))], payload_bits=100)
+
+    @pytest.mark.parametrize("payload_bits", [0, -1])
+    def test_empty_cells_rejected(self, payload_bits):
+        # a cell of no bits would report a BER of 0 over nothing
+        with pytest.raises(ValueError, match="payload_bits"):
+            ber_sweep([166.0], [("noiseless", preset("noiseless"))], payload_bits=payload_bits)
 
 
 class TestLowpass:

@@ -5,7 +5,7 @@ import pytest
 
 from ultralink import burst, framing
 from ultralink.audio import SampleBuffer
-from ultralink.channel import ChannelModel, _kernel, _signal_path, preset
+from ultralink.channel import ChannelModel, _kernel, _signal_path, apply_signal_path, preset
 from ultralink.framing import FRAME_BITS, ControlMessage, MessageKind
 from ultralink.link import LinkConfig, run_session
 from ultralink.modem import ModemConfig, ToneScanner, modulate
@@ -185,3 +185,17 @@ def test_slot_atoms_are_the_slot_tones_convolved_with_the_taps(model):
         expected = np.convolve(tone, taps)
         np.testing.assert_allclose(atoms[row, :expected.size], expected, rtol=0, atol=1e-12)
         assert not atoms[row, expected.size:].any()
+
+
+@pytest.mark.parametrize("rate", [10.0, 50.0, 166.0, 500.0])
+@pytest.mark.parametrize("name", ["noiseless", "paper-3m", "paper-8m"])
+def test_received_slots_are_the_filtered_modulation(rate, name):
+    # one row from phase 0 is one `modulate` call through the signal path;
+    # at 10 bit/s the atoms span 2 slots, at 500 bit/s 21
+    cfg = ModemConfig(bit_rate=rate)
+    model = preset(name)
+    bits = np.random.default_rng(int(rate)).integers(0, 2, 120, dtype=np.uint8)
+    expected = apply_signal_path(modulate(bits, cfg).samples, model)
+    got = burst.received_slots(bits[None], cfg, 0, model)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)

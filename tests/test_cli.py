@@ -227,7 +227,8 @@ class TestAnalysisCommands:
 
 class TestExpectedErrors:
     @pytest.mark.parametrize("case", ["modulate-config", "demodulate-config", "ber-sweep-config",
-                                      "ber-sweep-rates", "session-budget"])
+                                      "ber-sweep-rates", "ber-sweep-no-bits",
+                                      "ber-sweep-negative-bits", "session-budget"])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
         missing = str(tmp_path / "missing.cfg")
         wav = tmp_path / "quiet.wav"
@@ -240,6 +241,10 @@ class TestExpectedErrors:
             "ber-sweep-config": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
                                  "--bits", "100", "--seeds", "1", "--config", missing],
             "ber-sweep-rates": ["ber-sweep", "--rates", "abc", "--preset", "noiseless"],
+            "ber-sweep-no-bits": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
+                                  "--bits", "0", "--seeds", "1"],
+            "ber-sweep-negative-bits": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
+                                        "--bits", "-1", "--seeds", "1"],
             "session-budget": ["simulate-session", "--config", str(session)],
         }[case]
         out = tmp_path / "out"
