@@ -255,7 +255,7 @@ def ber_sweep(
             for seed in seeds:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, int(rate * 1000))))
                 bits = rng.integers(0, 2, payload_bits, dtype=np.uint8)
-                rx = add_noise(received_slots(bits[None], cfg, 0, model), model, seed=seed)
+                rx = add_noise(received_slots(bits[None], cfg, model), model, seed=seed)
                 out = demodulate(rx, cfg)
                 bers.append(measure_ber(bits, out.bits))
             bers = np.asarray(bers)

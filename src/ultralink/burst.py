@@ -22,6 +22,7 @@ from .audio import SampleBuffer
 from .channel import FILTER_TAPS, ChannelModel, _signal_path, apply_signal_path
 from .modem import ConfigError, ModemConfig, ToneScanner, modulate, slot_phases
 
+# silent slots between the frames of a burst
 FRAME_GAP_SLOTS = 4
 
 # filtered slot atoms kept, per (modem config, signal path)
@@ -40,26 +41,22 @@ def frame_airtime(cfg: ModemConfig) -> float:
     return framing.FRAME_BITS * (cfg.samples_per_bit / cfg.sample_rate)
 
 
-def frame_period(cfg: ModemConfig, gap_slots: int = FRAME_GAP_SLOTS) -> int:
+def frame_period(cfg: ModemConfig) -> int:
     """Samples from one frame's start to the next's in a burst."""
-    return (framing.FRAME_BITS + gap_slots) * cfg.samples_per_bit
+    return (framing.FRAME_BITS + FRAME_GAP_SLOTS) * cfg.samples_per_bit
 
 
-def burst_length(n_frames: int, cfg: ModemConfig, gap_slots: int = FRAME_GAP_SLOTS) -> int:
+def burst_length(n_frames: int, cfg: ModemConfig) -> int:
     """Samples of a burst of n_frames >= 1 frames."""
-    return n_frames * frame_period(cfg, gap_slots) - gap_slots * cfg.samples_per_bit
+    return n_frames * frame_period(cfg) - FRAME_GAP_SLOTS * cfg.samples_per_bit
 
 
-def messages_to_waveform(
-    messages: list[framing.ControlMessage],
-    cfg: ModemConfig,
-    gap_slots: int = FRAME_GAP_SLOTS,
-) -> SampleBuffer:
+def messages_to_waveform(messages: list[framing.ControlMessage], cfg: ModemConfig) -> SampleBuffer:
     """Encode and modulate messages into one burst waveform.  Each frame is
     modulated from phase 0 on its own, so a repeat is the same waveform."""
     if not messages:
         return SampleBuffer(np.zeros(0), cfg.sample_rate)
-    gap = np.zeros(gap_slots * cfg.samples_per_bit)
+    gap = np.zeros(FRAME_GAP_SLOTS * cfg.samples_per_bit)
     pieces = []
     for i, msg in enumerate(messages):
         if i:
@@ -89,20 +86,20 @@ def _slot_atoms(cfg: ModemConfig, path: ChannelModel) -> np.ndarray:
 
 
 def received_burst(messages: Sequence[framing.ControlMessage], cfg: ModemConfig,
-                   gap_slots: int, channel: ChannelModel) -> np.ndarray:
+                   channel: ChannelModel) -> np.ndarray:
     """The burst of `messages` as its receiver hears it before noise:
     `apply_signal_path(messages_to_waveform(...).samples, channel)`, up to
     rounding, without modulating or filtering it (see `received_slots`)."""
     bits = np.array([framing.encode_frame(framing.encode_message(m)) for m in messages])
-    return received_slots(bits, cfg, gap_slots, channel)
+    return received_slots(bits, cfg, channel)
 
 
-def received_slots(bits: np.ndarray, cfg: ModemConfig, gap_slots: int,
-                   channel: ChannelModel) -> np.ndarray:
-    """Rows of `bits`, each modulated from phase 0 and sent gap_slots silent
-    slots after the one before, as the receiver hears them before noise:
-    `apply_signal_path` of that waveform, up to rounding, without
-    modulating or filtering it.
+def received_slots(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel) -> np.ndarray:
+    """Rows of `bits`, each modulated from phase 0 and sent FRAME_GAP_SLOTS
+    silent slots after the one before, as the receiver hears them before
+    noise: `apply_signal_path` of that waveform, up to rounding, without
+    modulating or filtering it.  A single row has no gap: it is the
+    filtered modulation of its bits alone.
 
     Slot k of a row at bit b is gain * sin(start_k + omega_b (i + 1)) (see
     `slot_phases`): cos(start_k) times the slot's sin atom plus sin(start_k)
@@ -117,14 +114,14 @@ def received_slots(bits: np.ndarray, cfg: ModemConfig, gap_slots: int,
     blocks = atoms.shape[1] // spb
     _, start = slot_phases(bits, cfg)
     frames, width = bits.shape
-    period = width + gap_slots
+    period = width + FRAME_GAP_SLOTS
     # the slots' coefficients with blocks - 1 zero rows on either side
     padded = np.zeros((frames * period + 2 * (blocks - 1), 4))
     coef = padded[blocks - 1:blocks - 1 + frames * period].reshape(frames, period, 4)
     f, k = np.ogrid[:frames, :width]
     coef[f, k, 2 * bits] = np.cos(start)
     coef[f, k, 2 * bits + 1] = np.sin(start)
-    slots = frames * period - gap_slots
+    slots = frames * period - FRAME_GAP_SLOTS
     rows = slots + blocks - 1
     # window r holds slots r - D + 1..r; reversed, column (c, j) is slot r - j's
     windows = np.lib.stride_tricks.sliding_window_view(padded, blocks, axis=0)
@@ -150,17 +147,16 @@ class BurstScan:
         return [f.message for f in self.frames]
 
 
-def recover_frames(buf: SampleBuffer, cfg: ModemConfig,
-                   gap_slots: int = FRAME_GAP_SLOTS) -> BurstScan:
+def recover_frames(buf: SampleBuffer, cfg: ModemConfig) -> BurstScan:
     """Find and decode every valid frame in a received waveform.
 
-    In one burst frame i starts i * (FRAME_BITS + gap_slots) slots after
-    frame 0, so the receiver locks once and then decodes on that grid:
+    In one burst frame i starts i * (FRAME_BITS + FRAME_GAP_SLOTS) slots
+    after frame 0, so the receiver locks once and then decodes on that grid:
 
     - *Anchor.* The preamble scan runs until a lock decodes with a valid
-      CRC and has the quietest gaps: its gap_slots slots before and after
-      carry less energy than those of any other start 2 to half a period
-      of slots away.  A frame fills its own slots and leaves its gaps
+      CRC and has the quietest gaps: its gap slots before and after carry
+      less energy than those of any other start 2 to half a period of
+      slots away.  A frame fills its own slots and leaves its gaps
       silent, while a lock off the grid (the `101010` preamble repeats
       every two slots, and payload bits can mimic it) takes in a gap and
       claims frame slots as its gaps.  A lock whose frame fails still
@@ -175,19 +171,18 @@ def recover_frames(buf: SampleBuffer, cfg: ModemConfig,
       trailing silence or a later burst.
 
     No lock inside a frame is tried once the grid holds, so CRC-passing
-    ghosts cannot start off the grid.  Without gap slots frames abut, and
-    the first valid lock anchors.  A frame's `index` counts frame periods
-    from the buffer start to its grid's anchor, and grid slots from there.
+    ghosts cannot start off the grid.  A frame's `index` counts frame
+    periods from the buffer start to its grid's anchor, and grid slots from
+    there.
     """
-    return _GridReceiver(buf, cfg, gap_slots).run()
+    return _GridReceiver(buf, cfg).run()
 
 
 class _GridReceiver:
-    def __init__(self, buf: SampleBuffer, cfg: ModemConfig, gap_slots: int):
-        self.gap_slots = gap_slots
+    def __init__(self, buf: SampleBuffer, cfg: ModemConfig):
         self.spb = cfg.samples_per_bit
         self.span = framing.FRAME_BITS * self.spb
-        self.period = frame_period(cfg, gap_slots)
+        self.period = frame_period(cfg)
         # pad with one silent slot so a lock that lands a few samples late
         # on the final frame still has a full window to decode from
         self.scanner = ToneScanner(buf, cfg, pad=self.spb)
@@ -248,9 +243,7 @@ class _GridReceiver:
             pos = lock + self.spb
 
     def _has_quietest_gaps(self, offset: int) -> bool:
-        gap = self.gap_slots
-        if not gap:
-            return True
+        gap = FRAME_GAP_SLOTS
         reach = (framing.FRAME_BITS + gap) // 2
         e0, e1 = self.scanner.slot_energies(offset - (reach + gap) * self.spb,
                                             framing.FRAME_BITS + 2 * (reach + gap))
@@ -314,7 +307,7 @@ class _GridReceiver:
         return hits[0].offset, None
 
 
-def reassemble_burst(scan: BurstScan, cfg: ModemConfig, gap_slots: int = FRAME_GAP_SLOTS,
+def reassemble_burst(scan: BurstScan, cfg: ModemConfig,
                      start: int | None = None) -> framing.Reassembler:
     """Place the DATA frames of one burst that began at sample `start`.
 
@@ -322,7 +315,7 @@ def reassemble_burst(scan: BurstScan, cfg: ModemConfig, gap_slots: int = FRAME_G
     index fixes its absolute index, whatever was lost before it; a frame
     whose seq is not that index mod 256 is dropped.  With a `start`, the
     first DATA frame's offset places the grid (frame i starts (FRAME_BITS
-    + gap_slots) * i slots after `start`); without one, its seq does, so
+    + FRAME_GAP_SLOTS) * i slots after `start`); without one, its seq does, so
     fewer than 256 frames may be lost ahead of it.
     """
     data = [f for f in scan.frames if f.message.kind == framing.MessageKind.DATA]
@@ -332,7 +325,7 @@ def reassemble_burst(scan: BurstScan, cfg: ModemConfig, gap_slots: int = FRAME_G
     if start is None:
         base = data[0].message.seq - data[0].index
     else:
-        base = round((data[0].offset - start) / frame_period(cfg, gap_slots)) - data[0].index
+        base = round((data[0].offset - start) / frame_period(cfg)) - data[0].index
     for frame in data:
         index = frame.index + base
         if index % 256 == frame.message.seq:

@@ -4,7 +4,10 @@ One `propagate` call applies, in order: the reversed-speaker frequency
 response, spherical spreading plus high-band air absorption for the
 configured distance, off-axis directivity loss, then additive noise (a
 shaped ambient profile and/or a white floor pinned to a per-band SNR).
-Everything is a pure function of the inputs and an explicit seed.
+Everything is a pure function of the inputs and an explicit seed.  The
+flight time is not in the samples: a received buffer is aligned with the
+transmitted one, and `ChannelModel.propagation_delay` says when it is
+heard (the session engine times bursts by it).
 
 The signal path is one fixed zero-phase FIR per room.  With L =
 FILTER_TAPS (1920), `_transfer_gain_db` is sampled every sample_rate / L
@@ -101,7 +104,6 @@ class ChannelModel:
     noise: NoiseProfile = field(default_factory=NoiseProfile)
     sample_rate: int = 48_000
     seed: int = 0
-    sample_shift_delay: bool = False
 
     def __post_init__(self):
         for name in ("distance", "cone_diameter", "speed_of_sound", "sample_rate"):
@@ -186,8 +188,7 @@ def _fast_len(n: int) -> int:
 def _signal_path(model: ChannelModel) -> ChannelModel:
     """`model` with only the fields `_transfer_gain_db` and the sample rate
     kept, so rooms that differ in seed or noise share one response."""
-    return replace(model, base_snr_at_1m=None, noise=NoiseProfile(), seed=0,
-                   sample_shift_delay=False)
+    return replace(model, base_snr_at_1m=None, noise=NoiseProfile(), seed=0)
 
 
 def _kernel(path: ChannelModel):
@@ -323,10 +324,9 @@ def synthesize_noise(
 def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) -> SampleBuffer:
     """Push a transmitted waveform through the simulated medium.
 
-    Output has the input's length (flight time is metadata via
-    model.propagation_delay unless sample_shift_delay is set, which
-    prepends the equivalent zeros instead).  Identical inputs and seeds
-    give bit-identical outputs.
+    Output has the input's length and is aligned with it: the flight time
+    is metadata (model.propagation_delay), not leading zeros.  Identical
+    inputs and seeds give bit-identical outputs.
     """
     if tx.sample_rate != model.sample_rate:
         raise ConfigError(
@@ -338,13 +338,9 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
 
 
 def add_noise(y: np.ndarray, model: ChannelModel, seed=None) -> SampleBuffer:
-    """The receiving end of `propagate`: the flight time as leading zeros
-    when sample_shift_delay is set, then the room's noise, drawn from
-    (model.seed, seed) alone."""
+    """The receiving end of `propagate`: the room's noise added to the
+    filtered samples `y`, drawn from (model.seed, seed) alone."""
     fs = model.sample_rate
-    if model.sample_shift_delay:
-        shift = int(round(model.propagation_delay * fs))
-        y = np.concatenate([np.zeros(shift), y])
     entropy = (model.seed,) if seed is None else (model.seed, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     if model.noise.kind != NoiseKind.SILENT:

@@ -3,10 +3,9 @@
 One INI document can carry any of the [modem], [link], [channel],
 [noise], and [session] sections; unknown keys are rejected so typos
 fail loudly.  A field's value converts to and from text by its declared
-type: int, float, str, bool (true/yes/on/1 or false/no/off/0), an enum
-(by value), or any of these `| None` (written `none`).  The nested [modem]
-and [noise] sections and the channel's response curve are converted
-explicitly.
+type: int, float, str, an enum (by value), or any of these `| None`
+(written `none`).  The nested [modem] and [noise] sections and the
+channel's response curve are converted explicitly.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class SessionConfig:
     rx_guard_s: float = 2.0       # unidirectional: receiver starts this much earlier
 
 
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
-
-
 def _scalar_fields(cls) -> dict[str, tuple[type, bool]]:
     """Field name -> (value type, accepts None) for each scalar field of cls."""
     hints = typing.get_type_hints(cls)
@@ -53,7 +48,7 @@ def _scalar_fields(cls) -> dict[str, tuple[type, bool]]:
         rest = [a for a in typing.get_args(kind) if a is not type(None)]
         if typing.get_origin(kind) in (typing.Union, types.UnionType) and len(rest) == 1:
             kind, optional = rest[0], True
-        if kind in (int, float, str, bool) or (
+        if kind in (int, float, str) or (
                 isinstance(kind, type) and issubclass(kind, enum.Enum)):
             scalars[f.name] = (kind, optional)
     return scalars
@@ -63,18 +58,12 @@ def _from_text(raw: str, kind: type, optional: bool):
     text = raw.strip()
     if optional and text.lower() == "none":
         return None
-    if kind is bool:
-        if text.lower() not in _BOOLS:
-            raise ValueError(f"not a boolean: {raw!r}")
-        return _BOOLS[text.lower()]
     return kind(text)
 
 
 def _to_text(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, enum.Enum):
         return str(value.value)
     return str(value)

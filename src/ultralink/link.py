@@ -126,6 +126,8 @@ LinkAction = Union[Transmit, Retask, SetTimer, CancelTimer, DeliverData]
 # ---------------------------------------------------------------- config
 
 MIN_TURN_FRAMES = 3  # ACQUIRE, one DATA frame, RELEASE
+DISCOVERY_WINDOW = 5.0  # broadcasts at random delays in [0, this]
+MAX_RETRANSMIT_PER_TURN = 16  # RETRANSMIT requests in one feedback turn, at most
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,6 @@ class LinkConfig:
     modem: ModemConfig = field(default_factory=ModemConfig)
     t_max: float = 10.0               # max token hold, seconds of air
     retask_latency: float = 0.05      # SPEAKER<->MIC switch time
-    gap_slots: int = bursts.FRAME_GAP_SLOTS
-    discovery_window: float = 5.0     # broadcasts at random delays in [0, this]
-    max_retransmit_per_turn: int = 16
 
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
@@ -170,7 +169,6 @@ class NodeState:
     rng: np.random.Generator
     name: str = "A"
     phase: Phase = Phase.DISCOVERING
-    transducer_role: Role = Role.MIC
     last_event_time: float = -math.inf
     # discovery
     peer_id: Optional[int] = None
@@ -180,7 +178,6 @@ class NodeState:
     tx_queue: dict[int, int] = field(default_factory=dict)   # chunk index -> 16-bit body
     tx_unacked: list[int] = field(default_factory=list)
     tx_highest_sent: int = -1
-    tx_done: bool = True
     awaiting_feedback: bool = False
     turn_counter: int = 0
     # incoming transfer
@@ -212,7 +209,6 @@ def make_node(
         chunks = framing.pack_payload(payload)
         state.tx_queue = {i: m.body for i, m in enumerate(chunks)}
         state.tx_unacked = sorted(state.tx_queue)
-        state.tx_done = False
     return state
 
 
@@ -222,7 +218,7 @@ def _discovery_ack_wait(st: NodeState) -> float:
     # the nominal 5 s wait cannot see an ack at very low bit rates, where
     # a single frame outlasts it; scale with airtime
     airtime = bursts.frame_airtime(st.cfg.modem)
-    return max(st.cfg.discovery_window, 2 * airtime + 2 * st.cfg.retask_latency + 0.5)
+    return max(DISCOVERY_WINDOW, 2 * airtime + 2 * st.cfg.retask_latency + 0.5)
 
 
 def _inactivity_wait(st: NodeState) -> float:
@@ -232,6 +228,10 @@ def _inactivity_wait(st: NodeState) -> float:
 def _response_wait(st: NodeState) -> float:
     # must outlast the peer's inactivity fallback plus a full feedback turn
     return _inactivity_wait(st) + st.cfg.t_max + 2 * st.cfg.retask_latency + 1.0
+
+
+def _broadcast_delay(st: NodeState) -> float:
+    return float(st.rng.uniform(0.0, DISCOVERY_WINDOW))
 
 
 def _reactive_delay(st: NodeState) -> float:
@@ -249,8 +249,8 @@ def _spontaneous_delay(st: NodeState) -> float:
 def _turn_frames(cfg: LinkConfig) -> int:
     """Frames that fit in one turn of at most cfg.t_max at the modem rate."""
     slot = cfg.modem.samples_per_bit / cfg.modem.sample_rate
-    per_frame = (framing.FRAME_BITS + cfg.gap_slots) * slot
-    return int((cfg.t_max + cfg.gap_slots * slot) / per_frame)
+    per_frame = (framing.FRAME_BITS + bursts.FRAME_GAP_SLOTS) * slot
+    return int((cfg.t_max + bursts.FRAME_GAP_SLOTS * slot) / per_frame)
 
 
 # ------------------------------------------------------ sequence algebra
@@ -305,9 +305,7 @@ def step(state: NodeState, event: LinkEvent) -> tuple[NodeState, list[LinkAction
 
 def _on_tick(st: NodeState, actions: list[LinkAction]) -> None:
     if st.phase == Phase.DISCOVERING:
-        actions.append(
-            SetTimer(TimerKind.DISCOVERY_BROADCAST, float(st.rng.uniform(0.0, st.cfg.discovery_window)))
-        )
+        actions.append(SetTimer(TimerKind.DISCOVERY_BROADCAST, _broadcast_delay(st)))
 
 
 def _on_timeout(st: NodeState, event: Timeout, actions: list[LinkAction]) -> None:
@@ -317,7 +315,6 @@ def _on_timeout(st: NodeState, event: Timeout, actions: list[LinkAction]) -> Non
             return
         st.broadcast_rounds += 1
         msg = ControlMessage(MessageKind.DISCOVERY, sender_id=st.node_id)
-        st.transducer_role = Role.MIC
         # the beacon goes out twice per round: at the lossy operating
         # points a single 46-bit frame is dropped far too often for
         # discovery to settle within its round budget
@@ -329,9 +326,7 @@ def _on_timeout(st: NodeState, event: Timeout, actions: list[LinkAction]) -> Non
         ]
     elif kind == TimerKind.DISCOVERY_ACK_WAIT:
         if st.phase == Phase.DISCOVERING:
-            actions.append(
-                SetTimer(TimerKind.DISCOVERY_BROADCAST, float(st.rng.uniform(0.0, st.cfg.discovery_window)))
-            )
+            actions.append(SetTimer(TimerKind.DISCOVERY_BROADCAST, _broadcast_delay(st)))
     elif kind == TimerKind.TURN_START:
         if st.phase in (Phase.DISCOVERED, Phase.IDLE, Phase.LISTENING) and st.token_free:
             _start_turn(st, actions, event.time)
@@ -362,9 +357,7 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
             while st.node_id == old:
                 st.node_id = int(st.rng.integers(0, 256))
             st.rerandomizations += 1
-            actions.append(
-                SetTimer(TimerKind.DISCOVERY_BROADCAST, float(st.rng.uniform(0.0, st.cfg.discovery_window)))
-            )
+            actions.append(SetTimer(TimerKind.DISCOVERY_BROADCAST, _broadcast_delay(st)))
             return
         if msg.sender_id == st.node_id:
             return  # stale echo after we already discovered; ignore
@@ -399,7 +392,6 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
             index = _resolve_at_most(msg.body, st.tx_highest_sent)
             if index in st.tx_queue and index not in st.tx_unacked:
                 st.tx_unacked = sorted(st.tx_unacked + [index])
-                st.tx_done = False
     elif kind == MessageKind.ACQUIRE:
         st.token_free = False
         if st.phase in (Phase.DISCOVERED, Phase.IDLE):
@@ -441,8 +433,6 @@ def _on_data_ack(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) 
         return
     acked_through = _resolve_at_most(msg.body, st.tx_highest_sent)
     st.tx_unacked = [i for i in st.tx_unacked if i > acked_through]
-    if not st.tx_unacked:
-        st.tx_done = True
 
 
 def _owes_feedback(st: NodeState) -> bool:
@@ -468,7 +458,7 @@ def _build_turn(st: NodeState) -> list[ControlMessage]:
                     )
                 )
             gaps = [i for i in range(st.rx.next_needed, st.rx.max_seen) if i not in st.rx.chunks]
-            for i in gaps[: st.cfg.max_retransmit_per_turn]:
+            for i in gaps[:MAX_RETRANSMIT_PER_TURN]:
                 msgs.append(
                     ControlMessage(
                         MessageKind.RETRANSMIT,
@@ -497,7 +487,6 @@ def _start_turn(st: NodeState, actions: list[LinkAction], now: float) -> None:
     st.phase = Phase.HOLDING_TOKEN
     st.token_free = False
     st.token_deadline = now + st.cfg.t_max
-    st.transducer_role = Role.SPEAKER
     actions += [
         # a fresh turn obsoletes the previous listen cycle; a stale
         # inactivity/response timer surviving past this point could fire
@@ -512,7 +501,6 @@ def _start_turn(st: NodeState, actions: list[LinkAction], now: float) -> None:
 
 
 def _after_own_turn(st: NodeState, actions: list[LinkAction]) -> None:
-    st.transducer_role = Role.MIC
     st.token_free = True
     st.token_deadline = None
     if st.awaiting_feedback:
@@ -603,9 +591,9 @@ class _Engine:
         stop_after_discovery: bool = False,
     ):
         a, b = (node.cfg for node in nodes)
-        if (a.modem, a.gap_slots) != (b.modem, b.gap_slots):
+        if a.modem != b.modem:
             # a receiver decodes only bursts sent in its own air format
-            raise ConfigError("nodes must share the modem config and gap_slots")
+            raise ConfigError("nodes must share the modem config")
         self.nodes = nodes
         self.channel = channel
         self.seed = seed
@@ -672,7 +660,7 @@ class _Engine:
             elif isinstance(act, Transmit):
                 if self.mic_since[idx] != math.inf:
                     raise ProtocolError("Transmit while transducer is not a speaker")
-                n = bursts.burst_length(len(act.messages), state.cfg.modem, state.cfg.gap_slots)
+                n = bursts.burst_length(len(act.messages), state.cfg.modem)
                 ident = self.burst_count
                 self.burst_count += 1
                 b = _Burst(tx=idx, t0=cursor, t1=cursor + n / state.cfg.modem.sample_rate,
@@ -718,7 +706,7 @@ class _Engine:
             rx_wave = self.rx_filter(rx_wave)
         if self.keep_audio:
             self.heard[rx].append((b.t0 + delay, rx_wave.samples))
-        scan = bursts.recover_frames(rx_wave, state.cfg.modem, state.cfg.gap_slots)
+        scan = bursts.recover_frames(rx_wave, state.cfg.modem)
         if scan.corrupt_offsets:
             self.trace.log(
                 self.now, state.name, "rx_corrupt",
@@ -737,7 +725,7 @@ class _Engine:
         """Burst `ident` as its receiver hears it, noise included: up to
         rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`."""
         cfg = self.nodes[b.tx].cfg
-        y = bursts.received_burst(b.messages, cfg.modem, cfg.gap_slots, self.channel)
+        y = bursts.received_burst(b.messages, cfg.modem, self.channel)
         return add_noise(y, self.channel, seed=(self.seed, ident))
 
     # ------------------------------------------------------------- run
@@ -766,7 +754,7 @@ class _Engine:
             if expected is None:
                 continue
             sender, receiver = self.nodes[idx], self.nodes[1 - idx]
-            if not sender.tx_done or receiver.delivered is None:
+            if sender.tx_unacked or receiver.delivered is None:
                 return False
         return True
 
@@ -895,7 +883,7 @@ def unidirectional_schedule(
     trace = SessionTrace()
     cfg = tx_cfg.modem
     messages = framing.pack_payload(payload)
-    y = bursts.received_burst(messages, cfg, tx_cfg.gap_slots, channel)
+    y = bursts.received_burst(messages, cfg, channel)
     t0, t1 = start_time, start_time + y.size / cfg.sample_rate
     trace.log(t0, "TX", "tx_burst", burst=0, start=t0, end=t1,
               frames=[m.kind.name for m in messages],
@@ -906,13 +894,13 @@ def unidirectional_schedule(
     rx_start = start_time - rx_guard
     skip = max(0, int(round((rx_start - t0) * cfg.sample_rate)))
     heard = rx_wave.slice(skip, len(rx_wave)) if skip else rx_wave
-    scan = bursts.recover_frames(heard, rx_cfg.modem, rx_cfg.gap_slots)
+    scan = bursts.recover_frames(heard, rx_cfg.modem)
     if scan.corrupt_offsets:
         trace.log(t1, "RX", "rx_corrupt", burst=0, count=len(scan.corrupt_offsets))
     for msg in scan.messages:
         trace.log(t1, "RX", "rx_frame", burst=0, kind=msg.kind.name,
                   sender=msg.sender_id, seq=msg.seq, body=msg.body)
-    result = bursts.reassemble_burst(scan, rx_cfg.modem, rx_cfg.gap_slots, start=-skip).result()
+    result = bursts.reassemble_burst(scan, rx_cfg.modem, start=-skip).result()
     if result.complete:
         trace.log(t1, "RX", "deliver", bytes=len(result.data))
     trace.summary = {

@@ -22,7 +22,8 @@ from .audio import SampleBuffer
 from .bits import BitArray, Bitsish, as_bits
 from .framing import PREAMBLE as PREAMBLE_PATTERN
 
-DEFAULT_BAND = (18_000.0, 24_000.0)
+# both carriers lie in this band, Hz
+BAND = (18_000.0, 24_000.0)
 
 # a candidate offset must show strictly alternating decisions and at
 # least this mean confidence before it counts as a preamble
@@ -43,23 +44,18 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ModemConfig:
-    """B-FSK parameters: carriers, rate, sampling, band limits, amplitude."""
+    """B-FSK parameters: carriers (inside BAND), rate, sampling, amplitude."""
 
     f0: float = 18_500.0
     f1: float = 19_500.0
     bit_rate: float = 166.0
     sample_rate: int = 48_000
-    band_low: float = DEFAULT_BAND[0]
-    band_high: float = DEFAULT_BAND[1]
     gain: float = 0.9
 
     def __post_init__(self):
         lo, hi = sorted((self.f0, self.f1))
-        if not (self.band_low <= lo and hi <= self.band_high):
-            raise ConfigError(
-                f"carriers {self.f0}/{self.f1} Hz outside band "
-                f"[{self.band_low}, {self.band_high}] Hz"
-            )
+        if not (BAND[0] <= lo and hi <= BAND[1]):
+            raise ConfigError(f"carriers {self.f0}/{self.f1} Hz outside band {list(BAND)} Hz")
         if self.f0 == self.f1:
             raise ConfigError("f0 and f1 must differ")
         if self.bit_rate <= 0:

@@ -214,16 +214,10 @@ class TestBerSweep:
             (cell,) = ber_sweep([rate], [(name, model)], payload_bits=payload_bits, seeds=[seed])
             assert cell.mean_ber == self.reference_ber(rate, model, payload_bits, seed), seed
 
-    @pytest.mark.parametrize("rate, payload_bits, model", [
-        (166.0, 1000, ChannelModel(distance=3.0, base_snr_at_1m=21.0,
-                                   noise=NoiseProfile(NoiseKind.MUSIC_LIKE, 0.0))),
-        # the sweep demodulates from sample 0, so the flight time must stay
-        # well inside one slot: 282 samples of 4800
-        (10.0, 100, ChannelModel(distance=2.0, angle_off_axis=30.0, base_snr_at_1m=6.0,
-                                 sample_shift_delay=True)),
-    ], ids=["shaped-noise", "shifted"])
-    def test_cells_equal_the_propagated_reference_with_shaped_noise_or_shift(
-            self, rate, payload_bits, model):
+    def test_cells_equal_the_propagated_reference_with_shaped_noise(self):
+        rate, payload_bits = 166.0, 1000
+        model = ChannelModel(distance=3.0, base_snr_at_1m=21.0,
+                             noise=NoiseProfile(NoiseKind.MUSIC_LIKE, 0.0))
         bers = []
         for seed in range(20):
             (cell,) = ber_sweep([rate], [("room", model)], payload_bits=payload_bits, seeds=[seed])

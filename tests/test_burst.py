@@ -64,7 +64,11 @@ class TestOffGridFrames:
 
     def test_ghost_free_frames_carry_their_grid_index(self):
         messages = [ControlMessage(MessageKind.DATA, seq=i, body=i) for i in range(6)]
-        scan = burst.recover_frames(burst.messages_to_waveform(messages, CFG), CFG)
+        wave = burst.messages_to_waveform(messages, CFG)
+        assert len(wave) == burst.burst_length(6, CFG) == 5 * PERIOD + FRAME_BITS * SPB
+        scan = burst.recover_frames(wave, CFG)
+        assert scan.messages == messages
+        assert scan.corrupt_offsets == []
         assert [f.index for f in scan.frames] == list(range(6))
         assert [f.offset for f in scan.frames] == [i * PERIOD for i in range(6)]
 
@@ -145,28 +149,18 @@ def test_a_frame_with_four_doubtful_bits_is_refused(unsure):
         assert scan.corrupt_offsets == [PERIOD]
 
 
-def test_link_passes_its_gap_slots(monkeypatch):
-    calls = []
-    original = burst.recover_frames
-
-    def spy(buf, cfg, gap_slots=burst.FRAME_GAP_SLOTS):
-        calls.append(gap_slots)
-        return original(buf, cfg, gap_slots)
-
-    monkeypatch.setattr(burst, "recover_frames", spy)
-    cfg = LinkConfig(modem=CFG, gap_slots=6)
-    trace = run_session(cfg, cfg, preset("noiseless"), b"grid", seed=1)
-    assert trace.summary["complete"]
-    assert calls and set(calls) == {6}
-
-
-@pytest.mark.parametrize("gap_slots", [0, 1, 2, 8])
-def test_every_gap_length_recovers_a_clean_burst(gap_slots):
+@pytest.mark.parametrize("lead_slots", [0, 1, 2, 8])
+def test_every_gap_length_recovers_a_clean_burst(lead_slots):
+    """Frames keep the fixed gap; the silence ahead of the burst varies."""
     messages = [ControlMessage(MessageKind.DATA, seq=i, body=3 * i) for i in range(5)]
-    wave = burst.messages_to_waveform(messages, CFG, gap_slots)
-    scan = burst.recover_frames(wave, CFG, gap_slots)
+    samples = np.concatenate([np.zeros(lead_slots * SPB),
+                              burst.messages_to_waveform(messages, CFG).samples])
+    scan = burst.recover_frames(SampleBuffer(samples, CFG.sample_rate), CFG)
     assert scan.messages == messages
     assert [f.index for f in scan.frames] == list(range(5))
+    # locks lie on the 1/8-slot preamble lattice
+    starts = [lead_slots * SPB + i * PERIOD for i in range(5)]
+    assert all(abs(f.offset - s) <= STEP for f, s in zip(scan.frames, starts))
     assert scan.corrupt_offsets == []
 
 
@@ -196,6 +190,6 @@ def test_received_slots_are_the_filtered_modulation(rate, name):
     model = preset(name)
     bits = np.random.default_rng(int(rate)).integers(0, 2, 120, dtype=np.uint8)
     expected = apply_signal_path(modulate(bits, cfg).samples, model)
-    got = burst.received_slots(bits[None], cfg, 0, model)
+    got = burst.received_slots(bits[None], cfg, model)
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)

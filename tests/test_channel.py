@@ -120,15 +120,6 @@ class TestPropagate:
         tx = modulate(rng.integers(0, 2, 50, dtype=np.uint8), ModemConfig(bit_rate=166))
         assert len(propagate(tx, preset("paper-3m"))) == len(tx)
 
-    def test_sample_shift_delay_prepends_flight_time(self, rng):
-        tx = modulate(rng.integers(0, 2, 20, dtype=np.uint8), ModemConfig(bit_rate=166))
-        model = ChannelModel(distance=3.4, sample_shift_delay=True,
-                             response_curve=((0.0, 0.0), (24000.0, 0.0)))
-        rx = propagate(tx, model)
-        shift = int(round(3.4 / 340.0 * FS))
-        assert len(rx) == len(tx) + shift
-        assert not rx.samples[:shift].any()
-
     def test_rate_mismatch_rejected(self):
         buf = SampleBuffer(np.zeros(1000), 44100)
         with pytest.raises(ConfigError):

@@ -14,6 +14,15 @@ from ultralink.channel import preset, propagate
 from ultralink.cli import main
 
 
+# session config lines setting fields that no longer exist, by key: the
+# frame gap and band are fixed, and the flight time is not in the samples
+DELETED_KEYS = {
+    "gap_slots": "[link]\ngap_slots = 4\n",
+    "sample_shift_delay": "[channel]\nsample_shift_delay = true\n",
+    "band_low": "[modem]\nband_low = 17000\n",
+}
+
+
 def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -228,13 +237,15 @@ class TestAnalysisCommands:
 class TestExpectedErrors:
     @pytest.mark.parametrize("case", ["modulate-config", "demodulate-config", "ber-sweep-config",
                                       "ber-sweep-rates", "ber-sweep-no-bits",
-                                      "ber-sweep-negative-bits", "session-budget"])
+                                      "ber-sweep-negative-bits", "session-budget",
+                                      *DELETED_KEYS])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
         missing = str(tmp_path / "missing.cfg")
         wav = tmp_path / "quiet.wav"
         write_wav(wav, SampleBuffer(np.zeros(4800), 48000))
         session = tmp_path / "session.cfg"
-        session.write_text(f"[session]\npayload = {payload_file.name}\nbudget_s = abc\n")
+        session.write_text(f"[session]\npayload = {payload_file.name}\n"
+                           + DELETED_KEYS.get(case, "budget_s = abc\n"))
         argv = {
             "modulate-config": ["modulate", str(payload_file), "--config", missing],
             "demodulate-config": ["demodulate", str(wav), "--config", missing],
@@ -245,11 +256,13 @@ class TestExpectedErrors:
                                   "--bits", "0", "--seeds", "1"],
             "ber-sweep-negative-bits": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
                                         "--bits", "-1", "--seeds", "1"],
-            "session-budget": ["simulate-session", "--config", str(session)],
-        }[case]
+        }.get(case, ["simulate-session", "--config", str(session)])
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: ")
+        if case in DELETED_KEYS:
+            assert error.startswith("error: unknown ") and f" key '{case}'" in error
         assert not (out / "manifest.json").exists()
 
 

@@ -94,15 +94,14 @@ class TestLinkConfig:
 
     @given(
         t_max=st.floats(0.01, 60.0),
-        gap_slots=st.integers(0, 8),
         modem_rate=st.sampled_from([10.0, 50.0, 166.0, 500.0, 1000.0, 2000.0]),
         wide=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_accepted_configs_never_overrun_the_window(self, t_max, gap_slots, modem_rate, wide):
+    def test_accepted_configs_never_overrun_the_window(self, t_max, modem_rate, wide):
         try:
             modem = ModemConfig(f0=18_000.0, f1=22_000.0 if wide else 19_000.0, bit_rate=modem_rate)
-            cfg = LinkConfig(modem=modem, t_max=t_max, gap_slots=gap_slots)
+            cfg = LinkConfig(modem=modem, t_max=t_max)
         except ConfigError:
             return
         # fill one turn at the modem rate
@@ -302,7 +301,7 @@ class TestSessions:
         trace = run_session(CFG, CFG, preset("noiseless"), data, seed=3)
         spb = CFG.modem.samples_per_bit
         frame_air = 46 * spb / 48000
-        gap_air = CFG.gap_slots * spb / 48000
+        gap_air = bursts.FRAME_GAP_SLOTS * spb / 48000
 
         def burst_air(n):
             return n * frame_air + (n - 1) * gap_air
@@ -363,8 +362,7 @@ class TestSessions:
     @pytest.mark.parametrize("b_cfg", [
         LinkConfig(modem=ModemConfig(bit_rate=100)),
         LinkConfig(modem=ModemConfig(bit_rate=166, f1=19_600.0)),
-        LinkConfig(modem=ModemConfig(bit_rate=166), gap_slots=5),
-    ], ids=["bit_rate", "carrier", "gap_slots"])
+    ], ids=["bit_rate", "carrier"])
     def test_nodes_with_different_air_formats_rejected(self, b_cfg):
         with pytest.raises(ConfigError, match="share the modem config"):
             run_session(CFG, b_cfg, preset("noiseless"), b"hi", seed=0)
@@ -410,14 +408,9 @@ class TestReceivedBurst:
     MODELS = pytest.mark.parametrize("model", [
         preset("paper-3m"),
         ChannelModel(distance=2.0, angle_off_axis=45.0, base_snr_at_1m=20.0,
-                     noise=NoiseProfile(NoiseKind.MUSIC_LIKE, -10.0), sample_shift_delay=True),
+                     noise=NoiseProfile(NoiseKind.MUSIC_LIKE, -10.0)),
         ChannelModel(distance=0.5, response_curve=((0.0, 0.0), (24000.0, 0.0))),   # uniform gain
-    ], ids=["paper-3m", "45deg-shaped-noise-shifted", "uniform"])
-
-    @staticmethod
-    def expected_length(wave, model):
-        shift = round(model.propagation_delay * model.sample_rate) if model.sample_shift_delay else 0
-        return len(wave) + shift
+    ], ids=["paper-3m", "45deg-shaped-noise", "uniform"])
 
     @MODELS
     def test_frames_add_up_to_the_propagated_burst(self, model):
@@ -433,22 +426,39 @@ class TestReceivedBurst:
         for ident, messages in enumerate(bursts_sent):
             b = link._Burst(tx=ident % 2, t0=0.0, t1=1.0, messages=tuple(messages))
             got = engine._received_burst(ident, b)
-            wave = bursts.messages_to_waveform(messages, CFG.modem, CFG.gap_slots)
+            wave = bursts.messages_to_waveform(messages, CFG.modem)
             expected = propagate(wave, model, seed=(5, ident))
-            assert len(got) == len(expected) == self.expected_length(wave, model)
+            assert len(got) == len(expected) == len(wave)
             np.testing.assert_allclose(got.samples, expected.samples, rtol=0, atol=1e-9)
 
     @MODELS
     def test_one_way_stream_is_the_propagated_burst(self, model):
         payload = bytes(range(40))
         trace = unidirectional_schedule(CFG, CFG, model, payload, seed=7, keep_audio=True)
-        wave = bursts.messages_to_waveform(framing.pack_payload(payload), CFG.modem, CFG.gap_slots)
+        wave = bursts.messages_to_waveform(framing.pack_payload(payload), CFG.modem)
         expected = propagate(wave, model, seed=(7, 0))
         got = trace.audio["RX"]
-        assert len(got) == len(expected) == self.expected_length(wave, model)
+        assert len(got) == len(expected) == len(wave)
         np.testing.assert_allclose(got.samples, expected.samples, rtol=0, atol=1e-9)
         tx = trace.of_kind("tx_burst")[0]
         assert tx["end"] - tx["start"] == wave.duration
+
+    def test_heard_audio_starts_one_flight_time_after_each_burst(self):
+        # a noiseless 6.8 m room: 20 ms of flight, 960 samples, and silence
+        # between the bursts a node hears
+        model = ChannelModel(distance=6.8)
+        trace = run_session(CFG, CFG, model, b"flight time", seed=2, keep_audio=True)
+        assert trace.summary["complete"]
+        fs = model.sample_rate
+        starts = {e["burst"]: e["start"] for e in trace.of_kind("tx_burst")}
+        for node in "AB":
+            heard = sorted({e["burst"] for e in trace.of_kind("rx_frame") if e["node"] == node})
+            assert heard, node
+            loud = np.flatnonzero(trace.audio[node].samples)
+            for ident in heard:
+                expected = (starts[ident] + model.propagation_delay) * fs
+                first = loud[np.searchsorted(loud, expected - 0.01 * fs)]
+                assert abs(first - expected) <= 1, (node, ident, first, expected)
 
 
 class TestDiscoveryLiveness:
@@ -525,7 +535,7 @@ class TestUnidirectional:
         assert s["frames_sent"] == len(sent)
         assert s["frames_recovered"] >= self.SCAN_PER_FRAME_RECOVERED[seed]
         # every recovered frame is the sent frame at its grid index, on the grid
-        period = (framing.FRAME_BITS + CFG.gap_slots) * CFG.modem.samples_per_bit
+        period = bursts.frame_period(CFG.modem)
         (scan,) = scans
         for frame in scan.frames:
             assert abs(frame.offset - frame.index * period) <= CFG.modem.samples_per_bit

@@ -359,9 +359,9 @@ class TestBoundedPreambleScan:
         calls = []
         original = burst.recover_frames
 
-        def recording(buf, cfg, *args):
-            scan = original(buf, cfg, *args)
-            calls.append((buf, cfg, args, scan))
+        def recording(buf, cfg):
+            scan = original(buf, cfg)
+            calls.append((buf, cfg, scan))
             return scan
 
         monkeypatch.setattr(burst, "recover_frames", recording)
@@ -379,8 +379,8 @@ class TestBoundedPreambleScan:
             return full_scan(scanner, search_from)
 
         monkeypatch.setattr(ToneScanner, "find_preamble", counted_full_scan)
-        for buf, cfg, args, scan in calls:
-            reference = original(buf, cfg, *args)
+        for buf, cfg, scan in calls:
+            reference = original(buf, cfg)
             assert scan.frames == reference.frames
             assert scan.corrupt_offsets == reference.corrupt_offsets
         # the receiver locks through the scan: the replay did use the full one
@@ -484,8 +484,8 @@ class TestFrameCache:
     ]
 
     @staticmethod
-    def uncached(messages, cfg, gap_slots=burst.FRAME_GAP_SLOTS):
-        gap = np.zeros(gap_slots * cfg.samples_per_bit)
+    def uncached(messages, cfg):
+        gap = np.zeros(burst.FRAME_GAP_SLOTS * cfg.samples_per_bit)
         pieces = []
         for i, msg in enumerate(messages):
             if i:
@@ -513,7 +513,7 @@ class TestFrameCache:
         paths = [_signal_path(preset("paper-3m", distance=1.0 + i / 8))
                  for i in range(burst.ATOM_CACHE_SIZE + 3)]
         for path in paths:
-            burst.received_burst(self.MESSAGES[:1], CFG166, burst.FRAME_GAP_SLOTS, path)
+            burst.received_burst(self.MESSAGES[:1], CFG166, path)
         assert burst._slot_atoms.cache_info().currsize == burst.ATOM_CACHE_SIZE
         atoms = burst._slot_atoms(CFG166, paths[-1])
         assert burst._slot_atoms.cache_info().hits == 1
