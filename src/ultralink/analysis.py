@@ -45,6 +45,13 @@ def shannon_capacity(bandwidth: float, signal_power: float, noise_power: float) 
     return bandwidth * math.log2(1.0 + signal_power / noise_power)
 
 
+def _power_spectra(samples: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """|rfft(frame * window)|^2 of each len(window)-sample frame of
+    `samples`, frames `hop` apart from sample 0, one frame per row."""
+    frames = np.lib.stride_tricks.sliding_window_view(samples, len(window))[::hop]
+    return np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+
+
 def _windowed_band_powers(
     buf: SampleBuffer, resolution: float
 ) -> tuple[np.ndarray, int]:
@@ -63,17 +70,14 @@ def _windowed_band_powers(
         )
     from scipy import signal as sp_signal  # heavy; loaded on first use only
 
-    count = (n - win_len) // hop + 1
     window = sp_signal.windows.gaussian(win_len, std=win_len / 6.0)
-    starts = hop * np.arange(count)
-    frames = np.lib.stride_tricks.sliding_window_view(buf.samples, win_len)[starts]
-    spectra = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    spectra = _power_spectra(buf.samples, window, hop)
     mean_spectrum = spectra.mean(axis=0)
     freqs = np.fft.rfftfreq(win_len, d=1.0 / fs)
     n_bands = int(math.ceil(fs / 2.0 / resolution))
     band_index = np.minimum((freqs / resolution).astype(int), n_bands - 1)
     powers = np.bincount(band_index, weights=mean_spectrum, minlength=n_bands)
-    return powers, count
+    return powers, len(spectra)
 
 
 @dataclass(frozen=True)
@@ -385,11 +389,8 @@ def detect_ultrasonic(
     hop = int(round(DETECTOR_HOP_S * fs))
     if len(buf) < win:
         return []
-    count = (len(buf) - win) // hop + 1
-    starts = hop * np.arange(count)
     window = np.hanning(win)
-    frames = np.lib.stride_tricks.sliding_window_view(buf.samples, win)[starts]
-    spectra = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    spectra = _power_spectra(buf.samples, window, hop)
     freqs = np.fft.rfftfreq(win, d=1.0 / fs)
     # bands of `resolution` width, overlapped at half steps so a carrier
     # sitting on a band edge is never split across two cold bands
@@ -398,7 +399,7 @@ def detect_ultrasonic(
     first_sub = int(lo // half)
     last_sub = int(math.ceil(hi / half))
     in_scan = (sub_of_bin >= first_sub) & (sub_of_bin < last_sub)
-    sub_powers = np.zeros((count, last_sub - first_sub))
+    sub_powers = np.zeros((len(spectra), last_sub - first_sub))
     np.add.at(sub_powers.T, sub_of_bin[in_scan] - first_sub, spectra[:, in_scan].T)
     powers = sub_powers[:, :-1] + sub_powers[:, 1:]  # overlapping full bands
     # the band power a full-scale frame-long tone would show, as the
@@ -489,15 +490,16 @@ def spectrogram_image(
     hop_s: float = 0.01,
     floor_db: float = -90.0,
 ) -> np.ndarray:
-    """Grayscale spectrogram (rows = frequency, top = Nyquist) as uint8."""
+    """Grayscale spectrogram (rows = frequency, top = Nyquist) as uint8.
+
+    A buffer shorter than one window is padded with silence to one window,
+    so it gives one column.
+    """
     fs = buf.sample_rate
     win = int(round(window_s * fs))
     hop = int(round(hop_s * fs))
-    count = max((len(buf) - win) // hop + 1, 1)
-    starts = hop * np.arange(count)
-    window = np.hanning(win)
-    frames = np.lib.stride_tricks.sliding_window_view(buf.samples, win)[starts]
-    spectra = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    samples = np.pad(buf.samples, (0, max(win - len(buf), 0)))
+    spectra = _power_spectra(samples, np.hanning(win), hop)
     ref = spectra.max()
     db = 10.0 * np.log10(np.maximum(spectra, 1e-300) / max(ref, 1e-300))
     scaled = np.clip((db - floor_db) / -floor_db, 0.0, 1.0)

@@ -82,14 +82,12 @@ def _resolve_modem(sections: dict, rate: float | None):
     return cfg
 
 
-def _resolve_channel(sections: dict, preset_name: str | None, seed: int):
-    if preset_name:
-        model = preset(preset_name, seed=seed)
-    elif "channel" in sections:
-        model = configdoc.channel_from_sections(sections)
-    else:
-        model = preset("noiseless", seed=seed)
-    return model
+def _resolve_channel(sections: dict, preset_name: str | None, seed: int, sample_rate: int):
+    """The [session] preset, else the [channel] section, else the noiseless
+    room; a preset is built at the modem's `sample_rate`."""
+    if "channel" in sections and not preset_name:
+        return configdoc.channel_from_sections(sections)
+    return preset(preset_name or "noiseless", seed=seed, sample_rate=sample_rate)
 
 
 def _out_dir(args) -> Path:
@@ -139,7 +137,7 @@ def cmd_simulate_session(args):
     payload_path = (Path(args.config).parent / session.payload).resolve()
     payload = payload_path.read_bytes()
     link_cfg = configdoc.link_from_sections(sections)
-    channel = _resolve_channel(sections, session.preset, args.seed)
+    channel = _resolve_channel(sections, session.preset, args.seed, link_cfg.modem.sample_rate)
     out_dir = _out_dir(args)
     if session.mode is configdoc.SessionMode.UNIDIRECTIONAL:
         trace = unidirectional_schedule(
@@ -193,9 +191,9 @@ def cmd_capacity(args):
 def cmd_ber_sweep(args):
     rates = [float(r) for r in args.rates.split(",")]
     names = args.preset.split(",") if args.preset else ["paper-3m"]
-    models = [(n, preset(n)) for n in names]
     sections, config = _load_sections(args.config)
     base = configdoc.modem_from_sections(sections)
+    models = [(n, preset(n, sample_rate=base.sample_rate)) for n in names]
     seeds = list(range(args.seed, args.seed + args.seeds))
     cells = analysis.ber_sweep(rates, models, payload_bits=args.bits,
                                seeds=seeds, base_modem=base)

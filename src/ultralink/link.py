@@ -187,7 +187,6 @@ class NodeState:
     last_discovery_acked: Optional[tuple[int, float]] = None
     # token view
     token_free: bool = True
-    token_deadline: Optional[float] = None
 
 
 def make_node(
@@ -329,7 +328,7 @@ def _on_timeout(st: NodeState, event: Timeout, actions: list[LinkAction]) -> Non
             actions.append(SetTimer(TimerKind.DISCOVERY_BROADCAST, _broadcast_delay(st)))
     elif kind == TimerKind.TURN_START:
         if st.phase in (Phase.DISCOVERED, Phase.IDLE, Phase.LISTENING) and st.token_free:
-            _start_turn(st, actions, event.time)
+            _start_turn(st, actions)
     elif kind == TimerKind.TURN_SENT:
         _after_own_turn(st, actions)
     elif kind == TimerKind.RESPONSE_WAIT:
@@ -480,13 +479,12 @@ def _build_turn(st: NodeState) -> list[ControlMessage]:
     return msgs
 
 
-def _start_turn(st: NodeState, actions: list[LinkAction], now: float) -> None:
+def _start_turn(st: NodeState, actions: list[LinkAction]) -> None:
     msgs = _build_turn(st)
     if len(msgs) <= 2 and not st.tx_unacked:
         return  # nothing worth saying; stay idle
     st.phase = Phase.HOLDING_TOKEN
     st.token_free = False
-    st.token_deadline = now + st.cfg.t_max
     actions += [
         # a fresh turn obsoletes the previous listen cycle; a stale
         # inactivity/response timer surviving past this point could fire
@@ -502,7 +500,6 @@ def _start_turn(st: NodeState, actions: list[LinkAction], now: float) -> None:
 
 def _after_own_turn(st: NodeState, actions: list[LinkAction]) -> None:
     st.token_free = True
-    st.token_deadline = None
     if st.awaiting_feedback:
         st.phase = Phase.LISTENING
         actions.append(SetTimer(TimerKind.RESPONSE_WAIT, _response_wait(st)))
@@ -545,6 +542,40 @@ class SessionTrace:
             sort_keys=True,
             indent=indent,
         )
+
+
+def _log_tx_burst(trace: SessionTrace, node: str, ident: int, t0: float,
+                  messages, cfg: ModemConfig) -> float:
+    """Log the tx_burst entry of burst `ident`, sent from t0; returns the
+    time its last sample leaves the speaker."""
+    t1 = t0 + bursts.burst_length(len(messages), cfg) / cfg.sample_rate
+    trace.log(t0, node, "tx_burst", burst=ident, start=t0, end=t1,
+              frames=[m.kind.name for m in messages], bit_rate=float(cfg.bit_rate),
+              turn=messages[0].kind == MessageKind.ACQUIRE)
+    return t1
+
+
+def _heard_burst(messages, cfg: ModemConfig, channel: ChannelModel, seed: int,
+                 ident: int) -> SampleBuffer:
+    """Burst `ident` as its receiver hears it, noise included: up to
+    rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`."""
+    return add_noise(bursts.received_burst(messages, cfg, channel), channel, seed=(seed, ident))
+
+
+def _hear(trace: SessionTrace, t: float, node: str, ident: int, wave: SampleBuffer,
+          cfg: ModemConfig, on_message=None) -> bursts.BurstScan:
+    """Recover the frames of burst `ident` from what `node` heard of it, and
+    log them at t: an rx_corrupt entry, then an rx_frame entry per message,
+    each directly followed by what `on_message(message)` logs."""
+    scan = bursts.recover_frames(wave, cfg)
+    if scan.corrupt_offsets:
+        trace.log(t, node, "rx_corrupt", burst=ident, count=len(scan.corrupt_offsets))
+    for msg in scan.messages:
+        trace.log(t, node, "rx_frame", burst=ident, kind=msg.kind.name,
+                  sender=msg.sender_id, seq=msg.seq, body=msg.body)
+        if on_message is not None:
+            on_message(msg)
+    return scan
 
 
 class _Timers:
@@ -660,19 +691,12 @@ class _Engine:
             elif isinstance(act, Transmit):
                 if self.mic_since[idx] != math.inf:
                     raise ProtocolError("Transmit while transducer is not a speaker")
-                n = bursts.burst_length(len(act.messages), state.cfg.modem)
                 ident = self.burst_count
                 self.burst_count += 1
-                b = _Burst(tx=idx, t0=cursor, t1=cursor + n / state.cfg.modem.sample_rate,
-                           messages=act.messages)
+                t1 = _log_tx_burst(self.trace, state.name, ident, cursor, act.messages,
+                                   state.cfg.modem)
+                b = _Burst(tx=idx, t0=cursor, t1=t1, messages=act.messages)
                 self.bursts[ident] = b
-                self.trace.log(
-                    cursor, state.name, "tx_burst",
-                    burst=ident, start=b.t0, end=b.t1,
-                    frames=[m.kind.name for m in act.messages],
-                    bit_rate=float(state.cfg.modem.bit_rate),
-                    turn=act.messages[0].kind == MessageKind.ACQUIRE,
-                )
                 self._push(b.t1 + self.channel.propagation_delay, ("burst_end", ident))
                 cursor = b.t1
                 self.busy_until[idx] = max(self.busy_until[idx], cursor)
@@ -706,27 +730,11 @@ class _Engine:
             rx_wave = self.rx_filter(rx_wave)
         if self.keep_audio:
             self.heard[rx].append((b.t0 + delay, rx_wave.samples))
-        scan = bursts.recover_frames(rx_wave, state.cfg.modem)
-        if scan.corrupt_offsets:
-            self.trace.log(
-                self.now, state.name, "rx_corrupt",
-                burst=ident, count=len(scan.corrupt_offsets),
-            )
-        for frame in scan.frames:
-            msg = frame.message
-            self.trace.log(
-                self.now, state.name, "rx_frame",
-                burst=ident, kind=msg.kind.name, sender=msg.sender_id,
-                seq=msg.seq, body=msg.body,
-            )
-            self._deliver(rx, FrameReceived(self.now, msg))
+        _hear(self.trace, self.now, state.name, ident, rx_wave, state.cfg.modem,
+              lambda msg: self._deliver(rx, FrameReceived(self.now, msg)))
 
     def _received_burst(self, ident: int, b: _Burst) -> SampleBuffer:
-        """Burst `ident` as its receiver hears it, noise included: up to
-        rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`."""
-        cfg = self.nodes[b.tx].cfg
-        y = bursts.received_burst(b.messages, cfg.modem, self.channel)
-        return add_noise(y, self.channel, seed=(self.seed, ident))
+        return _heard_burst(b.messages, self.nodes[b.tx].cfg.modem, self.channel, self.seed, ident)
 
     # ------------------------------------------------------------- run
 
@@ -874,39 +882,34 @@ def unidirectional_schedule(
 
     The transmitter streams every frame in one burst starting exactly at
     `start_time`; the receiver records from `start_time - rx_guard` on
-    (a negative guard models a receiver that woke up late).  There are no
-    acknowledgments or retransmissions by construction; each frame is
-    recovered independently via its own preamble.
+    (a negative guard models a receiver that woke up late).  The burst
+    arrives one flight time after it starts, and the receiver's entries
+    fall when its last sample arrives.  There are no acknowledgments or
+    retransmissions by construction; each frame is recovered
+    independently via its own preamble.
     """
     if not payload:
         raise ValueError("empty payload")
     trace = SessionTrace()
     cfg = tx_cfg.modem
     messages = framing.pack_payload(payload)
-    y = bursts.received_burst(messages, cfg, channel)
-    t0, t1 = start_time, start_time + y.size / cfg.sample_rate
-    trace.log(t0, "TX", "tx_burst", burst=0, start=t0, end=t1,
-              frames=[m.kind.name for m in messages],
-              bit_rate=float(cfg.bit_rate), turn=False)
-    rx_wave = add_noise(y, channel, seed=(seed, 0))
+    t1 = _log_tx_burst(trace, "TX", 0, start_time, messages, cfg)
+    rx_wave = _heard_burst(messages, cfg, channel, seed, 0)
     if keep_audio:
         trace.audio["RX"] = rx_wave
+    delay = channel.propagation_delay
     rx_start = start_time - rx_guard
-    skip = max(0, int(round((rx_start - t0) * cfg.sample_rate)))
+    # the heard burst's first sample arrives at start_time + delay
+    skip = max(0, int(round((-rx_guard - delay) * cfg.sample_rate)))
     heard = rx_wave.slice(skip, len(rx_wave)) if skip else rx_wave
-    scan = bursts.recover_frames(heard, rx_cfg.modem)
-    if scan.corrupt_offsets:
-        trace.log(t1, "RX", "rx_corrupt", burst=0, count=len(scan.corrupt_offsets))
-    for msg in scan.messages:
-        trace.log(t1, "RX", "rx_frame", burst=0, kind=msg.kind.name,
-                  sender=msg.sender_id, seq=msg.seq, body=msg.body)
+    scan = _hear(trace, t1 + delay, "RX", 0, heard, rx_cfg.modem)
     result = bursts.reassemble_burst(scan, rx_cfg.modem, start=-skip).result()
     if result.complete:
-        trace.log(t1, "RX", "deliver", bytes=len(result.data))
+        trace.log(t1 + delay, "RX", "deliver", bytes=len(result.data))
     trace.summary = {
         "schema": TRACE_SCHEMA_VERSION,
         "complete": result.complete,
-        "duration": t1 - min(t0, rx_start),
+        "duration": t1 + delay - min(start_time, rx_start),
         "seed": seed,
         "frames_sent": len(messages),
         "frames_recovered": len(scan.frames),

@@ -2,13 +2,12 @@
 
 Symbols are two carrier tones inside the 18-24 kHz band.  Modulation is
 continuous-phase (each slot starts at the phase the previous one ended
-on) to avoid clicks and spectral splatter.  Demodulation projects each bit
-slot onto complex exponentials at the two carriers and compares energies;
-the burst receiver projects its slots onto the same tones as a real cos/sin
-basis (`slot_basis`), and the preamble detector slides the projection over
-candidate offsets at 1/8-slot granularity.  The carrier phasors come from
-one shared table per (carrier, sample rate), so receivers do not rebuild
-them per buffer.
+on) to avoid clicks and spectral splatter.  Demodulation and the burst
+receiver project each bit slot onto the two carriers through one real
+cos/sin basis (`slot_basis`) and compare energies; the preamble detector
+slides the same projection over candidate offsets at 1/8-slot granularity.
+The carrier phasors come from one shared table per (carrier, sample rate),
+so receivers do not rebuild them per buffer.
 """
 
 from __future__ import annotations
@@ -209,9 +208,10 @@ def _preamble_scores(e0: np.ndarray, e1: np.ndarray) -> tuple[np.ndarray, np.nda
 def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> DemodResult:
     """Waveform to bits: energy compare at f1 vs f0 per whole bit slot.
 
-    Confidence per bit is |E1 - E0| / (E1 + E0) (0 when both energies are
-    0).  A trailing partial slot is discarded; `consumed` reports how many
-    samples were decoded.
+    Each slot is projected onto the `slot_basis` of `cfg`, as the burst
+    receiver's slots are.  Confidence per bit is |E1 - E0| / (E1 + E0) (0
+    when both energies are 0).  A trailing partial slot is discarded;
+    `consumed` reports how many samples were decoded.
     """
     spb = cfg.samples_per_bit
     available = len(buf) - start_offset
@@ -219,13 +219,7 @@ def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> De
     if n_slots == 0:
         return DemodResult(np.zeros(0, dtype=np.uint8), np.zeros(0), 0)
     view = buf.samples[start_offset:start_offset + n_slots * spb].reshape(n_slots, spb)
-    # complex products, not `slot_energies`: freeing their buffer-sized
-    # temporaries keeps glibc serving a BER op's later buffers from the
-    # heap; without them the op takes about twice the page faults, which
-    # costs more than the real basis saves
-    e0 = np.abs(view @ carrier_phasor(cfg.f0, buf.sample_rate, spb) / spb) ** 2
-    e1 = np.abs(view @ carrier_phasor(cfg.f1, buf.sample_rate, spb) / spb) ** 2
-    bits, conf = _decide(e0, e1)
+    bits, conf = _decide(*slot_energies(view, slot_basis(cfg)))
     return DemodResult(bits, conf, n_slots * spb)
 
 
@@ -390,9 +384,6 @@ def detect_preamble(
     Returns None when nothing scores above the detection threshold, which
     is a normal outcome (silence, noise, or a non-alternating signal).
     """
-    span = len(PREAMBLE_PATTERN) * cfg.samples_per_bit
-    if len(buf) - search_from < span:
-        return None
     return ToneScanner(buf, cfg).find_preamble(search_from)
 
 

@@ -386,3 +386,12 @@ class TestExports:
         img = spectrogram_image(sweep)
         assert img.dtype == np.uint8
         assert img.ndim == 2
+
+    def test_spectrogram_of_a_clip_shorter_than_one_window(self):
+        # 10 ms against the 20 ms window: one column, as the clip padded
+        # with silence to one window
+        tone = np.sin(2 * np.pi * 19_000.0 / FS * np.arange(480))
+        img = spectrogram_image(SampleBuffer(tone, FS))
+        padded = spectrogram_image(SampleBuffer(np.concatenate([tone, np.zeros(480)]), FS))
+        assert img.shape == (481, 1)
+        np.testing.assert_array_equal(img, padded)

@@ -223,15 +223,50 @@ class TestAnalysisCommands:
         out = tmp_path / "det"
         assert main(["detect", str(wav), "--out", str(out)]) == 0
         assert (out / "events.csv").exists()
+        # a clip shorter than one 20 ms spectrogram window gives one column
+        clip = tmp_path / "clip.wav"
+        write_wav(clip, SampleBuffer(read_wav(wav).samples[:480], 48000))
+        assert main(["detect", str(clip), "--spectrogram", "--out", str(tmp_path / "c")]) == 0
+        assert (tmp_path / "c" / "manifest.json").exists()
+        assert (tmp_path / "c" / "spectrogram.png").read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
         fout = tmp_path / "filt"
         assert main(["filter", str(wav), "--out", str(fout),
                      "--cutoff", "18000"]) == 0
-        from ultralink.audio import read_wav
         from ultralink.modem import ModemConfig
         from ultralink.burst import recover_frames
         filtered = read_wav(fout / "payload_filtered.wav")
         scan = recover_frames(filtered, ModemConfig(bit_rate=166))
         assert scan.frames == []  # countermeasure leaves nothing decodable
+
+
+class TestOtherSampleRates:
+    # a 44.1 kHz modem: presets are built at the modem's rate
+    MODEM = "[modem]\nsample_rate = 44100\nbit_rate = 166.0\n"
+
+    @pytest.mark.parametrize("preset_line", ["preset = paper-3m\n", ""],
+                             ids=["paper-3m", "default-room"])
+    def test_session_on_a_preset(self, tmp_path, payload_file, preset_line):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"[session]\npayload = {payload_file.name}\n{preset_line}" + self.MODEM)
+        out = tmp_path / "s"
+        assert main(["simulate-session", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["delivered_intact"]["B"]
+        assert read_wav(out / "node_b_heard.wav").sample_rate == 44100
+
+    def test_ber_sweep_and_rerun(self, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(self.MODEM)
+        out = tmp_path / "b"
+        assert main(["ber-sweep", "--rates", "166", "--preset", "noiseless,paper-3m",
+                     "--bits", "200", "--seeds", "2", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = json.loads((out / "ber.json").read_text())
+        assert [r["model"] for r in rows] == ["noiseless", "paper-3m"]
+        assert rows[0]["mean_ber"] == 0.0
+        before = out_hashes(out)
+        assert main(["rerun", str(out / "manifest.json"), "--verify"]) == 0
+        assert out_hashes(out) == before
 
 
 class TestExpectedErrors:

@@ -604,7 +604,8 @@ class TestCarrierPhasor:
 
     def test_slot_energies_match_the_complex_projection(self, rng):
         # the real cos/sin basis gives the energies of the complex phasor
-        # projection `demodulate` makes, up to rounding
+        # projection, up to rounding, and `demodulate` decides through it
+        # exactly as the burst receiver does
         spb = CFG166.samples_per_bit
         rows = rng.standard_normal((40, spb))
         e0, e1 = modem.slot_energies(rows, modem.slot_basis(CFG166))
@@ -614,5 +615,5 @@ class TestCarrierPhasor:
         buf = SampleBuffer(rows.ravel(), 48_000)
         decoded = demodulate(buf, CFG166)
         bits, conf = ToneScanner(buf, CFG166).decode_bits(0, 40)
-        assert np.array_equal(decoded.bits, bits)
-        np.testing.assert_allclose(decoded.confidences, conf, rtol=1e-9, atol=1e-12)
+        assert decoded.bits.tobytes() == bits.tobytes()
+        assert decoded.confidences.tobytes() == conf.tobytes()
