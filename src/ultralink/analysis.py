@@ -25,9 +25,9 @@ import numpy as np
 
 from .audio import SampleBuffer
 from .bits import as_bits
-from .burst import received_slots
-from .channel import ChannelModel, add_noise
-from .modem import ConfigError, ModemConfig, demodulate
+from .burst import received_blocks
+from .channel import ChannelModel, noisy_blocks
+from .modem import ConfigError, ModemConfig, decide_slots, slot_basis
 
 ANALYSIS_WINDOW_MS = 200.0
 ANALYSIS_OVERLAP = 0.25  # fraction of window shared between hops
@@ -244,7 +244,10 @@ def ber_sweep(
     Each seed draws fresh payload bits and fresh channel noise; the cell
     reports the across-seed mean with a 95% normal-approximation interval.
     The received cell is `propagate(modulate(bits, cfg), model, seed=seed)`
-    up to rounding, built from filtered slot atoms (`burst.received_slots`).
+    up to rounding, built from filtered slot atoms.  It is streamed in runs
+    of whole slots (`burst.received_blocks`), each given its noise
+    (`channel.noisy_blocks`) and its bits decided as `demodulate` decides
+    them, so no array is as long as the cell's samples.
     """
     if not rates or not models or not seeds:
         raise ValueError("rates, models, and seeds must be non-empty")
@@ -254,31 +257,23 @@ def ber_sweep(
     cells = []
     for rate in rates:
         cfg = base.at_rate(rate)
+        spb = cfg.samples_per_bit
+        basis = slot_basis(cfg)
         for name, model in models:
             bers = []
             for seed in seeds:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, int(rate * 1000))))
                 bits = rng.integers(0, 2, payload_bits, dtype=np.uint8)
-                rx = add_noise(received_slots(bits[None], cfg, model), model, seed=seed)
-                out = demodulate(rx, cfg)
-                bers.append(measure_ber(bits, out.bits))
+                blocks = received_blocks(bits[None], cfg, model)
+                rx = noisy_blocks(blocks, model, payload_bits * spb, seed=seed)
+                got = [decide_slots(block.reshape(-1, spb), basis)[0] for block in rx]
+                bers.append(measure_ber(bits, np.concatenate(got)))
             bers = np.asarray(bers)
             mean = float(bers.mean())
-            if bers.size > 1:
-                half = 1.96 * float(bers.std(ddof=1)) / math.sqrt(bers.size)
-            else:
-                half = 0.0
-            cells.append(
-                BerCell(
-                    bit_rate=rate,
-                    model_name=name,
-                    mean_ber=mean,
-                    ci_low=max(mean - half, 0.0),
-                    ci_high=min(mean + half, 1.0),
-                    n_bits=payload_bits * len(seeds),
-                    n_seeds=len(seeds),
-                )
-            )
+            half = 1.96 * float(bers.std(ddof=1)) / math.sqrt(bers.size) if bers.size > 1 else 0.0
+            cells.append(BerCell(bit_rate=rate, model_name=name, mean_ber=mean,
+                                 ci_low=max(mean - half, 0.0), ci_high=min(mean + half, 1.0),
+                                 n_bits=payload_bits * len(seeds), n_seeds=len(seeds)))
     return cells
 
 

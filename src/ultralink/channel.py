@@ -21,8 +21,10 @@ with the input; `add_noise` then adds the noise (`propagate` is the two in
 turn).  The room is linear and time-invariant, and `modulate` computes
 each bit slot's phase in closed form from the phase the slot starts at
 (`modem.slot_phases`), so `burst.received_slots` builds the received audio
-of sessions, one-way streams and BER-sweep cells from four filtered slot
-tones, with no modulation and no FFT per burst or cell.
+of sessions and one-way streams from four filtered slot tones, with no
+modulation and no FFT per burst.  BER-sweep cells are streamed: runs of
+whole slots from `burst.received_blocks` get their noise from
+`noisy_blocks`, of which `add_noise` is the one-block case.
 
 Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 19 kHz tone at the modem's default peak amplitude (0.9) would enjoy at
@@ -338,24 +340,33 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
 
 
 def add_noise(y: np.ndarray, model: ChannelModel, seed=None) -> SampleBuffer:
-    """The receiving end of `propagate`: the room's noise added to the
-    filtered samples `y`, drawn from (model.seed, seed) alone."""
-    fs = model.sample_rate
+    """The receiving end of `propagate`: the room's noise added to the filtered
+    samples `y`, drawn from (model.seed, seed) alone; `noisy_blocks` of one block."""
+    (noisy,) = noisy_blocks([y], model, len(y), seed)
+    return SampleBuffer(noisy, model.sample_rate)
+
+
+def noisy_blocks(blocks, model: ChannelModel, n: int, seed=None):
+    """The filtered `blocks` (n samples in all, left unchanged) each with
+    its noise; joined, bitwise `add_noise` of the whole.  Shaped noise is
+    synthesised over all n samples first, the white floor block by block."""
     entropy = (model.seed,) if seed is None else (model.seed, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    shaped = None
     if model.noise.kind != NoiseKind.SILENT:
-        shaped = synthesize_noise(
-            model.noise,
-            duration=len(y) / fs,
-            sample_rate=fs,
-            seed=rng.integers(2**63),
-            reference_power=reference_received_power(model),
-        )
-        y = y + shaped.samples
+        shaped = synthesize_noise(model.noise, n / model.sample_rate, model.sample_rate,
+                                  rng.integers(2**63), reference_received_power(model)).samples
     sigma = white_noise_sigma(model)
-    if sigma > 0:
-        y = y + sigma * rng.standard_normal(len(y))
-    return SampleBuffer(y, fs)
+    at = 0
+    for y in blocks:
+        if shaped is not None:
+            y = y + shaped[at:at + len(y)]
+            at += len(y)
+        if sigma > 0:
+            z = rng.standard_normal(len(y))
+            z *= sigma
+            y = np.add(z, y, out=z)       # bitwise y + sigma * z, in place
+        yield y
 
 
 # Frozen room presets.  The paper-* SNR values were calibrated once by

@@ -205,6 +205,11 @@ def _preamble_scores(e0: np.ndarray, e1: np.ndarray) -> tuple[np.ndarray, np.nda
     return matches, conf.reshape(-1, slots).sum(axis=1) / slots
 
 
+def decide_slots(slots: np.ndarray, basis: np.ndarray) -> tuple[BitArray, np.ndarray]:
+    """`_decide` of each row of `slots` (one bit slot each) on a `slot_basis`."""
+    return _decide(*slot_energies(slots, basis))
+
+
 def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> DemodResult:
     """Waveform to bits: energy compare at f1 vs f0 per whole bit slot.
 
@@ -213,13 +218,17 @@ def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> De
     when both energies are 0).  A trailing partial slot is discarded;
     `consumed` reports how many samples were decoded.
     """
+    if buf.sample_rate != cfg.sample_rate:
+        raise ConfigError(f"buffer rate {buf.sample_rate} != config rate {cfg.sample_rate}")
+    if start_offset < 0:
+        raise ValueError(f"start_offset must be >= 0, got {start_offset}")
     spb = cfg.samples_per_bit
     available = len(buf) - start_offset
     n_slots = max(available // spb, 0)
     if n_slots == 0:
         return DemodResult(np.zeros(0, dtype=np.uint8), np.zeros(0), 0)
     view = buf.samples[start_offset:start_offset + n_slots * spb].reshape(n_slots, spb)
-    bits, conf = _decide(*slot_energies(view, slot_basis(cfg)))
+    bits, conf = decide_slots(view, slot_basis(cfg))
     return DemodResult(bits, conf, n_slots * spb)
 
 

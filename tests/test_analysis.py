@@ -1,12 +1,13 @@
 """Measurement and countermeasure tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import awgn_per_band_snr
-from ultralink import framing
+from ultralink import burst, framing
 from ultralink.analysis import (
     ber_sweep,
     capacity_profile,
@@ -224,6 +225,33 @@ class TestBerSweep:
             bers.append(cell.mean_ber)
             assert cell.mean_ber == self.reference_ber(rate, model, payload_bits, seed), seed
         assert any(bers)
+
+    # white floor low enough that 10 bit/s cells have errors too
+    NOISY_MUSIC_ROOM = ChannelModel(distance=3.0, base_snr_at_1m=8.0,
+                                    noise=NoiseProfile(NoiseKind.MUSIC_LIKE, 0.0))
+
+    @pytest.mark.parametrize("rate", [10.0, 166.0, 500.0])
+    @pytest.mark.parametrize("name", ["paper-3m", "music"])
+    def test_streamed_cells_equal_the_propagated_reference_across_blocks(self, rate, name):
+        # 1 slot, one block less a slot, one block, one block and a slot, and
+        # 1001 bits, which span several blocks and end on a partial one
+        model = self.NOISY_MUSIC_ROOM if name == "music" else preset(name)
+        block = burst.BLOCK_SAMPLES // ModemConfig(bit_rate=rate).samples_per_bit
+        for seed, payload_bits in enumerate([1, block - 1, block, block + 1, 1001]):
+            (cell,) = ber_sweep([rate], [(name, model)], payload_bits=payload_bits, seeds=[seed])
+            assert cell.mean_ber == self.reference_ber(rate, model, payload_bits, seed), payload_bits
+
+    def test_cell_memory_does_not_scale_with_its_length(self):
+        # the parent's whole-cell buffers peaked at 4.4 MB for this cell
+        cell = dict(rates=[166.0], models=[("paper-3m", preset("paper-3m"))], payload_bits=1000)
+        ber_sweep(**cell)                     # atoms and phasor tables are cached
+        tracemalloc.start()
+        try:
+            ber_sweep(**cell, seeds=[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_channel_at_another_sample_rate_rejected(self):
         with pytest.raises(ConfigError):

@@ -193,3 +193,21 @@ def test_received_slots_are_the_filtered_modulation(rate, name):
     got = burst.received_slots(bits[None], cfg, model)
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("rate", [10.0, 166.0, 500.0])
+@pytest.mark.parametrize("name", ["paper-3m", "45deg"])
+def test_received_blocks_concatenate_to_received_slots(rate, name):
+    # runs of whole slots, the last one partial; also over several frames
+    # with their gaps
+    cfg = ModemConfig(bit_rate=rate)
+    model = preset(name) if name != "45deg" else ChannelModel(distance=2.0, angle_off_axis=45.0)
+    step = burst.BLOCK_SAMPLES // cfg.samples_per_bit
+    rng = np.random.default_rng(int(rate))
+    for shape in [(1, 1), (1, step), (1, 2 * step + 1), (1, 1001), (5, FRAME_BITS)]:
+        bits = rng.integers(0, 2, shape, dtype=np.uint8)
+        whole = burst.received_slots(bits, cfg, model)
+        blocks = list(burst.received_blocks(bits, cfg, model))
+        assert all(b.size % cfg.samples_per_bit == 0 for b in blocks)
+        assert all(b.size <= step * cfg.samples_per_bit for b in blocks)
+        np.testing.assert_allclose(np.concatenate(blocks), whole, rtol=0, atol=1e-15)

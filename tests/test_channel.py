@@ -254,6 +254,39 @@ class TestPaddedFilter:
             assert 20 * math.log10(amplitude) == pytest.approx(expected, abs=0.01)
 
 
+class TestNoisyBlocks:
+    ROOMS = {
+        "white": preset("paper-3m"),
+        "music+white": ChannelModel(distance=3.0, base_snr_at_1m=21.0,
+                                    noise=NoiseProfile(NoiseKind.MUSIC_LIKE, 0.0)),
+        "speech": ChannelModel(noise=NoiseProfile(NoiseKind.SPEECH_LIKE, -10.0)),
+    }
+
+    @pytest.mark.parametrize("room", sorted(ROOMS))
+    def test_blocks_bitwise_equal_add_noise(self, room):
+        model = self.ROOMS[room]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            y = rng.standard_normal(int(rng.integers(1, 20_000)))
+            cuts = np.sort(rng.integers(0, y.size, int(rng.integers(0, 6))))
+            blocks = channel.noisy_blocks(np.split(y, cuts), model, y.size, seed=seed)
+            got = np.concatenate(list(blocks))
+            whole = channel.add_noise(y, model, seed=seed).samples
+            assert np.array_equal(got, whole), seed
+            assert not np.array_equal(got, y)
+
+    def test_white_floor_is_sigma_times_one_normal_draw(self):
+        model, y = self.ROOMS["white"], np.linspace(-1.0, 1.0, 5000)
+        z = np.random.default_rng(np.random.SeedSequence((model.seed, 7))).standard_normal(y.size)
+        expected = y + channel.white_noise_sigma(model) * z
+        assert np.array_equal(channel.add_noise(y, model, seed=7).samples, expected)
+
+    def test_filtered_samples_left_unchanged(self):
+        y = np.ones(1000)
+        list(channel.noisy_blocks(np.split(y, [300]), self.ROOMS["music+white"], y.size, seed=1))
+        assert np.all(y == 1.0)
+
+
 class TestNoise:
     def test_silent_is_zeros(self):
         buf = synthesize_noise(NoiseProfile(NoiseKind.SILENT), 1.0, FS)

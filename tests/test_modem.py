@@ -175,6 +175,18 @@ class TestDemodulate:
         assert out.bits.size == 9
         assert out.consumed == 9 * CFG166.samples_per_bit
 
+    def test_buffer_at_another_sample_rate_rejected(self, rng):
+        # at 48 kHz the slots of a 44.1 kHz burst are misread: 184 bits, half wrong
+        cfg44k = ModemConfig(sample_rate=44_100)
+        buf = modulate(rng.integers(0, 2, 200, dtype=np.uint8), cfg44k)
+        with pytest.raises(ConfigError, match="44100"):
+            demodulate(buf, CFG166)
+
+    def test_negative_start_offset_rejected(self, rng):
+        buf = modulate(rng.integers(0, 2, 10, dtype=np.uint8), CFG166)
+        with pytest.raises(ValueError, match="start_offset"):
+            demodulate(buf, CFG166, start_offset=-5)
+
     def test_silence_zero_confidence(self):
         buf = SampleBuffer(np.zeros(CFG166.samples_per_bit * 4), 48000)
         out = demodulate(buf, CFG166)
