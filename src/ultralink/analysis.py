@@ -62,6 +62,9 @@ def _windowed_band_powers(
     """
     fs = buf.sample_rate
     win_len = int(round(ANALYSIS_WINDOW_MS / 1000.0 * fs))
+    if not fs / win_len <= resolution <= fs / 2.0:
+        raise ValueError(f"resolution must lie between the window's bin spacing "
+                         f"({fs / win_len:g} Hz) and Nyquist, got {resolution}")
     hop = int(round(win_len * (1.0 - ANALYSIS_OVERLAP)))
     n = len(buf)
     if n < win_len:

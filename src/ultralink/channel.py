@@ -36,7 +36,6 @@ delivered SNR exactly as the geometry says it should.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -69,10 +68,6 @@ DEFAULT_RESPONSE_CURVE = ((0.0, 0.0), (18_000.0, 0.0), (24_000.0, -12.0))
 # samples (8 slots at 166 bit/s, 2 at 10 bit/s)
 FILTER_TAPS = 1920
 
-# rFFT masks of the signal path kept, per (path, FFT length): one length
-# per bit rate's slot atoms, and one per buffer length `propagate` is given
-RESPONSE_CACHE_SIZE = 4
-
 
 class NoiseKind(enum.Enum):
     SILENT = "silent"
@@ -91,6 +86,8 @@ class NoiseProfile:
     def __post_init__(self):
         if isinstance(self.kind, str):
             object.__setattr__(self, "kind", NoiseKind(self.kind))
+        if not math.isfinite(self.level_db):
+            raise ConfigError(f"level db must be finite, got {self.level_db}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,6 @@ def _transfer_gain_db(model: ChannelModel, freqs: np.ndarray) -> np.ndarray:
     return gains
 
 
-@functools.lru_cache(maxsize=256)
 def _fast_len(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= n, a length the FFT transforms fast."""
     # for each 3^b 5^c below the best so far, the power of two that lifts it to n
@@ -189,7 +185,8 @@ def _fast_len(n: int) -> int:
 
 def _signal_path(model: ChannelModel) -> ChannelModel:
     """`model` with only the fields `_transfer_gain_db` and the sample rate
-    kept, so rooms that differ in seed or noise share one response."""
+    kept, so rooms that differ in seed or noise share one set of slot atoms
+    (`burst._slot_atoms`)."""
     return replace(model, base_snr_at_1m=None, noise=NoiseProfile(), seed=0)
 
 
@@ -211,38 +208,25 @@ def _kernel(path: ChannelModel):
     return (taps + taps[::-1]) / 2.0
 
 
-@functools.lru_cache(maxsize=RESPONSE_CACHE_SIZE)
-def _response(path: ChannelModel, m: int):
-    """The signal path for an m-point FFT: a scalar gain, or the read-only
-    (real) rFFT of the taps laid out circularly, negative lags at the end."""
-    taps = _kernel(path)
-    if np.ndim(taps) == 0:
-        return taps
-    half = FILTER_TAPS // 2
-    circular = np.zeros(m)
-    circular[:half + 1] = taps[half:]
-    circular[m - half:] = taps[:half]
-    # symmetric taps have a real spectrum; the imaginary part is rounding.
-    # A contiguous copy: the `.real` view would keep the complex spectrum
-    # alive and slow the multiply down
-    mask = np.fft.rfft(circular).real.copy()
-    mask.flags.writeable = False
-    return mask
-
-
 def apply_signal_path(samples: np.ndarray, model: ChannelModel) -> np.ndarray:
     """The room's response, spreading, absorption and directivity applied
     to `samples`: their linear convolution with the signal path's FIR,
     output sample i aligned with input sample i (same length)."""
-    path = _signal_path(model)
-    n = samples.size
-    # n + L/2 points: the centred kernel's lags never wrap onto the output
-    m = _fast_len(n + FILTER_TAPS // 2)
-    gain = _response(path, m)
-    if np.ndim(gain) == 0:
+    taps = _kernel(model)
+    if np.ndim(taps) == 0:
         # uniform gain: skip the FFT so the identity case is sample-exact
-        return samples * gain
-    return np.fft.irfft(np.fft.rfft(samples, m) * gain, m)[:n]
+        return samples * taps
+    n = samples.size
+    half = FILTER_TAPS // 2
+    # n + L/2 points: the centred kernel's lags never wrap onto the output
+    m = _fast_len(n + half)
+    # the taps laid out circularly, negative lags at the end; symmetric taps
+    # have a real spectrum, and its imaginary part is rounding
+    circular = np.zeros(m)
+    circular[:half + 1] = taps[half:]
+    circular[m - half:] = taps[:half]
+    mask = np.fft.rfft(circular).real
+    return np.fft.irfft(np.fft.rfft(samples, m) * mask, m)[:n]
 
 
 def reference_received_power(model: ChannelModel) -> float:

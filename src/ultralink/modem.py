@@ -4,8 +4,9 @@ Symbols are two carrier tones inside the 18-24 kHz band.  Modulation is
 continuous-phase (each slot starts at the phase the previous one ended
 on) to avoid clicks and spectral splatter.  Demodulation and the burst
 receiver project each bit slot onto the two carriers through one real
-cos/sin basis (`slot_basis`) and compare energies; the preamble detector
-slides the same projection over candidate offsets at 1/8-slot granularity.
+cos/sin basis (`slot_basis`) and compare energies.  Every preamble
+candidate, at 1/8-slot granularity, is scored from running sums of the
+samples' projections on the two carriers (`ToneScanner._candidate_scores`).
 The carrier phasors come from one shared table per (carrier, sample rate),
 so receivers do not rebuild them per buffer.
 """
@@ -57,8 +58,9 @@ class ModemConfig:
             raise ConfigError(f"carriers {self.f0}/{self.f1} Hz outside band {list(BAND)} Hz")
         if self.f0 == self.f1:
             raise ConfigError("f0 and f1 must differ")
-        if self.bit_rate <= 0:
-            raise ConfigError(f"bit_rate must be positive, got {self.bit_rate}")
+        for name in ("bit_rate", "sample_rate"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if abs(self.f1 - self.f0) < 2 * self.bit_rate:
             raise ConfigError(
                 f"tone separation {abs(self.f1 - self.f0)} Hz < 2 x bit rate "
@@ -191,18 +193,8 @@ def _decide(e0: np.ndarray, e1: np.ndarray) -> tuple[BitArray, np.ndarray]:
     |E1 - E0| / (E1 + E0), 0 where both energies are 0."""
     bits = (e1 > e0).astype(np.uint8)
     total = e0 + e1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        conf = np.where(total > 0, np.abs(e1 - e0) / total, 0.0)
+    conf = np.divide(np.abs(e1 - e0), total, out=np.zeros_like(total), where=total > 0)
     return bits, conf
-
-
-def _preamble_scores(e0: np.ndarray, e1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Preamble match flags and mean confidences of candidates whose
-    PREAMBLE_PATTERN slots have the energies e0, e1 (in candidate order)."""
-    slots = len(PREAMBLE_PATTERN)
-    bits, conf = _decide(e0, e1)
-    matches = np.all(bits.reshape(-1, slots) == PREAMBLE_PATTERN, axis=1)
-    return matches, conf.reshape(-1, slots).sum(axis=1) / slots
 
 
 def decide_slots(slots: np.ndarray, basis: np.ndarray) -> tuple[BitArray, np.ndarray]:
@@ -286,8 +278,11 @@ class ToneScanner:
         from `sums` (default: running projections from the first offset)."""
         if sums is None:
             sums = _RunningProjections(self, int(offsets[0]))
-        starts = (offsets[:, None] + self.spb * np.arange(len(PREAMBLE_PATTERN))).ravel()
-        return _preamble_scores(*sums.window_energies(starts, self.spb))
+        slots = len(PREAMBLE_PATTERN)
+        starts = (offsets[:, None] + self.spb * np.arange(slots)).ravel()
+        bits, conf = _decide(*sums.window_energies(starts, self.spb))
+        matches = np.all(bits.reshape(-1, slots) == PREAMBLE_PATTERN, axis=1)
+        return matches, conf.reshape(-1, slots).sum(axis=1) / slots
 
     def _passing(self, offsets: np.ndarray, matches: np.ndarray, scores: np.ndarray
                  ) -> list[PreambleHit]:
@@ -340,16 +335,7 @@ class ToneScanner:
         offsets = offsets[(offsets >= max(lo, 0)) & (offsets <= hi)]
         if not offsets.size:
             return []
-        # so few candidates cost less projected slot by slot than through
-        # running sums: a strided view gives each candidate's slots
-        slots = len(PREAMBLE_PATTERN)
-        x = self._samples(int(offsets[0]), int(offsets[-1]) + slots * self.spb)
-        unit = x.strides[0]
-        windows = np.lib.stride_tricks.as_strided(
-            x, (offsets.size, slots, self.spb), (self.step * unit, self.spb * unit, unit),
-            writeable=False)
-        energies = slot_energies(windows.reshape(-1, self.spb), self._basis)
-        return self._passing(offsets, *_preamble_scores(*energies))
+        return self._passing(offsets, *self._candidate_scores(offsets))
 
 
 class _RunningProjections:

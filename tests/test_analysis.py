@@ -129,6 +129,21 @@ class TestCapacityProfile:
         with pytest.raises(ValueError):
             capacity_profile(a, a)
 
+    @pytest.mark.parametrize("resolution", [0.0, 1e-300, 4.9, -5.0, math.nan, math.inf, 24_000.1])
+    def test_resolution_outside_bin_spacing_to_nyquist_rejected(self, resolution):
+        # 5 Hz is the bin spacing of the 200 ms window; 0 was a
+        # ZeroDivisionError and 1e-300 an OverflowError
+        noise = synthesize_noise(NoiseProfile(NoiseKind.WHITE, 0.0), 1.0, FS, seed=1)
+        with pytest.raises(ValueError, match="resolution"):
+            capacity_profile(noise, noise, resolution=resolution)
+        with pytest.raises(ValueError, match="resolution"):
+            psd(noise, resolution)
+
+    @pytest.mark.parametrize("resolution, bands", [(5.0, 4800), (24_000.0, 1)])
+    def test_resolution_bounds_accepted(self, resolution, bands):
+        noise = synthesize_noise(NoiseProfile(NoiseKind.WHITE, 0.0), 1.0, FS, seed=1)
+        assert len(capacity_profile(noise, noise, resolution=resolution).bands) == bands
+
 
 class TestPsd:
     def test_sums_to_one(self):

@@ -22,6 +22,11 @@ DELETED_KEYS = {
     "band_low": "[modem]\nband_low = 17000\n",
 }
 
+# capacity band widths outside 5 Hz (the 200 ms window's bin spacing) to
+# Nyquist, by case: 0 was a ZeroDivisionError, 1e-300 an OverflowError
+CAPACITY_RESOLUTIONS = {f"capacity-{value}": value
+                        for value in ("0", "1e-300", "-5", "nan", "inf")}
+
 
 def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -273,11 +278,12 @@ class TestExpectedErrors:
     @pytest.mark.parametrize("case", ["modulate-config", "demodulate-config", "ber-sweep-config",
                                       "ber-sweep-rates", "ber-sweep-no-bits",
                                       "ber-sweep-negative-bits", "session-budget",
-                                      *DELETED_KEYS])
+                                      *CAPACITY_RESOLUTIONS, *DELETED_KEYS])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
         missing = str(tmp_path / "missing.cfg")
         wav = tmp_path / "quiet.wav"
-        write_wav(wav, SampleBuffer(np.zeros(4800), 48000))
+        # half a second: longer than the capacity report's 200 ms window
+        write_wav(wav, SampleBuffer(np.zeros(24000), 48000))
         session = tmp_path / "session.cfg"
         session.write_text(f"[session]\npayload = {payload_file.name}\n"
                            + DELETED_KEYS.get(case, "budget_s = abc\n"))
@@ -291,6 +297,8 @@ class TestExpectedErrors:
                                   "--bits", "0", "--seeds", "1"],
             "ber-sweep-negative-bits": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
                                         "--bits", "-1", "--seeds", "1"],
+            **{case: ["capacity", "--sweep", str(wav), "--noise", str(wav),
+                      "--resolution", value] for case, value in CAPACITY_RESOLUTIONS.items()},
         }.get(case, ["simulate-session", "--config", str(session)])
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
@@ -298,6 +306,8 @@ class TestExpectedErrors:
         assert error.startswith("error: ")
         if case in DELETED_KEYS:
             assert error.startswith("error: unknown ") and f" key '{case}'" in error
+        if case in CAPACITY_RESOLUTIONS:
+            assert "resolution" in error
         assert not (out / "manifest.json").exists()
 
 

@@ -55,6 +55,8 @@ class TestConfig:
             {"sample_rate": 30000},               # Nyquist violation
             {"gain": 0.0},
             {"gain": 1.2},
+            {"bit_rate": math.nan},               # was a ValueError in samples_per_bit
+            {"sample_rate": math.nan},            # likewise
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -406,8 +408,8 @@ def concatenating_scanner(buf, cfg, pad=0):
 
 
 def test_preambles_near_match_the_running_sum_scores():
-    # the ±1-slot candidates are projected slot by slot; the scan scores
-    # the same candidates from running sums
+    # the ±1-slot retry candidates are scored from running sums from the
+    # first of them, as the scan scores its blocks from its own origin
     wave = burst.messages_to_waveform(TestScannerPadding.MESSAGES, CFG166)
     rx = propagate(wave, preset("paper-3m"), seed=3)
     scanner = ToneScanner(rx, CFG166)
