@@ -5,8 +5,8 @@ sweep recording and a silence recording are short-time analyzed with
 200 ms Gaussian windows at 25% overlap, per-100 Hz-band SNR is formed as
 (signal - floor) / floor, and each band contributes B*log2(1 + S/N).
 The defensive side has a linear-phase FIR low-pass (blocks the whole
-covert band) and an energy detector that scans 18-24 kHz for sustained
-peaks over a rolling noise floor and flags two-tone keying patterns.
+covert band) and an energy detector that scans 18 kHz to 24 kHz or
+Nyquist for sustained peaks over a rolling floor and flags FSK keying.
 
 scipy.signal is imported inside the three functions that use it (the
 Gaussian window, the FIR design and its convolution), so importing the
@@ -27,7 +27,7 @@ from .audio import SampleBuffer
 from .bits import as_bits
 from .burst import received_blocks
 from .channel import ChannelModel, noisy_blocks
-from .modem import ConfigError, ModemConfig, decide_slots, slot_basis
+from .modem import BAND, ConfigError, ModemConfig, decide_slots, slot_basis
 
 ANALYSIS_WINDOW_MS = 200.0
 ANALYSIS_OVERLAP = 0.25  # fraction of window shared between hops
@@ -364,25 +364,19 @@ def _rolling_floor(powers: np.ndarray, window: int, lag: int) -> np.ndarray:
     return floor
 
 
-def detect_ultrasonic(
-    buf: SampleBuffer,
-    scan_band: tuple[float, float] = (18_000.0, 24_000.0),
-    threshold_db: float = 10.0,
-    resolution: float = DEFAULT_RESOLUTION_HZ,
-    min_duration: float = DETECTOR_MIN_DURATION_S,
-) -> list[DetectionEvent]:
+def detect_ultrasonic(buf: SampleBuffer, threshold_db: float = 10.0) -> list[DetectionEvent]:
     """Scan the near-ultrasonic range for sustained energy peaks.
 
-    Short-time band powers inside `scan_band` are compared against a
-    rolling (trailing-median) noise floor; exceedances lasting at least
-    one bit slot become events.  An event showing two dominant bands
-    with comparable activity — the signature of two-tone keying — is
-    classified as FSK.
+    Short-time band powers over the modem BAND, up to Nyquist at most, are
+    compared against a rolling (trailing-percentile) noise floor;
+    exceedances lasting at least one bit slot become events.  An event
+    showing two dominant bands with comparable activity — the signature
+    of two-tone keying — is classified as FSK.
     """
     fs = buf.sample_rate
-    lo, hi = scan_band
-    if not 0 < lo < hi <= fs / 2:
-        raise ValueError(f"scan band [{lo}, {hi}] outside (0, Nyquist]")
+    lo, hi = BAND[0], min(BAND[1], fs / 2)
+    if hi <= lo:
+        raise ValueError(f"Nyquist {fs / 2} Hz leaves no band above {lo} Hz to scan")
     win = int(round(DETECTOR_FRAME_S * fs))
     hop = int(round(DETECTOR_HOP_S * fs))
     if len(buf) < win:
@@ -390,9 +384,9 @@ def detect_ultrasonic(
     window = np.hanning(win)
     spectra = _power_spectra(buf.samples, window, hop)
     freqs = np.fft.rfftfreq(win, d=1.0 / fs)
-    # bands of `resolution` width, overlapped at half steps so a carrier
-    # sitting on a band edge is never split across two cold bands
-    half = resolution / 2.0
+    # bands of DEFAULT_RESOLUTION_HZ width, overlapped at half steps so a
+    # carrier sitting on a band edge is never split across two cold bands
+    half = DEFAULT_RESOLUTION_HZ / 2.0
     sub_of_bin = (freqs / half).astype(int)
     first_sub = int(lo // half)
     last_sub = int(math.ceil(hi / half))
@@ -416,7 +410,7 @@ def detect_ultrasonic(
     active = hot.any(axis=1)
     # group active frames into events, tolerating short dropouts
     gap_frames = int(round(DETECTOR_GAP_TOLERANCE_S / DETECTOR_HOP_S))
-    min_frames = max(2, int(math.ceil(min_duration / DETECTOR_HOP_S)))
+    min_frames = max(2, int(math.ceil(DETECTOR_MIN_DURATION_S / DETECTOR_HOP_S)))
     events: list[DetectionEvent] = []
     runs: list[list[int]] = []
     for t in np.flatnonzero(active):
@@ -433,7 +427,7 @@ def detect_ultrasonic(
         peak = float(10.0 * math.log10(ratio_span.max()))
         hot_any = np.flatnonzero(hot_span.any(axis=0))
         band_lo = (first_sub + int(hot_any.min())) * half
-        band_hi = (first_sub + int(hot_any.max())) * half + resolution
+        band_hi = (first_sub + int(hot_any.max())) * half + DEFAULT_RESOLUTION_HZ
         # two-tone keying: the hot bands form exactly two separated
         # clusters (carrier plus close-in sidebands each), both of which
         # stay active through the event (alternating or interleaved)
@@ -482,25 +476,25 @@ def rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrogram_image(
-    buf: SampleBuffer,
-    window_s: float = 0.02,
-    hop_s: float = 0.01,
-    floor_db: float = -90.0,
-) -> np.ndarray:
+SPECTROGRAM_WINDOW_S = 0.02
+SPECTROGRAM_HOP_S = 0.01
+SPECTROGRAM_FLOOR_DB = -90.0     # black at and below this, relative to the peak
+
+
+def spectrogram_image(buf: SampleBuffer) -> np.ndarray:
     """Grayscale spectrogram (rows = frequency, top = Nyquist) as uint8.
 
     A buffer shorter than one window is padded with silence to one window,
     so it gives one column.
     """
     fs = buf.sample_rate
-    win = int(round(window_s * fs))
-    hop = int(round(hop_s * fs))
+    win = int(round(SPECTROGRAM_WINDOW_S * fs))
+    hop = int(round(SPECTROGRAM_HOP_S * fs))
     samples = np.pad(buf.samples, (0, max(win - len(buf), 0)))
     spectra = _power_spectra(samples, np.hanning(win), hop)
     ref = spectra.max()
     db = 10.0 * np.log10(np.maximum(spectra, 1e-300) / max(ref, 1e-300))
-    scaled = np.clip((db - floor_db) / -floor_db, 0.0, 1.0)
+    scaled = np.clip((db - SPECTROGRAM_FLOOR_DB) / -SPECTROGRAM_FLOOR_DB, 0.0, 1.0)
     return np.flipud((scaled.T * 255.0).astype(np.uint8))
 
 

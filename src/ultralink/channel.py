@@ -31,6 +31,11 @@ Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 1 m on-axis.  That makes the white floor an absolute property of the
 simulated room, so moving the receiver farther away degrades the
 delivered SNR exactly as the geometry says it should.
+
+Noise seeding: a room has no seed of its own.  The noise of a call with
+`seed` is drawn from SeedSequence((0, seed)), and of a call without one
+from SeedSequence((0,)); the session engine passes (session seed, burst
+number), so the session seed enters each burst's noise once.
 """
 
 from __future__ import annotations
@@ -102,7 +107,6 @@ class ChannelModel:
     response_curve: tuple[tuple[float, float], ...] = DEFAULT_RESPONSE_CURVE
     noise: NoiseProfile = field(default_factory=NoiseProfile)
     sample_rate: int = 48_000
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("distance", "cone_diameter", "speed_of_sound", "sample_rate"):
@@ -111,11 +115,12 @@ class ChannelModel:
                 raise ConfigError(f"{name.replace('_', ' ')} must be positive and finite, got {value}")
         if not 0 <= self.angle_off_axis <= 90:
             raise ConfigError(f"angle {self.angle_off_axis} outside [0, 90] degrees")
-        if self.base_snr_at_1m is not None and math.isnan(self.base_snr_at_1m):
-            raise ConfigError("base snr at 1m must be a number or None, got nan")
-        gains = [g for _, g in self.response_curve]
-        if not all(math.isfinite(g) for g in gains):
-            raise ConfigError("response curve gains must be finite")
+        snr = self.base_snr_at_1m
+        if snr is not None and not snr > -math.inf:
+            raise ConfigError(f"base snr at 1m must be above -inf, or None, got {snr}")
+        values = [v for point in self.response_curve for v in point]
+        if not values or not all(math.isfinite(v) for v in values):
+            raise ConfigError("response curve needs one or more points, each finite")
 
     @property
     def propagation_delay(self) -> float:
@@ -141,8 +146,12 @@ def directivity_gain(angle: float, freq: float, d: float, c: float = SPEED_OF_SO
         raise ValueError(f"angle {angle} outside [0, 90] degrees")
     if freq <= 0:
         raise ValueError(f"frequency must be positive, got {freq}")
-    onset = beaming_start_frequency(c, d)
-    excess = max(freq / onset - 1.0, 0.0)
+    return float(_directivity_db(angle, freq, d, c))
+
+
+def _directivity_db(angle: float, freq, d: float, c: float):
+    """`directivity_gain` at a frequency or an array of them, unchecked."""
+    excess = np.maximum(freq / beaming_start_frequency(c, d) - 1.0, 0.0)
     return -DIRECTIVITY_K * excess * (angle / 90.0) ** 2
 
 
@@ -161,11 +170,8 @@ def _transfer_gain_db(model: ChannelModel, freqs: np.ndarray) -> np.ndarray:
     gains = gains + 20.0 * math.log10(1.0 / model.distance)
     absorption = AIR_ABSORPTION_DB_PER_M * max(model.distance - 1.0, 0.0)
     gains = gains - absorption * (freqs > AIR_ABSORPTION_ABOVE_HZ)
-    if model.angle_off_axis > 0:
-        onset = beaming_start_frequency(model.speed_of_sound, model.cone_diameter)
-        excess = np.maximum(freqs / onset - 1.0, 0.0)
-        gains = gains - DIRECTIVITY_K * excess * (model.angle_off_axis / 90.0) ** 2
-    return gains
+    return gains + _directivity_db(model.angle_off_axis, freqs, model.cone_diameter,
+                                   model.speed_of_sound)
 
 
 def _fast_len(n: int) -> int:
@@ -185,9 +191,9 @@ def _fast_len(n: int) -> int:
 
 def _signal_path(model: ChannelModel) -> ChannelModel:
     """`model` with only the fields `_transfer_gain_db` and the sample rate
-    kept, so rooms that differ in seed or noise share one set of slot atoms
+    kept, so rooms that differ in noise share one set of slot atoms
     (`burst._slot_atoms`)."""
-    return replace(model, base_snr_at_1m=None, noise=NoiseProfile(), seed=0)
+    return replace(model, base_snr_at_1m=None, noise=NoiseProfile())
 
 
 def _kernel(path: ChannelModel):
@@ -325,7 +331,7 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
 
 def add_noise(y: np.ndarray, model: ChannelModel, seed=None) -> SampleBuffer:
     """The receiving end of `propagate`: the room's noise added to the filtered
-    samples `y`, drawn from (model.seed, seed) alone; `noisy_blocks` of one block."""
+    samples `y`, drawn from `seed` alone; `noisy_blocks` of one block."""
     (noisy,) = noisy_blocks([y], model, len(y), seed)
     return SampleBuffer(noisy, model.sample_rate)
 
@@ -334,8 +340,7 @@ def noisy_blocks(blocks, model: ChannelModel, n: int, seed=None):
     """The filtered `blocks` (n samples in all, left unchanged) each with
     its noise; joined, bitwise `add_noise` of the whole.  Shaped noise is
     synthesised over all n samples first, the white floor block by block."""
-    entropy = (model.seed,) if seed is None else (model.seed, seed)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    rng = np.random.default_rng(np.random.SeedSequence((0,) if seed is None else (0, seed)))
     shaped = None
     if model.noise.kind != NoiseKind.SILENT:
         shaped = synthesize_noise(model.noise, n / model.sample_rate, model.sample_rate,
@@ -368,7 +373,7 @@ PRESETS = {
 
 
 def preset(name: str, **overrides) -> ChannelModel:
-    """Fetch a named preset, optionally overriding fields (e.g. seed)."""
+    """Fetch a named preset, optionally overriding fields (e.g. sample_rate)."""
     try:
         model = PRESETS[name]
     except KeyError:

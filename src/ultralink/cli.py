@@ -82,12 +82,12 @@ def _resolve_modem(sections: dict, rate: float | None):
     return cfg
 
 
-def _resolve_channel(sections: dict, preset_name: str | None, seed: int, sample_rate: int):
+def _resolve_channel(sections: dict, preset_name: str | None, sample_rate: int):
     """The [session] preset, else the [channel] section, else the noiseless
     room; a preset is built at the modem's `sample_rate`."""
     if "channel" in sections and not preset_name:
         return configdoc.channel_from_sections(sections)
-    return preset(preset_name or "noiseless", seed=seed, sample_rate=sample_rate)
+    return preset(preset_name or "noiseless", sample_rate=sample_rate)
 
 
 def _out_dir(args) -> Path:
@@ -137,11 +137,11 @@ def cmd_simulate_session(args):
     payload_path = (Path(args.config).parent / session.payload).resolve()
     payload = payload_path.read_bytes()
     link_cfg = configdoc.link_from_sections(sections)
-    channel = _resolve_channel(sections, session.preset, args.seed, link_cfg.modem.sample_rate)
+    channel = _resolve_channel(sections, session.preset, link_cfg.modem.sample_rate)
     out_dir = _out_dir(args)
     if session.mode is configdoc.SessionMode.UNIDIRECTIONAL:
         trace = unidirectional_schedule(
-            link_cfg, link_cfg, channel, payload,
+            link_cfg, channel, payload,
             start_time=session.start_time, rx_guard=session.rx_guard_s,
             seed=args.seed, keep_audio=True,
         )

@@ -246,10 +246,14 @@ def _spontaneous_delay(st: NodeState) -> float:
 
 
 def _turn_frames(cfg: LinkConfig) -> int:
-    """Frames that fit in one turn of at most cfg.t_max at the modem rate."""
-    slot = cfg.modem.samples_per_bit / cfg.modem.sample_rate
-    per_frame = (framing.FRAME_BITS + bursts.FRAME_GAP_SLOTS) * slot
-    return int((cfg.t_max + bursts.FRAME_GAP_SLOTS * slot) / per_frame)
+    """The most frames n with burst_length(n) / fs <= cfg.t_max, the bound
+    `verify_trace` checks; SEQ_WINDOW + 1 stands for any count beyond it."""
+    modem = cfg.modem
+    fs = modem.sample_rate
+    n = int(min(cfg.t_max * fs / bursts.frame_period(modem), SEQ_WINDOW)) + 1
+    while bursts.burst_length(n, modem) / fs > cfg.t_max:
+        n -= 1
+    return n
 
 
 # ------------------------------------------------------ sequence algebra
@@ -578,24 +582,6 @@ def _hear(trace: SessionTrace, t: float, node: str, ident: int, wave: SampleBuff
     return scan
 
 
-class _Timers:
-    """Per-node timer table; setting a kind replaces any pending one."""
-
-    def __init__(self):
-        self.generation: dict[TimerKind, int] = {}
-
-    def set(self, kind: TimerKind) -> int:
-        gen = self.generation.get(kind, 0) + 1
-        self.generation[kind] = gen
-        return gen
-
-    def cancel(self, kind: TimerKind) -> None:
-        self.generation[kind] = self.generation.get(kind, 0) + 1
-
-    def is_current(self, kind: TimerKind, gen: int) -> bool:
-        return self.generation.get(kind) == gen
-
-
 @dataclass
 class _Burst:
     tx: int                 # node index
@@ -614,6 +600,7 @@ class _Engine:
     def __init__(
         self,
         nodes: list[NodeState],
+        payloads: list[Optional[bytes]],
         channel: ChannelModel,
         seed: int,
         budget: float,
@@ -635,12 +622,13 @@ class _Engine:
         self.trace = SessionTrace()
         self.heap: list = []
         self.counter = 0
-        self.timers = [_Timers(), _Timers()]
+        # per node, timer kind -> generation; a timer fires only at the current one
+        self.timers: list[dict[TimerKind, int]] = [{}, {}]
         self.busy_until = [0.0, 0.0]
         self.mic_since = [0.0, 0.0]   # time the node last became stable MIC
         self.bursts: dict[int, _Burst] = {}
         self.burst_count = 0
-        self.expected_payloads: list[Optional[bytes]] = [None, None]
+        self.expected_payloads = payloads   # per node, what it sends
         self.heard: list[list[tuple[float, np.ndarray]]] = [[], []]
         self.now = 0.0
 
@@ -649,6 +637,11 @@ class _Engine:
     def _push(self, when: float, item: tuple) -> None:
         heapq.heappush(self.heap, (when, self.counter, item))
         self.counter += 1
+
+    def _bump(self, idx: int, kind: TimerKind) -> int:
+        """A new generation for node idx's `kind` timer, obsoleting any pending one."""
+        gen = self.timers[idx][kind] = self.timers[idx].get(kind, 0) + 1
+        return gen
 
     def _carrier_busy_until(self, idx: int) -> float:
         """Latest end time of any burst currently audible at node idx."""
@@ -701,11 +694,9 @@ class _Engine:
                 cursor = b.t1
                 self.busy_until[idx] = max(self.busy_until[idx], cursor)
             elif isinstance(act, SetTimer):
-                when = cursor + act.delay
-                gen = self.timers[idx].set(act.kind)
-                self._push(when, ("timer", idx, act.kind, gen))
+                self._push(cursor + act.delay, ("timer", idx, act.kind, self._bump(idx, act.kind)))
             elif isinstance(act, CancelTimer):
-                self.timers[idx].cancel(act.kind)
+                self._bump(idx, act.kind)
             elif isinstance(act, DeliverData):
                 self.trace.log(cursor, state.name, "deliver", bytes=len(act.data))
             else:
@@ -725,7 +716,7 @@ class _Engine:
                 burst=ident, reason="not_listening",
             )
             return
-        rx_wave = self._received_burst(ident, b)
+        rx_wave = _heard_burst(b.messages, state.cfg.modem, self.channel, self.seed, ident)
         if self.rx_filter is not None:
             rx_wave = self.rx_filter(rx_wave)
         if self.keep_audio:
@@ -733,24 +724,20 @@ class _Engine:
         _hear(self.trace, self.now, state.name, ident, rx_wave, state.cfg.modem,
               lambda msg: self._deliver(rx, FrameReceived(self.now, msg)))
 
-    def _received_burst(self, ident: int, b: _Burst) -> SampleBuffer:
-        return _heard_burst(b.messages, self.nodes[b.tx].cfg.modem, self.channel, self.seed, ident)
-
     # ------------------------------------------------------------- run
 
     def _timer_fired(self, idx: int, kind: TimerKind, gen: int) -> None:
-        if not self.timers[idx].is_current(kind, gen):
+        if self.timers[idx].get(kind) != gen:
             return
         if self.busy_until[idx] > self.now:
-            gen = self.timers[idx].set(kind)
-            self._push(self.busy_until[idx] + self.BUSY_BACKOFF, ("timer", idx, kind, gen))
+            self._push(self.busy_until[idx] + self.BUSY_BACKOFF,
+                       ("timer", idx, kind, self._bump(idx, kind)))
             return
         if kind in (TimerKind.TURN_START, TimerKind.INACTIVITY, TimerKind.RESPONSE_WAIT):
             carrier = self._carrier_busy_until(idx)
             if carrier > self.now:
-                when = carrier + self.CARRIER_BACKOFF
-                gen = self.timers[idx].set(kind)
-                self._push(when, ("timer", idx, kind, gen))
+                self._push(carrier + self.CARRIER_BACKOFF,
+                           ("timer", idx, kind, self._bump(idx, kind)))
                 return
         self.trace.log(self.now, self.nodes[idx].name, "timer", kind=kind.value)
         self._deliver(idx, Timeout(self.now, kind))
@@ -856,21 +843,21 @@ def run_session(
     """
     if not payload and not stop_after_discovery:
         raise ValueError("empty payload")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget}")
     ids = (None, None) if node_ids is None else node_ids
     node_a = make_node(a_cfg, seed, "A", payload=payload or None, node_id=ids[0])
     node_b = make_node(b_cfg, seed, "B", payload=payload_b, node_id=ids[1])
     engine = _Engine(
-        [node_a, node_b], channel, seed, budget,
+        [node_a, node_b], [payload or None, payload_b], channel, seed, budget,
         rx_filter=rx_filter, keep_audio=keep_audio,
         stop_after_discovery=stop_after_discovery,
     )
-    engine.expected_payloads = [payload or None, payload_b]
     return engine.run()
 
 
 def unidirectional_schedule(
-    tx_cfg: LinkConfig,
-    rx_cfg: LinkConfig,
+    cfg: LinkConfig,
     channel: ChannelModel,
     payload: bytes,
     start_time: float = 0.0,
@@ -886,24 +873,27 @@ def unidirectional_schedule(
     arrives one flight time after it starts, and the receiver's entries
     fall when its last sample arrives.  There are no acknowledgments or
     retransmissions by construction; each frame is recovered
-    independently via its own preamble.
+    independently via its own preamble.  Both ends use `cfg`.
     """
     if not payload:
         raise ValueError("empty payload")
+    for name, value in (("start_time", start_time), ("rx_guard", rx_guard)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     trace = SessionTrace()
-    cfg = tx_cfg.modem
+    modem = cfg.modem
     messages = framing.pack_payload(payload)
-    t1 = _log_tx_burst(trace, "TX", 0, start_time, messages, cfg)
-    rx_wave = _heard_burst(messages, cfg, channel, seed, 0)
+    t1 = _log_tx_burst(trace, "TX", 0, start_time, messages, modem)
+    rx_wave = _heard_burst(messages, modem, channel, seed, 0)
     if keep_audio:
         trace.audio["RX"] = rx_wave
     delay = channel.propagation_delay
     rx_start = start_time - rx_guard
     # the heard burst's first sample arrives at start_time + delay
-    skip = max(0, int(round((-rx_guard - delay) * cfg.sample_rate)))
+    skip = max(0, int(round((-rx_guard - delay) * modem.sample_rate)))
     heard = rx_wave.slice(skip, len(rx_wave)) if skip else rx_wave
-    scan = _hear(trace, t1 + delay, "RX", 0, heard, rx_cfg.modem)
-    result = bursts.reassemble_burst(scan, rx_cfg.modem, start=-skip).result()
+    scan = _hear(trace, t1 + delay, "RX", 0, heard, modem)
+    result = bursts.reassemble_burst(scan, modem, start=-skip).result()
     if result.complete:
         trace.log(t1 + delay, "RX", "deliver", bytes=len(result.data))
     trace.summary = {

@@ -85,9 +85,6 @@ class ModemConfig:
     def at_rate(self, bit_rate: float) -> "ModemConfig":
         return replace(self, bit_rate=bit_rate)
 
-    def with_swapped_carriers(self) -> "ModemConfig":
-        return replace(self, f0=self.f1, f1=self.f0)
-
 
 class DemodResult(NamedTuple):
     bits: BitArray
@@ -202,7 +199,7 @@ def decide_slots(slots: np.ndarray, basis: np.ndarray) -> tuple[BitArray, np.nda
     return _decide(*slot_energies(slots, basis))
 
 
-def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> DemodResult:
+def demodulate(buf: SampleBuffer, cfg: ModemConfig) -> DemodResult:
     """Waveform to bits: energy compare at f1 vs f0 per whole bit slot.
 
     Each slot is projected onto the `slot_basis` of `cfg`, as the burst
@@ -212,14 +209,11 @@ def demodulate(buf: SampleBuffer, cfg: ModemConfig, start_offset: int = 0) -> De
     """
     if buf.sample_rate != cfg.sample_rate:
         raise ConfigError(f"buffer rate {buf.sample_rate} != config rate {cfg.sample_rate}")
-    if start_offset < 0:
-        raise ValueError(f"start_offset must be >= 0, got {start_offset}")
     spb = cfg.samples_per_bit
-    available = len(buf) - start_offset
-    n_slots = max(available // spb, 0)
+    n_slots = len(buf) // spb
     if n_slots == 0:
         return DemodResult(np.zeros(0, dtype=np.uint8), np.zeros(0), 0)
-    view = buf.samples[start_offset:start_offset + n_slots * spb].reshape(n_slots, spb)
+    view = buf.samples[:n_slots * spb].reshape(n_slots, spb)
     bits, conf = decide_slots(view, slot_basis(cfg))
     return DemodResult(bits, conf, n_slots * spb)
 

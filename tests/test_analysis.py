@@ -35,29 +35,30 @@ from ultralink.modem import ConfigError, ModemConfig, demodulate, modulate, tone
 FS = 48000
 
 
-def embed_frames(n_frames, snr_db, bit_rate=166, seed=0, spacing_s=0.9, lead_s=2.5):
-    """Frames over music + a white floor at the given per-band SNR.
+def embed_frames(n_frames, snr_db, bit_rate=166, seed=0, spacing_s=0.9, lead_s=2.5, fs=FS):
+    """Frames over music + a white floor at the given per-band SNR, recorded
+    at `fs`.
 
     Returns (buffer, [(start_s, end_s), ...]).
     """
-    cfg = ModemConfig(bit_rate=bit_rate)
+    cfg = ModemConfig(bit_rate=bit_rate, sample_rate=fs)
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt((0.9**2 / 2) / 10 ** (snr_db / 10) * (FS / 2) / 100)
+    sigma = math.sqrt((0.9**2 / 2) / 10 ** (snr_db / 10) * (fs / 2) / 100)
     frame_len = 46 * cfg.samples_per_bit
-    step = frame_len + int(spacing_s * FS)
-    duration = (n_frames * step + 2 * FS + int(lead_s * FS)) / FS
-    bg = synthesize_noise(NoiseProfile(NoiseKind.MUSIC_LIKE, 0.0), duration, FS,
+    step = frame_len + int(spacing_s * fs)
+    duration = (n_frames * step + 2 * fs + int(lead_s * fs)) / fs
+    bg = synthesize_noise(NoiseProfile(NoiseKind.MUSIC_LIKE, 0.0), duration, fs,
                           seed=seed + 1).samples.copy()
     bg += sigma * rng.standard_normal(bg.size)
     placements = []
     for k in range(n_frames):
-        at = int(lead_s * FS) + k * step
+        at = int(lead_s * fs) + k * step
         msg = framing.ControlMessage(framing.MessageKind.DATA, seq=k % 256,
                                      body=int(rng.integers(0, 65536)))
         wave = modulate(framing.encode_frame(framing.encode_message(msg)), cfg)
         bg[at:at + len(wave)] += wave.samples
-        placements.append((at / FS, (at + len(wave)) / FS))
-    return SampleBuffer(bg, FS), placements
+        placements.append((at / fs, (at + len(wave)) / fs))
+    return SampleBuffer(bg, fs), placements
 
 
 class TestShannon:
@@ -337,15 +338,18 @@ class TestDetector:
         assert detect_ultrasonic(music) == []
 
     def test_single_frame_one_fsk_event(self):
-        buf, placements = embed_frames(1, snr_db=20.0, seed=6, lead_s=3.0)
-        events = detect_ultrasonic(buf)
-        assert len(events) == 1
-        event = events[0]
-        a, b = placements[0]
-        assert event.start < b and a < event.end
-        assert event.classified_as_fsk
-        assert 18000 <= event.band_low < event.band_high <= 24000
-        assert event.peak_energy_db_over_floor >= 10.0
+        # the scan runs from 18 kHz to Nyquist: 24 kHz, or 22.05 kHz for a
+        # 44.1 kHz recording, which was rejected
+        for fs in (FS, 44_100):
+            buf, placements = embed_frames(1, snr_db=20.0, seed=6, lead_s=3.0, fs=fs)
+            events = detect_ultrasonic(buf)
+            assert len(events) == 1, fs
+            event = events[0]
+            a, b = placements[0]
+            assert event.start < b and a < event.end
+            assert event.classified_as_fsk
+            assert 18000 <= event.band_low < event.band_high <= fs / 2
+            assert event.peak_energy_db_over_floor >= 10.0
 
     def test_embedded_frames_all_flagged(self):
         buf, placements = embed_frames(20, snr_db=16.0, seed=5)
@@ -372,10 +376,11 @@ class TestDetector:
         assert len(events) == 1
         assert not events[0].classified_as_fsk
 
-    def test_scan_band_validation(self):
-        buf = SampleBuffer(np.zeros(FS), FS)
-        with pytest.raises(ValueError):
-            detect_ultrasonic(buf, scan_band=(18000.0, 25000.0))
+    def test_recording_without_the_band_rejected(self):
+        # a 32 kHz recording ends at 16 kHz, below the 18-24 kHz band
+        buf = SampleBuffer(np.zeros(32_000), 32_000)
+        with pytest.raises(ValueError, match="Nyquist"):
+            detect_ultrasonic(buf)
 
 
 class TestFilterDetectorDuality:

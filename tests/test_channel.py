@@ -232,7 +232,7 @@ class TestNoisyBlocks:
 
     def test_white_floor_is_sigma_times_one_normal_draw(self):
         model, y = self.ROOMS["white"], np.linspace(-1.0, 1.0, 5000)
-        z = np.random.default_rng(np.random.SeedSequence((model.seed, 7))).standard_normal(y.size)
+        z = np.random.default_rng(np.random.SeedSequence((0, 7))).standard_normal(y.size)
         expected = y + channel.white_noise_sigma(model) * z
         assert np.array_equal(channel.add_noise(y, model, seed=7).samples, expected)
 
@@ -344,6 +344,10 @@ class TestPresets:
         ("distance", math.inf),
         ("cone_diameter", math.nan),
         ("sample_rate", 0),
+        ("base_snr_at_1m", -math.inf),    # was a silently noiseless room
+        ("response_curve", ()),           # was numpy's error at the first propagate
+        ("response_curve", ((math.nan, 0.0), (24000.0, -12.0))),   # was an AudioError
+        ("response_curve", ((0.0, 0.0), (math.inf, -12.0))),
     ])
     def test_bad_fields_rejected_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field.replace("_", " ")):

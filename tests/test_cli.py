@@ -20,6 +20,16 @@ DELETED_KEYS = {
     "gap_slots": "[link]\ngap_slots = 4\n",
     "sample_shift_delay": "[channel]\nsample_shift_delay = true\n",
     "band_low": "[modem]\nband_low = 17000\n",
+    "seed": "[channel]\nseed = 1\n",
+}
+
+# non-finite [session] times, by the name the error gives: a nan budget hung
+# a session that could not complete, start_time = nan wrote NaN into
+# trace.json and exited 0, rx_guard_s = nan failed converting it to samples
+SESSION_TIMES = {
+    "budget": "budget_s = nan\n",
+    "start_time": "mode = unidirectional\nstart_time = nan\n",
+    "rx_guard": "mode = unidirectional\nrx_guard_s = nan\n",
 }
 
 # capacity band widths outside 5 Hz (the 200 ms window's bin spacing) to
@@ -278,7 +288,7 @@ class TestExpectedErrors:
     @pytest.mark.parametrize("case", ["modulate-config", "demodulate-config", "ber-sweep-config",
                                       "ber-sweep-rates", "ber-sweep-no-bits",
                                       "ber-sweep-negative-bits", "session-budget",
-                                      *CAPACITY_RESOLUTIONS, *DELETED_KEYS])
+                                      *CAPACITY_RESOLUTIONS, *DELETED_KEYS, *SESSION_TIMES])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
         missing = str(tmp_path / "missing.cfg")
         wav = tmp_path / "quiet.wav"
@@ -286,7 +296,7 @@ class TestExpectedErrors:
         write_wav(wav, SampleBuffer(np.zeros(24000), 48000))
         session = tmp_path / "session.cfg"
         session.write_text(f"[session]\npayload = {payload_file.name}\n"
-                           + DELETED_KEYS.get(case, "budget_s = abc\n"))
+                           + {**DELETED_KEYS, **SESSION_TIMES}.get(case, "budget_s = abc\n"))
         argv = {
             "modulate-config": ["modulate", str(payload_file), "--config", missing],
             "demodulate-config": ["demodulate", str(wav), "--config", missing],
@@ -308,6 +318,8 @@ class TestExpectedErrors:
             assert error.startswith("error: unknown ") and f" key '{case}'" in error
         if case in CAPACITY_RESOLUTIONS:
             assert "resolution" in error
+        if case in SESSION_TIMES:
+            assert case in error
         assert not (out / "manifest.json").exists()
 
 

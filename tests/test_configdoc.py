@@ -22,7 +22,7 @@ class TestRoundtrips:
             angle_off_axis=30.0,
             base_snr_at_1m=17.25,
             noise=NoiseProfile(NoiseKind.SPEECH_LIKE, -3.0),
-            seed=99,
+            sample_rate=44_100,
         )
         text = configdoc.dump(configdoc.channel_to_sections(model))
         assert configdoc.channel_from_sections(configdoc.parse(text)) == model
@@ -55,9 +55,10 @@ class TestCoercion:
             configdoc.channel_from_sections(configdoc.parse("[channel]\ndistance = none\n"))
 
     def test_ints_and_enums(self):
-        parsed = configdoc.parse("[channel]\nseed = 12\n[noise]\nkind = white\nlevel_db = -6\n")
+        parsed = configdoc.parse(
+            "[channel]\nsample_rate = 44100\n[noise]\nkind = white\nlevel_db = -6\n")
         model = configdoc.channel_from_sections(parsed)
-        assert model.seed == 12 and isinstance(model.seed, int)
+        assert model.sample_rate == 44_100 and isinstance(model.sample_rate, int)
         assert model.noise == NoiseProfile(NoiseKind.WHITE, -6.0)
 
     def test_unknown_noise_kind_rejected(self):

@@ -14,6 +14,7 @@ from ultralink import framing, link
 from ultralink.channel import ChannelModel, NoiseKind, NoiseProfile, preset, propagate
 from ultralink.framing import ControlMessage, MessageKind
 from ultralink.link import (
+    MIN_TURN_FRAMES,
     SEQ_WINDOW,
     FrameReceived,
     LinkConfig,
@@ -83,6 +84,17 @@ class TestLinkConfig:
     )
     def test_turn_within_seq_window_accepted(self, kwargs):
         LinkConfig(**kwargs)
+
+    @pytest.mark.parametrize("rate", [10.0, 20.0, 50.0, 100.0, 150.0, 166.0, 200.0,
+                                      250.0, 300.0, 400.0, 500.0])
+    def test_turn_of_exactly_n_frames_of_air_holds_n(self, rate):
+        # a t_max equal to the air time of n frames was undercounted by one
+        # where the count in float seconds came out just below n (150 bit/s,
+        # n = 3: 2 frames, and the config was rejected)
+        modem = ModemConfig(bit_rate=rate)
+        for n in range(MIN_TURN_FRAMES, SEQ_WINDOW + 1):
+            t_max = bursts.burst_length(n, modem) / modem.sample_rate
+            assert link._turn_frames(LinkConfig(modem=modem, t_max=t_max)) == n, n
 
     def test_turn_too_short_for_a_minimal_turn_rejected(self):
         # at 10 bit/s ACQUIRE, one DATA and RELEASE are 14.6 s of air
@@ -353,6 +365,12 @@ class TestSessions:
         with pytest.raises(ValueError):
             run_session(CFG, CFG, preset("noiseless"), b"", seed=0)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
+    def test_budget_outside_zero_to_infinity_rejected(self, budget):
+        # a nan budget never stopped a session that could not complete
+        with pytest.raises(ValueError, match="budget"):
+            run_session(CFG, CFG, preset("noiseless"), b"x", seed=0, budget=budget)
+
     def test_budget_exhaustion_flags_incomplete(self):
         data = payload_bytes(64)
         trace = run_session(CFG, CFG, preset("noiseless"), data, seed=3, budget=3.0)
@@ -420,11 +438,8 @@ class TestReceivedBurst:
             [self.MESSAGES[0], self.MESSAGES[1], self.MESSAGES[1], self.MESSAGES[3]],
             self.MESSAGES[::-1],
         ]
-        nodes = [make_node(CFG, 5, name) for name in "AB"]
-        engine = link._Engine(nodes, model, 5, 60.0)
         for ident, messages in enumerate(bursts_sent):
-            b = link._Burst(tx=ident % 2, t0=0.0, t1=1.0, messages=tuple(messages))
-            got = engine._received_burst(ident, b)
+            got = link._heard_burst(messages, CFG.modem, model, 5, ident)
             wave = bursts.messages_to_waveform(messages, CFG.modem)
             expected = propagate(wave, model, seed=(5, ident))
             assert len(got) == len(expected) == len(wave)
@@ -433,7 +448,7 @@ class TestReceivedBurst:
     @MODELS
     def test_one_way_stream_is_the_propagated_burst(self, model):
         payload = bytes(range(40))
-        trace = unidirectional_schedule(CFG, CFG, model, payload, seed=7, keep_audio=True)
+        trace = unidirectional_schedule(CFG, model, payload, seed=7, keep_audio=True)
         wave = bursts.messages_to_waveform(framing.pack_payload(payload), CFG.modem)
         expected = propagate(wave, model, seed=(7, 0))
         got = trace.audio["RX"]
@@ -475,7 +490,7 @@ class TestDiscoveryLiveness:
 class TestUnidirectional:
     def test_noiseless_all_frames_no_control(self):
         data = payload_bytes(40)
-        trace = unidirectional_schedule(CFG, CFG, preset("noiseless"), data,
+        trace = unidirectional_schedule(CFG, preset("noiseless"), data,
                                         start_time=5.0, rx_guard=2.0, seed=1)
         s = trace.summary
         assert s["complete"] and s["delivered_intact"]["RX"]
@@ -486,7 +501,7 @@ class TestUnidirectional:
 
     def test_transmission_starts_exactly_on_schedule(self):
         data = payload_bytes(10)
-        trace = unidirectional_schedule(CFG, CFG, preset("noiseless"), data,
+        trace = unidirectional_schedule(CFG, preset("noiseless"), data,
                                         start_time=42.0, seed=1)
         burst = trace.of_kind("tx_burst")[0]
         assert burst["start"] == 42.0
@@ -495,7 +510,7 @@ class TestUnidirectional:
         data = payload_bytes(40)
         # receiver wakes mid-way through the first frame's preamble
         late = -0.5 * 46 * CFG.modem.samples_per_bit / 48000
-        trace = unidirectional_schedule(CFG, CFG, preset("noiseless"), data,
+        trace = unidirectional_schedule(CFG, preset("noiseless"), data,
                                         start_time=5.0, rx_guard=late, seed=1)
         s = trace.summary
         assert s["frames_recovered"] == s["frames_sent"] - 1
@@ -507,7 +522,7 @@ class TestUnidirectional:
         # a noiseless 6.8 m room: the burst arrives 20 ms after it starts, so
         # a receiver waking up less than 20 ms late still hears all of it
         model = ChannelModel(distance=6.8)
-        trace = unidirectional_schedule(CFG, CFG, model, payload_bytes(20),
+        trace = unidirectional_schedule(CFG, model, payload_bytes(20),
                                         start_time=1.0, rx_guard=guard, seed=1)
         s = trace.summary
         assert s["frames_recovered"] == s["frames_sent"] == 11
@@ -520,7 +535,15 @@ class TestUnidirectional:
 
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
-            unidirectional_schedule(CFG, CFG, preset("noiseless"), b"")
+            unidirectional_schedule(CFG, preset("noiseless"), b"")
+
+    @pytest.mark.parametrize("name", ["start_time", "rx_guard"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, name, value):
+        # start_time = nan wrote NaN into the trace, rx_guard = nan failed
+        # converting it to a sample count
+        with pytest.raises(ValueError, match=name):
+            unidirectional_schedule(CFG, preset("noiseless"), b"hi", **{name: value})
 
     # frames recovered from these streams before the receiver decoded on the
     # frame grid, when a lock in one frame's payload could pass as a frame
@@ -545,7 +568,7 @@ class TestUnidirectional:
 
         monkeypatch.setattr(framing, "unpack_payload", spy)
         monkeypatch.setattr(link.bursts, "recover_frames", recording)
-        trace = unidirectional_schedule(CFG, CFG, preset("paper-3m"), data, seed=seed)
+        trace = unidirectional_schedule(CFG, preset("paper-3m"), data, seed=seed)
         s = trace.summary
         assert s["frames_sent"] == len(sent)
         assert s["frames_recovered"] >= self.SCAN_PER_FRAME_RECOVERED[seed]

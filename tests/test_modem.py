@@ -1,5 +1,6 @@
 """Physical-layer tests: slot arithmetic, projections, sync, robustness."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -166,7 +167,7 @@ class TestDemodulate:
     def test_swapped_carriers_give_complement(self, rng):
         bits = rng.integers(0, 2, 300, dtype=np.uint8)
         buf = modulate(bits, CFG166)
-        out = demodulate(buf, CFG166.with_swapped_carriers())
+        out = demodulate(buf, dataclasses.replace(CFG166, f0=CFG166.f1, f1=CFG166.f0))
         assert np.array_equal(out.bits, 1 - bits)
 
     def test_trailing_partial_slot_discarded(self, rng):
@@ -183,11 +184,6 @@ class TestDemodulate:
         buf = modulate(rng.integers(0, 2, 200, dtype=np.uint8), cfg44k)
         with pytest.raises(ConfigError, match="44100"):
             demodulate(buf, CFG166)
-
-    def test_negative_start_offset_rejected(self, rng):
-        buf = modulate(rng.integers(0, 2, 10, dtype=np.uint8), CFG166)
-        with pytest.raises(ValueError, match="start_offset"):
-            demodulate(buf, CFG166, start_offset=-5)
 
     def test_silence_zero_confidence(self):
         buf = SampleBuffer(np.zeros(CFG166.samples_per_bit * 4), 48000)
@@ -408,26 +404,29 @@ def concatenating_scanner(buf, cfg, pad=0):
 
 
 def test_preambles_near_match_the_running_sum_scores():
-    # the ±1-slot retry candidates are scored from running sums from the
-    # first of them, as the scan scores its blocks from its own origin
+    # the ±1-slot retry candidates, each scored from its own slots as
+    # `demodulate` decides them: the mean confidence of its 6 decisions,
+    # passing when they read 101010 at PREAMBLE_MIN_SCORE or more
     wave = burst.messages_to_waveform(TestScannerPadding.MESSAGES, CFG166)
     rx = propagate(wave, preset("paper-3m"), seed=3)
     scanner = ToneScanner(rx, CFG166)
     spb, step = scanner.spb, scanner.step
+    basis = modem.slot_basis(CFG166)
     period = (FRAME_BITS + burst.FRAME_GAP_SLOTS) * spb
+    slots = len(PREAMBLE_PATTERN)
     seen = 0
     for offset in range(0, len(rx) - 7 * spb, 5 * step + 1):
         lo, hi = period // 3, len(rx) - 8 * spb
         near = scanner.preambles_near(offset, lo, hi)
         offsets = offset + step * np.arange(-PREAMBLE_SEARCH_DIVISOR, PREAMBLE_SEARCH_DIVISOR + 1)
-        offsets = offsets[(offsets >= lo) & (offsets <= hi)]
-        if not offsets.size:
-            assert near == []
-            continue
-        matches, scores = scanner._candidate_scores(offsets)
-        passing = matches & (scores >= PREAMBLE_MIN_SCORE)
-        assert sorted(h.offset for h in near) == sorted(offsets[passing].tolist())
-        expected = dict(zip(offsets.tolist(), scores.tolist()))
+        expected = {}
+        for o in offsets[(offsets >= lo) & (offsets <= hi)].tolist():
+            window = rx.samples[o:o + slots * spb].reshape(slots, spb)
+            bits, conf = modem._decide(*modem.slot_energies(window, basis))
+            score = float(conf.mean())
+            if np.array_equal(bits, PREAMBLE_PATTERN) and score >= PREAMBLE_MIN_SCORE:
+                expected[o] = score
+        assert sorted(h.offset for h in near) == sorted(expected)
         for hit in near:
             assert hit.score == pytest.approx(expected[hit.offset], rel=1e-9)
         assert [h.score for h in near] == sorted((h.score for h in near), reverse=True)
@@ -512,9 +511,7 @@ class TestFrameCache:
     def engine(payload=None):
         link_cfg = link.LinkConfig(modem=CFG166)
         nodes = [link.make_node(link_cfg, 3, "A", payload=payload), link.make_node(link_cfg, 3, "B")]
-        engine = link._Engine(nodes, preset("paper-3m"), 3, 600.0)
-        engine.expected_payloads = [payload, None]
-        return engine
+        return link._Engine(nodes, [payload, None], preset("paper-3m"), 3, 600.0)
 
     def test_byte_identical_to_uncached_modulation(self):
         for cfg in (CFG10, CFG166):

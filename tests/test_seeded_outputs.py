@@ -36,7 +36,7 @@ def session_digest(seed: int) -> str:
 def oneway_digest(seed: int) -> str:
     """A 120 B one-way stream on `paper-3m`."""
     payload = bytes(np.random.default_rng(7).integers(0, 256, 120, dtype=np.uint8))
-    return sha256(unidirectional_schedule(LINK, LINK, PAPER_3M, payload, seed=seed).to_json())
+    return sha256(unidirectional_schedule(LINK, PAPER_3M, payload, seed=seed).to_json())
 
 
 def ber_digest(seed: int) -> str:
