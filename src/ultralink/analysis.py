@@ -247,10 +247,11 @@ def ber_sweep(
     Each seed draws fresh payload bits and fresh channel noise; the cell
     reports the across-seed mean with a 95% normal-approximation interval.
     The received cell is `propagate(modulate(bits, cfg), model, seed=seed)`
-    up to rounding, built from filtered slot atoms.  It is streamed in runs
-    of whole slots (`burst.received_blocks`), each given its noise
-    (`channel.noisy_blocks`) and its bits decided as `demodulate` decides
-    them, so no array is as long as the cell's samples.
+    up to rounding, built from filtered slot atoms.  It is streamed in the
+    runs of whole slots that sessions and one-way streams hear in
+    (`burst.received_blocks`), each given its noise (`channel.noisy_blocks`)
+    and its bits decided as `demodulate` decides them, so no array is as
+    long as the cell's samples.
     """
     if not rates or not models or not seeds:
         raise ValueError("rates, models, and seeds must be non-empty")
@@ -373,6 +374,8 @@ def detect_ultrasonic(buf: SampleBuffer, threshold_db: float = 10.0) -> list[Det
     showing two dominant bands with comparable activity — the signature
     of two-tone keying — is classified as FSK.
     """
+    if not math.isfinite(threshold_db):
+        raise ValueError(f"threshold_db must be finite, got {threshold_db}")
     fs = buf.sample_rate
     lo, hi = BAND[0], min(BAND[1], fs / 2)
     if hi <= lo:

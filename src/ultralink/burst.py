@@ -91,55 +91,34 @@ def _slot_atoms(cfg: ModemConfig, path: ChannelModel) -> np.ndarray:
 
 
 def received_burst(messages: Sequence[framing.ControlMessage], cfg: ModemConfig,
-                   channel: ChannelModel) -> np.ndarray:
-    """The burst of `messages` as its receiver hears it before noise:
-    `apply_signal_path(messages_to_waveform(...).samples, channel)`, up to
-    rounding, without modulating or filtering it (see `received_slots`)."""
+                   channel: ChannelModel):
+    """The burst of `messages` as its receiver hears it before noise, in
+    `received_blocks` runs: joined, `apply_signal_path(messages_to_waveform(
+    ...).samples, channel)` up to rounding, without modulating or filtering it."""
     bits = np.array([framing.encode_frame(framing.encode_message(m)) for m in messages])
-    return received_slots(bits, cfg, channel)
+    return received_blocks(bits, cfg, channel)
 
 
-def received_slots(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel) -> np.ndarray:
+def received_blocks(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel):
     """Rows of `bits`, each modulated from phase 0 and sent FRAME_GAP_SLOTS
     silent slots after the one before, as the receiver hears them before
-    noise: `apply_signal_path` of that waveform, up to rounding, without
-    modulating or filtering it.  A single row has no gap: it is the
-    filtered modulation of its bits alone.
+    noise, in order, in runs of whole slots of at most BLOCK_SAMPLES samples
+    (at least one slot): joined, `apply_signal_path` of that waveform, up to
+    rounding, without modulating or filtering it.  A single row has no gap:
+    it is the filtered modulation of its bits alone.
 
     Slot k of a row at bit b is gain * sin(start_k + omega_b (i + 1)) (see
     `slot_phases`): cos(start_k) times the slot's sin atom plus sin(start_k)
     times its cos atom.  The room being linear, output slot r is the sum
     over the D slots of atom that reach it, j = 0..D-1, of slot r - j's
     coefficients (zero in gap slots) times block j of the atoms: one
-    (rows x 4D) @ (4D x spb) product (`received_blocks`: a few rows at a time)."""
-    lags, atoms, slots = _slot_terms(bits, cfg, channel)
-    out = lags.reshape(len(lags), -1) @ atoms
-    half = FILTER_TAPS // 2
-    return out.ravel()[half:half + slots * cfg.samples_per_bit]
-
-
-def received_blocks(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel):
-    """`received_slots` in order, in runs of whole slots of at most
-    BLOCK_SAMPLES samples (at least one slot), each its own rows of the
-    product: concatenated, they equal it up to the last bit's rounding."""
-    lags, atoms, slots = _slot_terms(bits, cfg, channel)
-    spb = cfg.samples_per_bit
-    # output slot k starts FILTER_TAPS // 2 samples into product row k
-    q, r = divmod(FILTER_TAPS // 2, spb)
-    step = max(1, BLOCK_SAMPLES // spb)
-    for k0 in range(0, slots, step):
-        k1 = min(k0 + step, slots)
-        out = lags[k0 + q:k1 + q + 1].reshape(-1, len(atoms)) @ atoms
-        yield out.ravel()[r:r + (k1 - k0) * spb]
-
-
-def _slot_terms(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel):
-    """`received_slots`' lag windows (rows x 4 x D), atoms (4D x spb) and slot count."""
+    (rows x 4D) @ (4D x spb) product per run."""
     if cfg.sample_rate != channel.sample_rate:
         raise ConfigError(f"modem rate {cfg.sample_rate} != channel rate {channel.sample_rate}")
     spb = cfg.samples_per_bit
     atoms = _slot_atoms(cfg, _signal_path(channel))
     blocks = atoms.shape[1] // spb
+    atoms = atoms.reshape(4 * blocks, spb)
     _, start = slot_phases(bits, cfg)
     frames, width = bits.shape
     period = width + FRAME_GAP_SLOTS
@@ -151,8 +130,14 @@ def _slot_terms(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel):
     coef[f, k, 2 * bits + 1] = np.sin(start)
     slots = frames * period - FRAME_GAP_SLOTS
     # window r holds slots r - D + 1..r; reversed, column (c, j) is slot r - j's
-    windows = np.lib.stride_tricks.sliding_window_view(padded, blocks, axis=0)
-    return windows[:slots + blocks - 1, :, ::-1], atoms.reshape(4 * blocks, spb), slots
+    lags = np.lib.stride_tricks.sliding_window_view(padded, blocks, axis=0)[:, :, ::-1]
+    # output slot k starts FILTER_TAPS // 2 samples into product row k
+    q, r = divmod(FILTER_TAPS // 2, spb)
+    step = max(1, BLOCK_SAMPLES // spb)
+    for k0 in range(0, slots, step):
+        k1 = min(k0 + step, slots)
+        out = lags[k0 + q:k1 + q + 1].reshape(-1, len(atoms)) @ atoms
+        yield out.ravel()[r:r + (k1 - k0) * spb]
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ length of at least n + L/2 samples, and keeps the n output samples aligned
 with the input; `add_noise` then adds the noise (`propagate` is the two in
 turn).  The room is linear and time-invariant, and `modulate` computes
 each bit slot's phase in closed form from the phase the slot starts at
-(`modem.slot_phases`), so `burst.received_slots` builds the received audio
-of sessions and one-way streams from four filtered slot tones, with no
-modulation and no FFT per burst.  BER-sweep cells are streamed: runs of
-whole slots from `burst.received_blocks` get their noise from
-`noisy_blocks`, of which `add_noise` is the one-block case.
+(`modem.slot_phases`), so `burst.received_blocks` builds the received audio
+of sessions, one-way streams and BER-sweep cells from four filtered slot
+tones, with no modulation and no FFT per burst, in runs of whole slots that
+get their noise from `noisy_blocks` (`add_noise` is its one-block case).
 
 Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 19 kHz tone at the modem's default peak amplitude (0.9) would enjoy at

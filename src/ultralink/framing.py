@@ -207,6 +207,11 @@ def expected_chunk_count(total_bytes: int) -> int:
     return 1 + (total_bytes + CHUNK_BYTES - 1) // CHUNK_BYTES
 
 
+def resolve_seq(seq8: int, at_most: int) -> int:
+    """Largest index <= at_most whose seq (index mod 256) is seq8."""
+    return at_most - ((at_most - seq8) % 256)
+
+
 @dataclass
 class ReassemblyResult:
     data: bytes
@@ -248,8 +253,7 @@ class Reassembler:
     def resolve(self, seq8: int) -> int:
         """Absolute index of a seq within SEQ_WINDOW of the next needed chunk;
         older seqs resolve to the previous window, where they are duplicates."""
-        index = self.next_needed + ((seq8 - self.next_needed) % 256)
-        return index - 256 if index >= self.next_needed + SEQ_WINDOW else index
+        return resolve_seq(seq8, self.next_needed + SEQ_WINDOW - 1)
 
     def accept(self, index: int, body: int) -> None:
         """Place one chunk; a duplicate or a negative index is dropped."""

@@ -12,11 +12,13 @@ inactivity/response timeouts.
 `run_session` drives two nodes over a simulated channel with a discrete
 event loop.  Audio exists per received burst: the burst's bit slots at the
 nodes' shared bit rate are added up from the channel's filtered slot tones
-(`burst.received_burst`; the channel is linear), noise seeded per burst is
-added, and the receiver scans the result — so corruption and retransmission
-emerge physically.  A node hears a burst only if its transducer stayed in
-MIC for the burst's whole flight; turn-starting timers are deferred while a
-burst is audibly in flight (energy-based carrier sensing, modeled as exact).
+in the BER cells' runs of whole slots (`burst.received_burst`; the channel
+is linear), each run gets its share of the noise seeded per burst on its
+way into one buffer, and the receiver scans the result — so corruption and
+retransmission emerge physically.  A node hears a burst only if its
+transducer stayed in MIC for the burst's whole flight; turn-starting timers
+are deferred while a burst is audibly in flight (energy-based carrier
+sensing, modeled as exact).
 
 Everything is deterministic given the session seed: node RNGs, jitters,
 and per-burst channel noise all derive from it.
@@ -37,9 +39,9 @@ import numpy as np
 from . import burst as bursts
 from . import framing
 from .audio import SampleBuffer
-from .channel import ChannelModel, add_noise
+from .channel import ChannelModel, noisy_blocks
 from .channel import propagate  # noqa: F401  (link.propagate: the bench tracer wraps it)
-from .framing import SEQ_WINDOW, ControlMessage, MessageKind, Reassembler
+from .framing import SEQ_WINDOW, ControlMessage, MessageKind, Reassembler, resolve_seq
 from .modem import ConfigError, ModemConfig
 
 
@@ -256,13 +258,6 @@ def _turn_frames(cfg: LinkConfig) -> int:
     return n
 
 
-# ------------------------------------------------------ sequence algebra
-
-def _resolve_at_most(seq8: int, anchor: int) -> int:
-    """Largest value <= anchor congruent to seq8 mod 256."""
-    return anchor - ((anchor - seq8) % 256)
-
-
 # ---------------------------------------------------------------- step
 
 def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -392,7 +387,7 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
         # CRC-passing corruption of an earlier ack batch can desynchronize
         # the two views, and the explicit request is the ground truth
         if st.tx_highest_sent >= 0:
-            index = _resolve_at_most(msg.body, st.tx_highest_sent)
+            index = resolve_seq(msg.body, st.tx_highest_sent)
             if index in st.tx_queue and index not in st.tx_unacked:
                 st.tx_unacked = sorted(st.tx_unacked + [index])
     elif kind == MessageKind.ACQUIRE:
@@ -434,7 +429,7 @@ def _on_data(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) -> N
 def _on_data_ack(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) -> None:
     if st.tx_highest_sent < 0:
         return
-    acked_through = _resolve_at_most(msg.body, st.tx_highest_sent)
+    acked_through = resolve_seq(msg.body, st.tx_highest_sent)
     st.tx_unacked = [i for i in st.tx_unacked if i > acked_through]
 
 
@@ -562,8 +557,15 @@ def _log_tx_burst(trace: SessionTrace, node: str, ident: int, t0: float,
 def _heard_burst(messages, cfg: ModemConfig, channel: ChannelModel, seed: int,
                  ident: int) -> SampleBuffer:
     """Burst `ident` as its receiver hears it, noise included: up to
-    rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`."""
-    return add_noise(bursts.received_burst(messages, cfg, channel), channel, seed=(seed, ident))
+    rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`.
+    Its runs get their noise one at a time, into the one buffer returned."""
+    out = np.empty(bursts.burst_length(len(messages), cfg))
+    at = 0
+    for y in noisy_blocks(bursts.received_burst(messages, cfg, channel), channel, out.size,
+                          seed=(seed, ident)):
+        out[at:at + y.size] = y
+        at += y.size
+    return SampleBuffer(out, channel.sample_rate)
 
 
 def _hear(trace: SessionTrace, t: float, node: str, ident: int, wave: SampleBuffer,
@@ -843,6 +845,8 @@ def run_session(
     """
     if not payload and not stop_after_discovery:
         raise ValueError("empty payload")
+    if payload_b is not None and not payload_b:
+        raise ValueError("empty payload_b: pass None for no B->A transfer")
     if not 0 < budget < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget}")
     ids = (None, None) if node_ids is None else node_ids

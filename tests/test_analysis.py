@@ -382,6 +382,12 @@ class TestDetector:
         with pytest.raises(ValueError, match="Nyquist"):
             detect_ultrasonic(buf)
 
+    @pytest.mark.parametrize("threshold_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold_db):
+        # nan and inf flagged nothing, -inf every band
+        with pytest.raises(ValueError, match="threshold"):
+            detect_ultrasonic(SampleBuffer(np.zeros(FS), FS), threshold_db=threshold_db)
+
 
 class TestFilterDetectorDuality:
     def test_flagged_transmissions_are_suppressed(self):

@@ -37,6 +37,10 @@ SESSION_TIMES = {
 CAPACITY_RESOLUTIONS = {f"capacity-{value}": value
                         for value in ("0", "1e-300", "-5", "nan", "inf")}
 
+# detector thresholds that are not finite: nan and inf reported no event
+# and -inf one, each with exit 0
+DETECT_THRESHOLDS = {f"detect-{value}": value for value in ("nan", "inf", "-inf")}
+
 
 def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -288,7 +292,8 @@ class TestExpectedErrors:
     @pytest.mark.parametrize("case", ["modulate-config", "demodulate-config", "ber-sweep-config",
                                       "ber-sweep-rates", "ber-sweep-no-bits",
                                       "ber-sweep-negative-bits", "session-budget",
-                                      *CAPACITY_RESOLUTIONS, *DELETED_KEYS, *SESSION_TIMES])
+                                      *CAPACITY_RESOLUTIONS, *DELETED_KEYS, *SESSION_TIMES,
+                                      *DETECT_THRESHOLDS])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
         missing = str(tmp_path / "missing.cfg")
         wav = tmp_path / "quiet.wav"
@@ -309,6 +314,8 @@ class TestExpectedErrors:
                                         "--bits", "-1", "--seeds", "1"],
             **{case: ["capacity", "--sweep", str(wav), "--noise", str(wav),
                       "--resolution", value] for case, value in CAPACITY_RESOLUTIONS.items()},
+            **{case: ["detect", str(wav), f"--threshold={value}"]
+               for case, value in DETECT_THRESHOLDS.items()},
         }.get(case, ["simulate-session", "--config", str(session)])
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
@@ -320,6 +327,8 @@ class TestExpectedErrors:
             assert "resolution" in error
         if case in SESSION_TIMES:
             assert case in error
+        if case in DETECT_THRESHOLDS:
+            assert "threshold" in error
         assert not (out / "manifest.json").exists()
 
 

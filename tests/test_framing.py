@@ -22,6 +22,7 @@ from ultralink.framing import (
     encode_frame,
     encode_message,
     pack_payload,
+    resolve_seq,
     unpack_payload,
 )
 
@@ -250,3 +251,15 @@ class TestReassembler:
         assert rx.chunks == survivors
         assert rx.result() == expected
         assert rx.complete == expected.complete
+
+    def test_resolve_is_resolve_seq_below_the_window_end(self):
+        # the reassembler's own window rule, as written before it called
+        # resolve_seq, which the link's ACK_OK and RETRANSMIT handling share
+        seqs = np.arange(256)
+        for next_needed in range(3000):
+            old = next_needed + (seqs - next_needed) % 256
+            old = np.where(old >= next_needed + SEQ_WINDOW, old - 256, old)
+            rx = Reassembler(next_needed=next_needed)
+            got = [rx.resolve(seq8) for seq8 in range(256)]
+            assert got == old.tolist()
+            assert got == [resolve_seq(seq8, next_needed + SEQ_WINDOW - 1) for seq8 in range(256)]

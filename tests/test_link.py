@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,12 @@ class TestSessions:
         with pytest.raises(ValueError):
             run_session(CFG, CFG, preset("noiseless"), b"", seed=0)
 
+    def test_empty_payload_b_rejected(self):
+        # B queued nothing while A waited for its bytes: at seed 1 the
+        # session ran out its budget incomplete
+        with pytest.raises(ValueError, match="payload_b"):
+            run_session(CFG, CFG, preset("noiseless"), b"hi", seed=1, payload_b=b"")
+
     @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
     def test_budget_outside_zero_to_infinity_rejected(self, budget):
         # a nan budget never stopped a session that could not complete
@@ -444,6 +451,23 @@ class TestReceivedBurst:
             expected = propagate(wave, model, seed=(5, ident))
             assert len(got) == len(expected) == len(wave)
             np.testing.assert_allclose(got.samples, expected.samples, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("rate, frames", [(166.0, 60), (10.0, 3)])
+    def test_heard_burst_is_held_once(self, rate, frames):
+        # each run gets its noise on its way into the one burst buffer; the
+        # whole noiseless burst and its noisy copy peaked at 2.13 bursts
+        cfg = ModemConfig(bit_rate=rate)
+        model = preset("paper-3m")
+        messages = (self.MESSAGES * frames)[:frames]
+        link._heard_burst(messages[:1], cfg, model, 5, 0)      # the atoms are cached
+        tracemalloc.start()
+        try:
+            got = link._heard_burst(messages, cfg, model, 5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.samples.size == bursts.burst_length(frames, cfg)
+        assert peak < 1.25 * got.samples.nbytes
 
     @MODELS
     def test_one_way_stream_is_the_propagated_burst(self, model):

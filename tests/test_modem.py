@@ -524,7 +524,7 @@ class TestFrameCache:
         paths = [_signal_path(preset("paper-3m", distance=1.0 + i / 8))
                  for i in range(burst.ATOM_CACHE_SIZE + 3)]
         for path in paths:
-            burst.received_burst(self.MESSAGES[:1], CFG166, path)
+            list(burst.received_burst(self.MESSAGES[:1], CFG166, path))
         assert burst._slot_atoms.cache_info().currsize == burst.ATOM_CACHE_SIZE
         atoms = burst._slot_atoms(CFG166, paths[-1])
         assert burst._slot_atoms.cache_info().hits == 1
