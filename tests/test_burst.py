@@ -184,16 +184,31 @@ def test_slot_atoms_are_the_slot_tones_convolved_with_the_taps(model):
 @pytest.mark.parametrize("rate", [10.0, 50.0, 166.0, 500.0])
 @pytest.mark.parametrize("name", ["noiseless", "paper-3m", "paper-8m", "45deg"])
 def test_received_slots_are_the_filtered_modulation(rate, name):
-    # joined, the runs of whole slots (the last one partial) are the rows
+    # joined, the blocks of one row are one `modulate` call from phase 0
+    # through the signal path; at 10 bit/s the atoms span 2 slots, at
+    # 500 bit/s 21
+    cfg = ModemConfig(bit_rate=rate)
+    model = preset(name) if name != "45deg" else ChannelModel(distance=2.0, angle_off_axis=45.0)
+    bits = np.random.default_rng(int(rate)).integers(0, 2, 120, dtype=np.uint8)
+    expected = apply_signal_path(modulate(bits, cfg).samples, model)
+    got = np.concatenate(list(burst.received_blocks(bits[None], cfg, model)))
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("rate", [10.0, 166.0, 500.0])
+@pytest.mark.parametrize("name", ["paper-3m", "45deg"])
+def test_received_blocks_concatenate_to_received_slots(rate, name):
+    # runs of whole slots, the last one partial; joined, they are the rows
     # modulated from phase 0, FRAME_GAP_SLOTS silent slots apart, through
-    # the signal path; at 10 bit/s the atoms span 2 slots, at 500 bit/s 21
+    # the signal path, also over several frames with their gaps
     cfg = ModemConfig(bit_rate=rate)
     model = preset(name) if name != "45deg" else ChannelModel(distance=2.0, angle_off_axis=45.0)
     spb = cfg.samples_per_bit
     step = burst.BLOCK_SAMPLES // spb
     gap = np.zeros(burst.FRAME_GAP_SLOTS * spb)
     rng = np.random.default_rng(int(rate))
-    for shape in [(1, 120), (1, 1), (1, step), (1, 2 * step + 1), (1, 1001), (5, FRAME_BITS)]:
+    for shape in [(1, 1), (1, step), (1, 2 * step + 1), (1, 1001), (5, FRAME_BITS)]:
         bits = rng.integers(0, 2, shape, dtype=np.uint8)
         rows = [piece for row in bits for piece in (gap, modulate(row, cfg).samples)][1:]
         expected = apply_signal_path(np.concatenate(rows), model)
