@@ -15,7 +15,6 @@ package loads numpy and its own modules only.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import zlib
@@ -125,15 +124,14 @@ class CapacityReport:
     def to_csv(self) -> str:
         return rows_to_csv(self.to_rows())
 
-    def to_json(self, indent: int | None = None) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "window_len_ms": self.window_len_ms,
             "overlap": self.overlap,
             "window_count": self.window_count,
             "resolution_hz": self.resolution_hz,
             "bands": self.to_rows(),
         }
-        return json.dumps(doc, sort_keys=True, indent=indent)
 
 
 def capacity_profile(
@@ -188,18 +186,18 @@ def psd(buf: SampleBuffer, resolution: float = DEFAULT_RESOLUTION_HZ) -> np.ndar
     return powers / total if total > 0 else powers
 
 
-def make_sweep(
-    duration: float = 10.0,
-    f_low: float = 1.0,
-    f_high: float = 24_000.0,
-    sample_rate: int = 48_000,
-    amplitude: float = 0.9,
-) -> SampleBuffer:
+# the capacity stimulus: a linear sine sweep over the whole 48 kHz spectrum
+SWEEP_BAND = (1.0, 24_000.0)   # Hz
+SWEEP_SAMPLE_RATE = 48_000
+SWEEP_AMPLITUDE = 0.9
+
+
+def make_sweep(duration: float = 10.0) -> SampleBuffer:
     """Linear sine sweep used as the capacity measurement stimulus."""
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
+    (f_low, f_high), fs = SWEEP_BAND, SWEEP_SAMPLE_RATE
+    t = np.arange(int(round(duration * fs))) / fs
     phase = 2.0 * np.pi * (f_low * t + (f_high - f_low) / (2.0 * duration) * t**2)
-    return SampleBuffer(amplitude * np.sin(phase), sample_rate)
+    return SampleBuffer(SWEEP_AMPLITUDE * np.sin(phase), fs)
 
 
 def measure_ber(sent, received) -> float:

@@ -8,6 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# samples checked for NaN and Inf at a time: the check's temporary stays
+# this small however long the buffer
+FINITE_CHECK_SAMPLES = 2**16
+
+
 class AudioError(Exception):
     """Raised for malformed buffers or unusable WAV files."""
 
@@ -31,7 +36,8 @@ class SampleBuffer:
             raise AudioError(f"expected mono (1-D) samples, got shape {samples.shape}")
         if self.sample_rate <= 0:
             raise AudioError(f"sample_rate must be positive, got {self.sample_rate}")
-        if samples.size and not np.all(np.isfinite(samples)):
+        if not all(np.isfinite(samples[i:i + FINITE_CHECK_SAMPLES]).all()
+                   for i in range(0, samples.size, FINITE_CHECK_SAMPLES)):
             raise AudioError("samples contain NaN or Inf")
         # a read-only view: the caller's own array stays writeable
         samples = samples.view()

@@ -19,13 +19,13 @@ import numpy as np
 
 from . import framing
 from .audio import SampleBuffer
-from .channel import FILTER_TAPS, ChannelModel, _signal_path, apply_signal_path
+from .channel import FILTER_TAPS, ChannelModel, apply_signal_path
 from .modem import ConfigError, ModemConfig, ToneScanner, modulate, slot_phases
 
 # silent slots between the frames of a burst
 FRAME_GAP_SLOTS = 4
 
-# filtered slot atoms kept, per (modem config, signal path)
+# filtered slot atoms kept, per (modem config, room)
 ATOM_CACHE_SIZE = 8
 
 # samples per `received_blocks` run, in whole slots (56 at 166 bit/s): over
@@ -71,12 +71,12 @@ def messages_to_waveform(messages: list[framing.ControlMessage], cfg: ModemConfi
 
 
 @functools.lru_cache(maxsize=ATOM_CACHE_SIZE)
-def _slot_atoms(cfg: ModemConfig, path: ChannelModel) -> np.ndarray:
-    """One bit slot's four tones through the signal path, read-only, one
-    per row: gain * sin(omega_b (i + 1)) and gain * cos(omega_b (i + 1)) for
-    the f0 then the f1 step omega_b, each with FILTER_TAPS // 2 silent
+def _slot_atoms(cfg: ModemConfig, channel: ChannelModel) -> np.ndarray:
+    """One bit slot's four tones through the room's signal path, read-only,
+    one per row: gain * sin(omega_b (i + 1)) and gain * cos(omega_b (i + 1))
+    for the f0 then the f1 step omega_b, each with FILTER_TAPS // 2 silent
     samples on both sides so that its whole response fits, zero-padded to
-    a whole number of slots."""
+    a whole number of slots.  Only the room's transfer fields shape them."""
     spb = cfg.samples_per_bit
     half = FILTER_TAPS // 2
     atoms = np.zeros((4, -(-(spb + FILTER_TAPS) // spb) * spb))
@@ -85,7 +85,7 @@ def _slot_atoms(cfg: ModemConfig, path: ChannelModel) -> np.ndarray:
         angle = omega[b] * np.arange(1, spb + 1)
         for c, wave in enumerate((np.sin(angle), np.cos(angle))):
             tone = np.pad(cfg.gain * wave, half)
-            atoms[2 * b + c, :tone.size] = apply_signal_path(tone, path)
+            atoms[2 * b + c, :tone.size] = apply_signal_path(tone, channel)
     atoms.flags.writeable = False
     return atoms
 
@@ -116,7 +116,7 @@ def received_blocks(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel):
     if cfg.sample_rate != channel.sample_rate:
         raise ConfigError(f"modem rate {cfg.sample_rate} != channel rate {channel.sample_rate}")
     spb = cfg.samples_per_bit
-    atoms = _slot_atoms(cfg, _signal_path(channel))
+    atoms = _slot_atoms(cfg, channel)
     blocks = atoms.shape[1] // spb
     atoms = atoms.reshape(4 * blocks, spb)
     _, start = slot_phases(bits, cfg)

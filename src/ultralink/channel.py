@@ -17,13 +17,13 @@ lags -L/2..L/2.  A tone on the grid is received at exactly its gain;
 between grid points the response interpolates it.  `apply_signal_path`
 convolves a buffer with the taps, linearly, by an FFT at the next 5-smooth
 length of at least n + L/2 samples, and keeps the n output samples aligned
-with the input; `add_noise` then adds the noise (`propagate` is the two in
-turn).  The room is linear and time-invariant, and `modulate` computes
-each bit slot's phase in closed form from the phase the slot starts at
-(`modem.slot_phases`), so `burst.received_blocks` builds the received audio
-of sessions, one-way streams and BER-sweep cells from four filtered slot
-tones, with no modulation and no FFT per burst, in runs of whole slots that
-get their noise from `noisy_blocks` (`add_noise` is its one-block case).
+with the input; `noisy_blocks` then adds the noise (`propagate` is the two
+in turn, on one block).  The room is linear and time-invariant, and
+`modulate` computes each bit slot's phase in closed form from the phase the
+slot starts at (`modem.slot_phases`), so `burst.received_blocks` builds the
+received audio of sessions, one-way streams and BER-sweep cells from four
+filtered slot tones, with no modulation and no FFT per burst, in runs of
+whole slots that get their noise from `noisy_blocks` block by block.
 
 Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 19 kHz tone at the modem's default peak amplitude (0.9) would enjoy at
@@ -188,21 +188,14 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _signal_path(model: ChannelModel) -> ChannelModel:
-    """`model` with only the fields `_transfer_gain_db` and the sample rate
-    kept, so rooms that differ in noise share one set of slot atoms
-    (`burst._slot_atoms`)."""
-    return replace(model, base_snr_at_1m=None, noise=NoiseProfile())
-
-
-def _kernel(path: ChannelModel):
+def _kernel(model: ChannelModel):
     """The signal path's FIR, or a scalar when its gain is uniform over
     frequency.  Taps run over lags -L/2..L/2 (tap L/2 is lag 0); the tap at
     lag L/2 of the L-point inverse FFT is split over lags -L/2 and L/2, so
     the taps are symmetric (zero phase) and still sum to the sampled gain
     on the grid."""
-    freqs = np.fft.rfftfreq(FILTER_TAPS, d=1.0 / path.sample_rate)
-    gain_db = _transfer_gain_db(path, freqs)
+    freqs = np.fft.rfftfreq(FILTER_TAPS, d=1.0 / model.sample_rate)
+    gain_db = _transfer_gain_db(model, freqs)
     if np.allclose(gain_db, gain_db[0], atol=1e-12):
         return 10.0 ** (gain_db[0] / 20.0)
     half = FILTER_TAPS // 2
@@ -325,20 +318,15 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
         )
     if len(tx) == 0:
         return tx
-    return add_noise(apply_signal_path(tx.samples, model), model, seed)
-
-
-def add_noise(y: np.ndarray, model: ChannelModel, seed=None) -> SampleBuffer:
-    """The receiving end of `propagate`: the room's noise added to the filtered
-    samples `y`, drawn from `seed` alone; `noisy_blocks` of one block."""
-    (noisy,) = noisy_blocks([y], model, len(y), seed)
-    return SampleBuffer(noisy, model.sample_rate)
+    (rx,) = noisy_blocks([apply_signal_path(tx.samples, model)], model, len(tx), seed)
+    return SampleBuffer(rx, model.sample_rate)
 
 
 def noisy_blocks(blocks, model: ChannelModel, n: int, seed=None):
     """The filtered `blocks` (n samples in all, left unchanged) each with
-    its noise; joined, bitwise `add_noise` of the whole.  Shaped noise is
-    synthesised over all n samples first, the white floor block by block."""
+    the room's noise, drawn from `seed` alone; joined, bitwise the one block
+    of the whole.  Shaped noise is synthesised over all n samples first, the
+    white floor block by block."""
     rng = np.random.default_rng(np.random.SeedSequence((0,) if seed is None else (0, seed)))
     shaped = None
     if model.noise.kind != NoiseKind.SILENT:

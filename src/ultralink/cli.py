@@ -22,7 +22,7 @@ from . import analysis, burst, configdoc, framing
 from .audio import AudioError, read_wav, write_wav
 from .channel import preset
 from .link import run_session, unidirectional_schedule
-from .modem import ConfigError
+from .modem import BAND, ConfigError
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -96,6 +96,14 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
+def _write_table(out_dir: Path, stem: str, rows: list[dict], doc: dict | None = None) -> list[Path]:
+    """`<stem>.csv` of `rows` and `<stem>.json` of `doc` (by default the rows)."""
+    csv_path, json_path = out_dir / f"{stem}.csv", out_dir / f"{stem}.json"
+    csv_path.write_text(analysis.rows_to_csv(rows))
+    json_path.write_text(json.dumps(rows if doc is None else doc, sort_keys=True, indent=2) + "\n")
+    return [csv_path, json_path]
+
+
 # ------------------------------------------------------------- commands
 #
 # Each command returns its exit status, the files it read and the files
@@ -140,11 +148,8 @@ def cmd_simulate_session(args):
     channel = _resolve_channel(sections, session.preset, link_cfg.modem.sample_rate)
     out_dir = _out_dir(args)
     if session.mode is configdoc.SessionMode.UNIDIRECTIONAL:
-        trace = unidirectional_schedule(
-            link_cfg, channel, payload,
-            start_time=session.start_time, rx_guard=session.rx_guard_s,
-            seed=args.seed, keep_audio=True,
-        )
+        trace = unidirectional_schedule(link_cfg, channel, payload, rx_guard=session.rx_guard_s,
+                                        seed=args.seed, keep_audio=True)
     else:
         trace = run_session(link_cfg, link_cfg, channel, payload,
                             seed=args.seed, budget=session.budget_s, keep_audio=True)
@@ -171,18 +176,12 @@ def cmd_capacity(args):
     noise = read_wav(noise_path)
     report = analysis.capacity_profile(sweep, noise, resolution=args.resolution)
     out_dir = _out_dir(args)
-    outputs = []
-    csv_path = out_dir / "capacity.csv"
-    csv_path.write_text(report.to_csv())
-    outputs.append(csv_path)
-    json_path = out_dir / "capacity.json"
-    json_path.write_text(report.to_json(indent=2) + "\n")
-    outputs.append(json_path)
+    outputs = _write_table(out_dir, "capacity", report.to_rows(), report.to_doc())
     if args.spectrogram:
         png_path = out_dir / "sweep_spectrogram.png"
         analysis.write_png_gray(png_path, analysis.spectrogram_image(sweep))
         outputs.append(png_path)
-    total = report.total_capacity_over(18_000.0, 24_000.0)
+    total = report.total_capacity_over(*BAND)
     print(f"{len(report.bands)} bands, {report.window_count} windows; "
           f"18-24 kHz capacity {total:.0f} bit/s", file=sys.stderr)
     return 0, [sweep_path, noise_path], outputs
@@ -197,16 +196,12 @@ def cmd_ber_sweep(args):
     seeds = list(range(args.seed, args.seed + args.seeds))
     cells = analysis.ber_sweep(rates, models, payload_bits=args.bits,
                                seeds=seeds, base_modem=base)
-    out_dir = _out_dir(args)
     rows = [c.to_row() for c in cells]
-    csv_path = out_dir / "ber.csv"
-    csv_path.write_text(analysis.rows_to_csv(rows))
-    json_path = out_dir / "ber.json"
-    json_path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    outputs = _write_table(_out_dir(args), "ber", rows)
     for row in rows:
         print(f"{row['model']} @ {row['bit_rate']} bit/s: "
               f"BER {row['mean_ber']:.4f}", file=sys.stderr)
-    return 0, config, [csv_path, json_path]
+    return 0, config, outputs
 
 
 def cmd_detect(args):
@@ -214,14 +209,7 @@ def cmd_detect(args):
     wave = read_wav(src)
     events = analysis.detect_ultrasonic(wave, threshold_db=args.threshold)
     out_dir = _out_dir(args)
-    rows = [e.to_row() for e in events]
-    outputs = []
-    csv_path = out_dir / "events.csv"
-    csv_path.write_text(analysis.rows_to_csv(rows))
-    outputs.append(csv_path)
-    json_path = out_dir / "events.json"
-    json_path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
-    outputs.append(json_path)
+    outputs = _write_table(out_dir, "events", [e.to_row() for e in events])
     if args.spectrogram:
         png_path = out_dir / "spectrogram.png"
         analysis.write_png_gray(png_path, analysis.spectrogram_image(wave))
@@ -321,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="per-band SNR and Shannon capacity report")
     p.add_argument("--sweep", type=_abspath, required=True, help="received sweep WAV")
     p.add_argument("--noise", type=_abspath, required=True, help="noise floor WAV")
-    p.add_argument("--resolution", type=float, default=100.0, help="band width Hz")
+    p.add_argument("--resolution", type=float, default=analysis.DEFAULT_RESOLUTION_HZ,
+                   help="band width Hz")
     p.add_argument("--spectrogram", action="store_true", help="also write a PNG spectrogram")
     common(p)
 
@@ -340,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="apply the low-pass countermeasure to a WAV")
     p.add_argument("input", type=_abspath)
-    p.add_argument("--cutoff", type=float, default=18_000.0, help="cutoff Hz")
+    p.add_argument("--cutoff", type=float, default=BAND[0], help="cutoff Hz")
     common(p)
 
     p = sub.add_parser("rerun", help="re-execute a recorded run from its manifest")

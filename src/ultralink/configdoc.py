@@ -35,8 +35,7 @@ class SessionConfig:
     mode: SessionMode = SessionMode.BIDIRECTIONAL
     preset: str | None = None     # channel preset; else [channel], else noiseless
     budget_s: float = 600.0       # bidirectional: simulated-time budget
-    start_time: float = 0.0       # unidirectional: when the burst starts
-    rx_guard_s: float = 2.0       # unidirectional: receiver starts this much earlier
+    rx_guard_s: float = 2.0       # unidirectional: receiver starts this much before the burst
 
 
 def _scalar_fields(cls) -> dict[str, tuple[type, bool]]:

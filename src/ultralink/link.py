@@ -15,10 +15,12 @@ nodes' shared bit rate are added up from the channel's filtered slot tones
 in the BER cells' runs of whole slots (`burst.received_burst`; the channel
 is linear), each run gets its share of the noise seeded per burst on its
 way into one buffer, and the receiver scans the result — so corruption and
-retransmission emerge physically.  A node hears a burst only if its
-transducer stayed in MIC for the burst's whole flight; turn-starting timers
-are deferred while a burst is audibly in flight (energy-based carrier
-sensing, modeled as exact).
+retransmission emerge physically.  One clock per node, the time its
+transducer last settled as a MIC, decides both what it hears and when its
+timers fire: it hears a burst only if it stayed in MIC for the burst's
+whole flight, and a timer that comes due while it speaks or retasks waits
+until it settles.  Turn-starting timers are also deferred while a burst is
+audibly in flight (energy-based carrier sensing, modeled as exact).
 
 Everything is deterministic given the session seed: node RNGs, jitters,
 and per-burst channel noise all derive from it.
@@ -102,8 +104,7 @@ class Transmit:
 
 @dataclass(frozen=True)
 class Retask:
-    role: Role
-    latency: float
+    role: Role   # ready after the node's cfg.retask_latency
 
 
 @dataclass(frozen=True)
@@ -317,9 +318,9 @@ def _on_timeout(st: NodeState, event: Timeout, actions: list[LinkAction]) -> Non
         # points a single 46-bit frame is dropped far too often for
         # discovery to settle within its round budget
         actions += [
-            Retask(Role.SPEAKER, st.cfg.retask_latency),
+            Retask(Role.SPEAKER),
             Transmit((msg, msg)),
-            Retask(Role.MIC, st.cfg.retask_latency),
+            Retask(Role.MIC),
             SetTimer(TimerKind.DISCOVERY_ACK_WAIT, _discovery_ack_wait(st)),
         ]
     elif kind == TimerKind.DISCOVERY_ACK_WAIT:
@@ -365,9 +366,9 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
         st.last_discovery_acked = (msg.sender_id, event.time)
         ack = ControlMessage(MessageKind.ACK_OK, sender_id=st.node_id, body=msg.sender_id)
         actions += [
-            Retask(Role.SPEAKER, st.cfg.retask_latency),
+            Retask(Role.SPEAKER),
             Transmit((ack, ack)),
-            Retask(Role.MIC, st.cfg.retask_latency),
+            Retask(Role.MIC),
         ]
     elif kind == MessageKind.ACK_OK:
         if st.phase == Phase.DISCOVERING:
@@ -490,9 +491,9 @@ def _start_turn(st: NodeState, actions: list[LinkAction]) -> None:
         # inside the peer's retask blind window and break token exclusivity
         CancelTimer(TimerKind.INACTIVITY),
         CancelTimer(TimerKind.RESPONSE_WAIT),
-        Retask(Role.SPEAKER, st.cfg.retask_latency),
+        Retask(Role.SPEAKER),
         Transmit(tuple(msgs)),
-        Retask(Role.MIC, st.cfg.retask_latency),
+        Retask(Role.MIC),
         SetTimer(TimerKind.TURN_SENT, 0.0),
     ]
 
@@ -527,13 +528,6 @@ class SessionTrace:
 
     def of_kind(self, event: str) -> list[dict]:
         return [e for e in self.entries if e["event"] == event]
-
-    def frame_kinds(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            if e["event"] == "tx_burst":
-                out.extend(e["frames"])
-        return out
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(
@@ -626,8 +620,9 @@ class _Engine:
         self.counter = 0
         # per node, timer kind -> generation; a timer fires only at the current one
         self.timers: list[dict[TimerKind, int]] = [{}, {}]
-        self.busy_until = [0.0, 0.0]
-        self.mic_since = [0.0, 0.0]   # time the node last became stable MIC
+        # per node, when its transducer last settled as a MIC; inf while it
+        # is a speaker, so also the end of any retask or burst of its own
+        self.mic_since = [0.0, 0.0]
         self.bursts: dict[int, _Burst] = {}
         self.burst_count = 0
         self.expected_payloads = payloads   # per node, what it sends
@@ -645,7 +640,7 @@ class _Engine:
         gen = self.timers[idx][kind] = self.timers[idx].get(kind, 0) + 1
         return gen
 
-    def _carrier_busy_until(self, idx: int) -> float:
+    def _audible_until(self, idx: int) -> float:
         """Latest end time of any burst currently audible at node idx."""
         delay = self.channel.propagation_delay
         busy = 0.0
@@ -672,17 +667,14 @@ class _Engine:
 
     def _apply_actions(self, idx: int, now: float, actions: list[LinkAction]) -> None:
         state = self.nodes[idx]
+        latency = state.cfg.retask_latency
         cursor = now
         for act in actions:
             if isinstance(act, Retask):
                 self.trace.log(cursor, state.name, "retask", role=act.role.value,
-                               ready_at=cursor + act.latency)
-                if act.role == Role.MIC:
-                    self.mic_since[idx] = cursor + act.latency
-                else:
-                    self.mic_since[idx] = math.inf
-                cursor += act.latency
-                self.busy_until[idx] = max(self.busy_until[idx], cursor)
+                               ready_at=cursor + latency)
+                cursor += latency
+                self.mic_since[idx] = cursor if act.role == Role.MIC else math.inf
             elif isinstance(act, Transmit):
                 if self.mic_since[idx] != math.inf:
                     raise ProtocolError("Transmit while transducer is not a speaker")
@@ -694,7 +686,6 @@ class _Engine:
                 self.bursts[ident] = b
                 self._push(b.t1 + self.channel.propagation_delay, ("burst_end", ident))
                 cursor = b.t1
-                self.busy_until[idx] = max(self.busy_until[idx], cursor)
             elif isinstance(act, SetTimer):
                 self._push(cursor + act.delay, ("timer", idx, act.kind, self._bump(idx, act.kind)))
             elif isinstance(act, CancelTimer):
@@ -731,12 +722,12 @@ class _Engine:
     def _timer_fired(self, idx: int, kind: TimerKind, gen: int) -> None:
         if self.timers[idx].get(kind) != gen:
             return
-        if self.busy_until[idx] > self.now:
-            self._push(self.busy_until[idx] + self.BUSY_BACKOFF,
+        if self.mic_since[idx] > self.now:
+            self._push(self.mic_since[idx] + self.BUSY_BACKOFF,
                        ("timer", idx, kind, self._bump(idx, kind)))
             return
         if kind in (TimerKind.TURN_START, TimerKind.INACTIVITY, TimerKind.RESPONSE_WAIT):
-            carrier = self._carrier_busy_until(idx)
+            carrier = self._audible_until(idx)
             if carrier > self.now:
                 self._push(carrier + self.CARRIER_BACKOFF,
                            ("timer", idx, kind, self._bump(idx, kind)))
@@ -785,9 +776,9 @@ class _Engine:
             intact[name] = got == expected
             if got is not None and got != expected:
                 corrupted += 1
-        kinds = self.trace.frame_kinds()
-        turn_entries = [e for e in self.trace.of_kind("tx_burst") if e["turn"]]
-        first_turn = min((e["start"] for e in turn_entries), default=None)
+        sent = self.trace.of_kind("tx_burst")
+        kinds = [k for e in sent for k in e["frames"]]
+        first_turn = min((e["start"] for e in sent if e["turn"]), default=None)
         deliveries = self.trace.of_kind("deliver")
         last_delivery = max((e["t"] for e in deliveries), default=None)
         goodput = None
@@ -864,36 +855,33 @@ def unidirectional_schedule(
     cfg: LinkConfig,
     channel: ChannelModel,
     payload: bytes,
-    start_time: float = 0.0,
     rx_guard: float = 2.0,
     seed: int = 0,
     keep_audio: bool = False,
 ) -> SessionTrace:
     """One-way transfer at a prearranged time: no handshake, no feedback.
 
-    The transmitter streams every frame in one burst starting exactly at
-    `start_time`; the receiver records from `start_time - rx_guard` on
-    (a negative guard models a receiver that woke up late).  The burst
-    arrives one flight time after it starts, and the receiver's entries
-    fall when its last sample arrives.  There are no acknowledgments or
-    retransmissions by construction; each frame is recovered
-    independently via its own preamble.  Both ends use `cfg`.
+    The transmitter streams every frame in one burst starting at t = 0;
+    the receiver records from t = -rx_guard on (a negative guard models a
+    receiver that woke up late).  The burst arrives one flight time after
+    it starts, and the receiver's entries fall when its last sample arrives.
+    There are no acknowledgments or retransmissions by construction; each
+    frame is recovered independently via its own preamble.  Both ends use
+    `cfg`.
     """
     if not payload:
         raise ValueError("empty payload")
-    for name, value in (("start_time", start_time), ("rx_guard", rx_guard)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(rx_guard):
+        raise ValueError(f"rx_guard must be finite, got {rx_guard}")
     trace = SessionTrace()
     modem = cfg.modem
     messages = framing.pack_payload(payload)
-    t1 = _log_tx_burst(trace, "TX", 0, start_time, messages, modem)
+    t1 = _log_tx_burst(trace, "TX", 0, 0.0, messages, modem)
     rx_wave = _heard_burst(messages, modem, channel, seed, 0)
     if keep_audio:
         trace.audio["RX"] = rx_wave
     delay = channel.propagation_delay
-    rx_start = start_time - rx_guard
-    # the heard burst's first sample arrives at start_time + delay
+    # the heard burst's first sample arrives at t = delay
     skip = max(0, int(round((-rx_guard - delay) * modem.sample_rate)))
     heard = rx_wave.slice(skip, len(rx_wave)) if skip else rx_wave
     scan = _hear(trace, t1 + delay, "RX", 0, heard, modem)
@@ -903,7 +891,7 @@ def unidirectional_schedule(
     trace.summary = {
         "schema": TRACE_SCHEMA_VERSION,
         "complete": result.complete,
-        "duration": t1 + delay - min(start_time, rx_start),
+        "duration": t1 + delay + max(rx_guard, 0.0),
         "seed": seed,
         "frames_sent": len(messages),
         "frames_recovered": len(scan.frames),
@@ -918,7 +906,7 @@ def unidirectional_schedule(
 
 # ----------------------------------------------------- invariant checks
 
-def verify_trace(trace: SessionTrace, t_max: float = 10.0) -> dict:
+def verify_trace(trace: SessionTrace, t_max: float = LinkConfig.t_max) -> dict:
     """Recompute the protocol invariants from a trace.
 
     Returns violation counts: token holding overlap between the two

@@ -1,9 +1,11 @@
 """Sample buffer and WAV I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ultralink.audio import AudioError, SampleBuffer, read_wav, write_wav
+from ultralink.audio import FINITE_CHECK_SAMPLES, AudioError, SampleBuffer, read_wav, write_wav
 
 
 class TestSampleBuffer:
@@ -14,6 +16,26 @@ class TestSampleBuffer:
     def test_rejects_inf(self):
         with pytest.raises(AudioError):
             SampleBuffer(np.array([np.inf]), 48000)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [FINITE_CHECK_SAMPLES - 1, FINITE_CHECK_SAMPLES, -1])
+    def test_rejects_non_finite_past_the_first_chunk(self, value, at):
+        x = np.zeros(3 * FINITE_CHECK_SAMPLES + 5)
+        x[at] = value
+        with pytest.raises(AudioError):
+            SampleBuffer(x, 48000)
+
+    def test_finite_check_needs_no_buffer_sized_temporary(self):
+        # the whole-buffer np.isfinite allocated one byte per sample, an
+        # eighth of the buffer, on every burst heard
+        x = np.zeros(2**20)
+        tracemalloc.start()
+        try:
+            SampleBuffer(x, 48000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 16
 
     def test_rejects_stereo(self):
         with pytest.raises(AudioError):

@@ -149,7 +149,7 @@ class TestTransferCache:
 
     def test_masks_read_only(self):
         # the taps are symmetric about lag 0, so the FFT mask is real
-        taps = channel._kernel(channel._signal_path(preset("paper-3m")))
+        taps = channel._kernel(preset("paper-3m"))
         assert taps.size == FILTER_TAPS + 1
         assert np.array_equal(taps, taps[::-1])
 
@@ -182,7 +182,7 @@ class TestPaddedFilter:
         # the reference: a direct linear convolution with the taps, whose
         # lag-0 tap is FILTER_TAPS // 2, trimmed to the input
         model = preset("paper-3m", base_snr_at_1m=None)
-        taps = channel._kernel(channel._signal_path(model))
+        taps = channel._kernel(model)
         half = FILTER_TAPS // 2
         rng = np.random.default_rng(8)
         for n_bits in (46, 100, 545):   # 13 294, 28 900 and 157 505 samples
@@ -219,6 +219,8 @@ class TestNoisyBlocks:
 
     @pytest.mark.parametrize("room", sorted(ROOMS))
     def test_blocks_bitwise_equal_add_noise(self, room):
+        # split anywhere, the blocks get bitwise the noise that one block of
+        # the whole gets, which is what `propagate` adds
         model = self.ROOMS[room]
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -226,7 +228,7 @@ class TestNoisyBlocks:
             cuts = np.sort(rng.integers(0, y.size, int(rng.integers(0, 6))))
             blocks = channel.noisy_blocks(np.split(y, cuts), model, y.size, seed=seed)
             got = np.concatenate(list(blocks))
-            whole = channel.add_noise(y, model, seed=seed).samples
+            (whole,) = channel.noisy_blocks([y], model, y.size, seed=seed)
             assert np.array_equal(got, whole), seed
             assert not np.array_equal(got, y)
 
@@ -234,7 +236,8 @@ class TestNoisyBlocks:
         model, y = self.ROOMS["white"], np.linspace(-1.0, 1.0, 5000)
         z = np.random.default_rng(np.random.SeedSequence((0, 7))).standard_normal(y.size)
         expected = y + channel.white_noise_sigma(model) * z
-        assert np.array_equal(channel.add_noise(y, model, seed=7).samples, expected)
+        (got,) = channel.noisy_blocks([y], model, y.size, seed=7)
+        assert np.array_equal(got, expected)
 
     def test_filtered_samples_left_unchanged(self):
         y = np.ones(1000)
@@ -355,6 +358,6 @@ class TestPresets:
 
     @pytest.mark.parametrize("level_db", [math.nan, math.inf, -math.inf])
     def test_non_finite_noise_level_rejected_at_construction(self, level_db):
-        # was an AudioError inside add_noise
+        # was an AudioError while the noise was added
         with pytest.raises(ConfigError, match="level db"):
             NoiseProfile(NoiseKind.WHITE, level_db)

@@ -15,20 +15,21 @@ from ultralink.cli import main
 
 
 # session config lines setting fields that no longer exist, by key: the
-# frame gap and band are fixed, and the flight time is not in the samples
+# frame gap and band are fixed, the flight time is not in the samples, and
+# a one-way burst starts at t = 0
 DELETED_KEYS = {
     "gap_slots": "[link]\ngap_slots = 4\n",
     "sample_shift_delay": "[channel]\nsample_shift_delay = true\n",
     "band_low": "[modem]\nband_low = 17000\n",
     "seed": "[channel]\nseed = 1\n",
+    "start_time": "mode = unidirectional\nstart_time = 5.0\n",
 }
 
 # non-finite [session] times, by the name the error gives: a nan budget hung
-# a session that could not complete, start_time = nan wrote NaN into
-# trace.json and exited 0, rx_guard_s = nan failed converting it to samples
+# a session that could not complete, rx_guard_s = nan failed converting it
+# to samples
 SESSION_TIMES = {
     "budget": "budget_s = nan\n",
-    "start_time": "mode = unidirectional\nstart_time = nan\n",
     "rx_guard": "mode = unidirectional\nrx_guard_s = nan\n",
 }
 
@@ -122,7 +123,6 @@ class TestSimulateSession:
             f"mode = {mode}\n"
             f"preset = {preset_name}\n"
             "budget_s = 600\n"
-            "start_time = 5.0\n"
             "[modem]\n"
             "bit_rate = 166.0\n"
         )

@@ -80,11 +80,13 @@ class TestSession:
             preset="paper-3m", budget_s=600.0)
 
     def test_unidirectional_keys(self):
-        text = ("[session]\npayload = p.bin\nmode = unidirectional\n"
-                "start_time = 5\nrx_guard_s = -0.5\n")
+        text = "[session]\npayload = p.bin\nmode = unidirectional\nrx_guard_s = -0.5\n"
         session = configdoc.session_from_sections(configdoc.parse(text))
         assert session.mode is configdoc.SessionMode.UNIDIRECTIONAL
-        assert (session.start_time, session.rx_guard_s, session.preset) == (5.0, -0.5, None)
+        assert (session.rx_guard_s, session.preset) == (-0.5, None)
+        # a one-way burst starts at t = 0: there is no start time to set
+        with pytest.raises(ValueError, match="unknown SessionConfig key 'start_time'"):
+            configdoc.session_from_sections(configdoc.parse(text + "start_time = 5\n"))
 
     def test_payload_required(self):
         with pytest.raises(ValueError, match="payload"):

@@ -419,6 +419,78 @@ class TestSessions:
         assert not any(inv.values())
 
 
+class TestEngineDeferral:
+    """The two rules by which `link._Engine` defers a timer that comes due."""
+
+    # a noiseless 6.8 m room: 20 ms of flight
+    ROOM = ChannelModel(distance=6.8)
+
+    def _engine(self):
+        nodes = [make_node(CFG, seed=4, name=name, node_id=i + 1, payload=b"hi")
+                 for i, name in enumerate("AB")]
+        engine = link._Engine(nodes, [b"hi", None], self.ROOM, seed=4, budget=600.0)
+        for idx in range(2):
+            engine._deliver(idx, ScheduleTick(0.0))
+        return engine
+
+    def _broadcast(self, engine, idx, t):
+        """Node idx's discovery burst, sent from t; returns its tx_burst entry."""
+        engine.now = t
+        engine._deliver(idx, Timeout(t, TimerKind.DISCOVERY_BROADCAST))
+        return engine.trace.of_kind("tx_burst")[-1]
+
+    @staticmethod
+    def _fire(engine, idx, kind, t):
+        """Node idx's `kind` timer, armed for and fired at t; returns when the
+        live timer of that kind is next due, or None when none is pending."""
+        gen = engine._bump(idx, kind)
+        engine.now = t
+        engine._timer_fired(idx, kind, gen)
+        gen = engine.timers[idx][kind]
+        due = [when for when, _, item in engine.heap if item == ("timer", idx, kind, gen)]
+        return min(due, default=None)
+
+    @staticmethod
+    def _timer_entries(engine, kind):
+        return [e["t"] for e in engine.trace.of_kind("timer") if e["kind"] == kind.value]
+
+    @pytest.mark.parametrize("kind", list(TimerKind))
+    def test_timer_of_a_retasking_node_waits_until_it_settles(self, kind):
+        engine = self._engine()
+        tx = self._broadcast(engine, 0, 1.0)
+        (settle,) = [e["ready_at"] for e in engine.trace.of_kind("retask")
+                     if e["node"] == "A" and e["role"] == Role.MIC.value]
+        assert settle == tx["end"] + CFG.retask_latency
+        for t in (1.0, 1.0 + CFG.retask_latency / 2, (tx["start"] + tx["end"]) / 2, tx["end"]):
+            # speaking, or switching from or back to MIC: the timer is re-armed
+            assert self._fire(engine, 0, kind, t) == settle + engine.BUSY_BACKOFF
+            assert self._timer_entries(engine, kind) == []
+        engine.now = settle + engine.BUSY_BACKOFF
+        engine._timer_fired(0, kind, engine.timers[0][kind])
+        assert self._timer_entries(engine, kind) == [settle + engine.BUSY_BACKOFF]
+
+    @pytest.mark.parametrize("kind", list(TimerKind))
+    def test_turn_timers_wait_out_an_audible_peer_burst(self, kind):
+        engine = self._engine()
+        tx = self._broadcast(engine, 1, 1.0)
+        delay = self.ROOM.propagation_delay
+        deferred = kind in (TimerKind.TURN_START, TimerKind.INACTIVITY, TimerKind.RESPONSE_WAIT)
+        # the burst is audible at A from when its first sample leaves B
+        # until its last arrives
+        due = self._fire(engine, 0, kind, (tx["start"] + tx["end"]) / 2)
+        if not deferred:
+            assert self._timer_entries(engine, kind) == [(tx["start"] + tx["end"]) / 2]
+            return
+        again = tx["end"] + delay + engine.CARRIER_BACKOFF
+        assert due == again
+        for t in (tx["start"], tx["end"], tx["end"] + delay / 2):
+            assert self._fire(engine, 0, kind, t) == again
+        assert self._timer_entries(engine, kind) == []
+        engine.now = again
+        engine._timer_fired(0, kind, engine.timers[0][kind])
+        assert self._timer_entries(engine, kind) == [again]
+
+
 class TestReceivedBurst:
     MESSAGES = [
         ControlMessage(MessageKind.ACQUIRE, sender_id=0x11, seq=0, body=0),
@@ -514,8 +586,7 @@ class TestDiscoveryLiveness:
 class TestUnidirectional:
     def test_noiseless_all_frames_no_control(self):
         data = payload_bytes(40)
-        trace = unidirectional_schedule(CFG, preset("noiseless"), data,
-                                        start_time=5.0, rx_guard=2.0, seed=1)
+        trace = unidirectional_schedule(CFG, preset("noiseless"), data, rx_guard=2.0, seed=1)
         s = trace.summary
         assert s["complete"] and s["delivered_intact"]["RX"]
         assert s["frames_recovered"] == s["frames_sent"]
@@ -524,18 +595,21 @@ class TestUnidirectional:
         assert s["ack_frames"] == 0 and s["retransmit_requests"] == 0
 
     def test_transmission_starts_exactly_on_schedule(self):
-        data = payload_bytes(10)
-        trace = unidirectional_schedule(CFG, preset("noiseless"), data,
-                                        start_time=42.0, seed=1)
-        burst = trace.of_kind("tx_burst")[0]
-        assert burst["start"] == 42.0
+        # the burst starts at t = 0; the run lasts from whichever of it and
+        # the receiver starts first until the burst's last sample arrives
+        model = ChannelModel(distance=6.8)
+        for guard in (2.0, -0.5):
+            trace = unidirectional_schedule(CFG, model, payload_bytes(10), rx_guard=guard, seed=1)
+            (burst,) = trace.of_kind("tx_burst")
+            assert burst["start"] == 0.0
+            end = burst["end"] + model.propagation_delay
+            assert trace.summary["duration"] == end + max(guard, 0.0)
 
     def test_late_receiver_loses_first_frame_only(self):
         data = payload_bytes(40)
         # receiver wakes mid-way through the first frame's preamble
         late = -0.5 * 46 * CFG.modem.samples_per_bit / 48000
-        trace = unidirectional_schedule(CFG, preset("noiseless"), data,
-                                        start_time=5.0, rx_guard=late, seed=1)
+        trace = unidirectional_schedule(CFG, preset("noiseless"), data, rx_guard=late, seed=1)
         s = trace.summary
         assert s["frames_recovered"] == s["frames_sent"] - 1
         assert s["missing_chunks"] == [0]  # the length prefix went with frame 0
@@ -546,8 +620,7 @@ class TestUnidirectional:
         # a noiseless 6.8 m room: the burst arrives 20 ms after it starts, so
         # a receiver waking up less than 20 ms late still hears all of it
         model = ChannelModel(distance=6.8)
-        trace = unidirectional_schedule(CFG, model, payload_bytes(20),
-                                        start_time=1.0, rx_guard=guard, seed=1)
+        trace = unidirectional_schedule(CFG, model, payload_bytes(20), rx_guard=guard, seed=1)
         s = trace.summary
         assert s["frames_recovered"] == s["frames_sent"] == 11
         assert s["complete"] and s["missing_chunks"] == []
@@ -561,11 +634,10 @@ class TestUnidirectional:
         with pytest.raises(ValueError):
             unidirectional_schedule(CFG, preset("noiseless"), b"")
 
-    @pytest.mark.parametrize("name", ["start_time", "rx_guard"])
+    @pytest.mark.parametrize("name", ["rx_guard"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_times_rejected(self, name, value):
-        # start_time = nan wrote NaN into the trace, rx_guard = nan failed
-        # converting it to a sample count
+        # rx_guard = nan failed converting it to a sample count
         with pytest.raises(ValueError, match=name):
             unidirectional_schedule(CFG, preset("noiseless"), b"hi", **{name: value})
 

@@ -14,7 +14,7 @@ from conftest import awgn_per_band_snr
 from ultralink import burst, framing, link, modem
 from ultralink.audio import SampleBuffer
 from ultralink.bits import as_bits
-from ultralink.channel import FILTER_TAPS, _signal_path, preset, propagate
+from ultralink.channel import FILTER_TAPS, preset, propagate
 from ultralink.framing import FRAME_BITS, ControlMessage, MessageKind
 from ultralink.modem import (
     PHASOR_TABLE_MIN,
@@ -521,12 +521,12 @@ class TestFrameCache:
 
     def test_entries_read_only_and_bounded(self):
         burst._slot_atoms.cache_clear()
-        paths = [_signal_path(preset("paper-3m", distance=1.0 + i / 8))
+        rooms = [preset("paper-3m", distance=1.0 + i / 8)
                  for i in range(burst.ATOM_CACHE_SIZE + 3)]
-        for path in paths:
-            list(burst.received_burst(self.MESSAGES[:1], CFG166, path))
+        for room in rooms:
+            list(burst.received_burst(self.MESSAGES[:1], CFG166, room))
         assert burst._slot_atoms.cache_info().currsize == burst.ATOM_CACHE_SIZE
-        atoms = burst._slot_atoms(CFG166, paths[-1])
+        atoms = burst._slot_atoms(CFG166, rooms[-1])
         assert burst._slot_atoms.cache_info().hits == 1
         spb = CFG166.samples_per_bit
         assert atoms.shape == (4, -(-(spb + FILTER_TAPS) // spb) * spb)
