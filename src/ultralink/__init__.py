@@ -33,7 +33,6 @@ from .link import (
     LinkConfig,
     NodeState,
     Phase,
-    Role,
     SessionTrace,
     run_session,
     step,

@@ -121,9 +121,6 @@ class CapacityReport:
             for b in self.bands
         ]
 
-    def to_csv(self) -> str:
-        return rows_to_csv(self.to_rows())
-
     def to_doc(self) -> dict:
         return {
             "window_len_ms": self.window_len_ms,
@@ -142,7 +139,8 @@ def capacity_profile(
     """Estimate per-band capacity from a sweep recording and a silence recording.
 
     Signal power per band is the sweep's band power minus the measured
-    floor (clamped at zero); noise power is the floor itself.
+    floor (clamped at zero); noise power is the floor itself, so a noise
+    recording with no power in any band is rejected.
     """
     if received_sweep.sample_rate != noise_floor.sample_rate:
         raise ConfigError(
@@ -150,6 +148,8 @@ def capacity_profile(
         )
     sweep_power, count = _windowed_band_powers(received_sweep, resolution)
     floor_power, _ = _windowed_band_powers(noise_floor, resolution)
+    if not floor_power.any():
+        raise ValueError("the noise recording has zero power: its floor cannot measure an SNR")
     bands = []
     for k in range(sweep_power.size):
         noise = float(floor_power[k])

@@ -3,18 +3,21 @@
 Each node is an event-driven state machine (`step`): discovery broadcasts
 with random delays and an ID-collision rule, then a virtual-token MAC in
 which the token holder transmits one burst (ACQUIRE, pending feedback,
-a window of DATA frames, RELEASE) bounded by T_max, retasks back to MIC,
-and waits.  The peer answers with a feedback turn carrying one batch ACK
-(highest in-order sequence) plus RETRANSMIT requests for gaps.  Loss of
-any frame, including RELEASE or the whole feedback turn, is recovered by
-inactivity/response timeouts.
+a window of DATA frames, RELEASE) bounded by T_max and waits.  The peer
+answers with a feedback turn carrying one batch ACK (highest in-order
+sequence) plus RETRANSMIT requests for gaps.  Loss of any frame, including
+RELEASE or the whole feedback turn, is recovered by inactivity/response
+timeouts.  `step` returns only what needs the air or the clock:
+`Transmit`, `SetTimer` and `CancelTimer`.
 
 `run_session` drives two nodes over a simulated channel with a discrete
-event loop.  Audio exists per received burst: the burst's bit slots at the
-nodes' shared bit rate are added up from the channel's filtered slot tones
-in the BER cells' runs of whole slots (`burst.received_burst`; the channel
-is linear), each run gets its share of the noise seeded per burst on its
-way into one buffer, and the receiver scans the result — so corruption and
+event loop.  It retasks a node to SPEAKER and back to MIC around each
+`Transmit`, and logs phase, id and delivery changes from the node's state.
+Audio exists per received burst: the burst's bit slots at the nodes'
+shared bit rate are added up from the channel's filtered slot tones in the
+BER cells' runs of whole slots (`burst.received_burst`; the channel is
+linear), each run gets its share of the noise seeded per burst on its way
+into one buffer, and the receiver scans the result — so corruption and
 retransmission emerge physically.  One clock per node, the time its
 transducer last settled as a MIC, decides both what it hears and when its
 timers fire: it hears a burst only if it stayed in MIC for the burst's
@@ -48,7 +51,7 @@ from .modem import ConfigError, ModemConfig
 
 
 class ProtocolError(Exception):
-    """Raised for out-of-order events or an action the hardware cannot do."""
+    """Raised for an out-of-order event, or an event or action of no known kind."""
 
 
 class Phase(str, enum.Enum):
@@ -57,11 +60,6 @@ class Phase(str, enum.Enum):
     IDLE = "IDLE"
     HOLDING_TOKEN = "HOLDING_TOKEN"
     LISTENING = "LISTENING"
-
-
-class Role(str, enum.Enum):
-    SPEAKER = "SPEAKER"
-    MIC = "MIC"
 
 
 class TimerKind(str, enum.Enum):
@@ -99,12 +97,10 @@ LinkEvent = Union[FrameReceived, Timeout, ScheduleTick]
 
 @dataclass(frozen=True)
 class Transmit:
+    """Retask to SPEAKER, send `messages` as one burst, retask to MIC: each
+    retask takes the node's cfg.retask_latency."""
+
     messages: tuple[ControlMessage, ...]
-
-
-@dataclass(frozen=True)
-class Retask:
-    role: Role   # ready after the node's cfg.retask_latency
 
 
 @dataclass(frozen=True)
@@ -118,12 +114,7 @@ class CancelTimer:
     kind: TimerKind
 
 
-@dataclass(frozen=True)
-class DeliverData:
-    data: bytes
-
-
-LinkAction = Union[Transmit, Retask, SetTimer, CancelTimer, DeliverData]
+LinkAction = Union[Transmit, SetTimer, CancelTimer]
 
 
 # ---------------------------------------------------------------- config
@@ -318,9 +309,7 @@ def _on_timeout(st: NodeState, event: Timeout, actions: list[LinkAction]) -> Non
         # points a single 46-bit frame is dropped far too often for
         # discovery to settle within its round budget
         actions += [
-            Retask(Role.SPEAKER),
             Transmit((msg, msg)),
-            Retask(Role.MIC),
             SetTimer(TimerKind.DISCOVERY_ACK_WAIT, _discovery_ack_wait(st)),
         ]
     elif kind == TimerKind.DISCOVERY_ACK_WAIT:
@@ -365,11 +354,7 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
             return  # repeated beacon copy within the same burst
         st.last_discovery_acked = (msg.sender_id, event.time)
         ack = ControlMessage(MessageKind.ACK_OK, sender_id=st.node_id, body=msg.sender_id)
-        actions += [
-            Retask(Role.SPEAKER),
-            Transmit((ack, ack)),
-            Retask(Role.MIC),
-        ]
+        actions.append(Transmit((ack, ack)))
     elif kind == MessageKind.ACK_OK:
         if st.phase == Phase.DISCOVERING:
             if msg.body == st.node_id:
@@ -382,7 +367,7 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
                 if st.tx_unacked or _owes_feedback(st):
                     actions.append(SetTimer(TimerKind.TURN_START, _spontaneous_delay(st)))
             return
-        _on_data_ack(st, msg, actions)
+        _on_data_ack(st, msg)
     elif kind == MessageKind.RETRANSMIT:
         # honor the request even for chunks we believe were acked: a
         # CRC-passing corruption of an earlier ack batch can desynchronize
@@ -397,7 +382,7 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
             st.phase = Phase.LISTENING
         actions.append(SetTimer(TimerKind.INACTIVITY, _inactivity_wait(st)))
     elif kind == MessageKind.DATA:
-        _on_data(st, msg, actions)
+        _on_data(st, msg)
         actions.append(SetTimer(TimerKind.INACTIVITY, _inactivity_wait(st)))
     elif kind == MessageKind.RELEASE:
         st.token_free = True
@@ -418,16 +403,15 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
     # BITRATE_INC and BITRATE_DEC are reserved kinds: decoded, and ignored
 
 
-def _on_data(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) -> None:
+def _on_data(st: NodeState, msg: ControlMessage) -> None:
     # any data arrival, duplicate or not, means the peer lacks our ack
     st.got_data_since_feedback = True
     st.rx.accept(st.rx.resolve(msg.seq), msg.body)
     if st.delivered is None and st.rx.complete:
         st.delivered = st.rx.result().data
-        actions.append(DeliverData(st.delivered))
 
 
-def _on_data_ack(st: NodeState, msg: ControlMessage, actions: list[LinkAction]) -> None:
+def _on_data_ack(st: NodeState, msg: ControlMessage) -> None:
     if st.tx_highest_sent < 0:
         return
     acked_through = resolve_seq(msg.body, st.tx_highest_sent)
@@ -491,9 +475,7 @@ def _start_turn(st: NodeState, actions: list[LinkAction]) -> None:
         # inside the peer's retask blind window and break token exclusivity
         CancelTimer(TimerKind.INACTIVITY),
         CancelTimer(TimerKind.RESPONSE_WAIT),
-        Retask(Role.SPEAKER),
         Transmit(tuple(msgs)),
-        Retask(Role.MIC),
         SetTimer(TimerKind.TURN_SENT, 0.0),
     ]
 
@@ -620,8 +602,9 @@ class _Engine:
         self.counter = 0
         # per node, timer kind -> generation; a timer fires only at the current one
         self.timers: list[dict[TimerKind, int]] = [{}, {}]
-        # per node, when its transducer last settled as a MIC; inf while it
-        # is a speaker, so also the end of any retask or burst of its own
+        # per node, when its transducer last settled, or next settles, as a
+        # MIC: a Transmit sets it to the end of the burst's retask back to
+        # MIC, so it is also the end of any retask or burst of its own
         self.mic_since = [0.0, 0.0]
         self.bursts: dict[int, _Burst] = {}
         self.burst_count = 0
@@ -653,16 +636,17 @@ class _Engine:
 
     def _deliver(self, idx: int, event: LinkEvent) -> None:
         node = self.nodes[idx]
-        before = (node.phase, node.node_id)
         state, actions = step(node, event)
         self.nodes[idx] = state
-        if state.phase != before[0]:
+        if state.phase != node.phase:
             self.trace.log(event.time, state.name, "phase", phase=state.phase.value)
-        if state.node_id != before[1]:
+        if state.node_id != node.node_id:
             self.trace.log(
                 event.time, state.name, "id_rerandomized",
-                old=before[1], new=state.node_id,
+                old=node.node_id, new=state.node_id,
             )
+        if state.delivered is not node.delivered:
+            self.trace.log(event.time, state.name, "deliver", bytes=len(state.delivered))
         self._apply_actions(idx, event.time, actions)
 
     def _apply_actions(self, idx: int, now: float, actions: list[LinkAction]) -> None:
@@ -670,28 +654,22 @@ class _Engine:
         latency = state.cfg.retask_latency
         cursor = now
         for act in actions:
-            if isinstance(act, Retask):
-                self.trace.log(cursor, state.name, "retask", role=act.role.value,
+            if isinstance(act, Transmit):
+                self.trace.log(cursor, state.name, "retask", role="SPEAKER",
                                ready_at=cursor + latency)
                 cursor += latency
-                self.mic_since[idx] = cursor if act.role == Role.MIC else math.inf
-            elif isinstance(act, Transmit):
-                if self.mic_since[idx] != math.inf:
-                    raise ProtocolError("Transmit while transducer is not a speaker")
                 ident = self.burst_count
                 self.burst_count += 1
                 t1 = _log_tx_burst(self.trace, state.name, ident, cursor, act.messages,
                                    state.cfg.modem)
-                b = _Burst(tx=idx, t0=cursor, t1=t1, messages=act.messages)
-                self.bursts[ident] = b
-                self._push(b.t1 + self.channel.propagation_delay, ("burst_end", ident))
-                cursor = b.t1
+                self.bursts[ident] = _Burst(tx=idx, t0=cursor, t1=t1, messages=act.messages)
+                self._push(t1 + self.channel.propagation_delay, ("burst_end", ident))
+                self.trace.log(t1, state.name, "retask", role="MIC", ready_at=t1 + latency)
+                cursor = self.mic_since[idx] = t1 + latency
             elif isinstance(act, SetTimer):
                 self._push(cursor + act.delay, ("timer", idx, act.kind, self._bump(idx, act.kind)))
             elif isinstance(act, CancelTimer):
                 self._bump(idx, act.kind)
-            elif isinstance(act, DeliverData):
-                self.trace.log(cursor, state.name, "deliver", bytes=len(act.data))
             else:
                 raise ProtocolError(f"unknown action {act!r}")
 

@@ -292,6 +292,7 @@ class TestExpectedErrors:
     @pytest.mark.parametrize("case", ["modulate-config", "demodulate-config", "ber-sweep-config",
                                       "ber-sweep-rates", "ber-sweep-no-bits",
                                       "ber-sweep-negative-bits", "session-budget",
+                                      "capacity-silent-noise",
                                       *CAPACITY_RESOLUTIONS, *DELETED_KEYS, *SESSION_TIMES,
                                       *DETECT_THRESHOLDS])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
@@ -299,6 +300,8 @@ class TestExpectedErrors:
         wav = tmp_path / "quiet.wav"
         # half a second: longer than the capacity report's 200 ms window
         write_wav(wav, SampleBuffer(np.zeros(24000), 48000))
+        sweep = tmp_path / "sweep.wav"
+        write_wav(sweep, make_sweep(0.5))
         session = tmp_path / "session.cfg"
         session.write_text(f"[session]\npayload = {payload_file.name}\n"
                            + {**DELETED_KEYS, **SESSION_TIMES}.get(case, "budget_s = abc\n"))
@@ -312,6 +315,8 @@ class TestExpectedErrors:
                                   "--bits", "0", "--seeds", "1"],
             "ber-sweep-negative-bits": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
                                         "--bits", "-1", "--seeds", "1"],
+            # a digital-silence floor printed "18-24 kHz capacity 0 bit/s"
+            "capacity-silent-noise": ["capacity", "--sweep", str(sweep), "--noise", str(wav)],
             **{case: ["capacity", "--sweep", str(wav), "--noise", str(wav),
                       "--resolution", value] for case, value in CAPACITY_RESOLUTIONS.items()},
             **{case: ["detect", str(wav), f"--threshold={value}"]
@@ -329,6 +334,8 @@ class TestExpectedErrors:
             assert case in error
         if case in DETECT_THRESHOLDS:
             assert "threshold" in error
+        if case == "capacity-silent-noise":
+            assert "noise recording" in error
         assert not (out / "manifest.json").exists()
 
 
