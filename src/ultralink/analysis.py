@@ -24,9 +24,9 @@ import numpy as np
 
 from .audio import SampleBuffer
 from .bits import as_bits
-from .burst import received_blocks
-from .channel import ChannelModel, noisy_blocks
-from .modem import BAND, ConfigError, ModemConfig, decide_slots, slot_basis
+from .burst import received_projections
+from .channel import ChannelModel, noisy_projections
+from .modem import BAND, ConfigError, ModemConfig, decide_projections, slot_basis
 
 ANALYSIS_WINDOW_MS = 200.0
 ANALYSIS_OVERLAP = 0.25  # fraction of window shared between hops
@@ -244,12 +244,11 @@ def ber_sweep(
 
     Each seed draws fresh payload bits and fresh channel noise; the cell
     reports the across-seed mean with a 95% normal-approximation interval.
-    The received cell is `propagate(modulate(bits, cfg), model, seed=seed)`
-    up to rounding, built from filtered slot atoms.  It is streamed in the
-    runs of whole slots that sessions and one-way streams hear in
-    (`burst.received_blocks`), each given its noise (`channel.noisy_blocks`)
-    and its bits decided as `demodulate` decides them, so no array is as
-    long as the cell's samples.
+    The bits are decided as `demodulate` decides those of `propagate(
+    modulate(bits, cfg), model, seed=seed)`, from slot projections equal to
+    that cell's up to rounding, but the cell never becomes samples: the
+    signal's projections come from slot atoms (`burst.received_projections`),
+    the noise's from the same draws, in runs (`channel.noisy_projections`).
     """
     if not rates or not models or not seeds:
         raise ValueError("rates, models, and seeds must be non-empty")
@@ -266,10 +265,10 @@ def ber_sweep(
             for seed in seeds:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, int(rate * 1000))))
                 bits = rng.integers(0, 2, payload_bits, dtype=np.uint8)
-                blocks = received_blocks(bits[None], cfg, model)
-                rx = noisy_blocks(blocks, model, payload_bits * spb, seed=seed)
-                got = [decide_slots(block.reshape(-1, spb), basis)[0] for block in rx]
-                bers.append(measure_ber(bits, np.concatenate(got)))
+                runs = received_projections(bits[None], cfg, model)
+                rx = noisy_projections(runs, basis, model, payload_bits * spb, seed=seed)
+                got, _ = decide_projections(np.concatenate(list(rx)), spb)
+                bers.append(measure_ber(bits, got))
             bers = np.asarray(bers)
             mean = float(bers.mean())
             half = 1.96 * float(bers.std(ddof=1)) / math.sqrt(bers.size) if bers.size > 1 else 0.0

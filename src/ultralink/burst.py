@@ -20,7 +20,7 @@ import numpy as np
 from . import framing
 from .audio import SampleBuffer
 from .channel import FILTER_TAPS, ChannelModel, apply_signal_path
-from .modem import ConfigError, ModemConfig, ToneScanner, modulate, slot_phases
+from .modem import ConfigError, ModemConfig, ToneScanner, modulate, slot_basis, slot_phases
 
 # silent slots between the frames of a burst
 FRAME_GAP_SLOTS = 4
@@ -77,6 +77,8 @@ def _slot_atoms(cfg: ModemConfig, channel: ChannelModel) -> np.ndarray:
     for the f0 then the f1 step omega_b, each with FILTER_TAPS // 2 silent
     samples on both sides so that its whole response fits, zero-padded to
     a whole number of slots.  Only the room's transfer fields shape them."""
+    if cfg.sample_rate != channel.sample_rate:
+        raise ConfigError(f"modem rate {cfg.sample_rate} != channel rate {channel.sample_rate}")
     spb = cfg.samples_per_bit
     half = FILTER_TAPS // 2
     atoms = np.zeros((4, -(-(spb + FILTER_TAPS) // spb) * spb))
@@ -88,6 +90,53 @@ def _slot_atoms(cfg: ModemConfig, channel: ChannelModel) -> np.ndarray:
             atoms[2 * b + c, :tone.size] = apply_signal_path(tone, channel)
     atoms.flags.writeable = False
     return atoms
+
+
+@functools.lru_cache(maxsize=ATOM_CACHE_SIZE)
+def _slot_projectors(cfg: ModemConfig, channel: ChannelModel) -> np.ndarray:
+    """From a `_lag_runs` row to the `slot_basis` projections of its product
+    row's samples, (4D x 8), read-only: in columns 0-3 of those from r =
+    FILTER_TAPS // 2 mod spb on, which begin a slot, in 4-7 of the rest."""
+    spb = cfg.samples_per_bit
+    atoms, basis = _slot_atoms(cfg, channel).reshape(-1, spb), slot_basis(cfg)
+    r = FILTER_TAPS // 2 % spb
+    maps = np.hstack([atoms[:, r:] @ basis[:spb - r], atoms[:, :r] @ basis[spb - r:]])
+    maps.flags.writeable = False
+    return maps
+
+
+def _lag_runs(bits: np.ndarray, cfg: ModemConfig, blocks: int):
+    """Per `received_blocks` run of output slots k0..k1 - 1, rows k0 + q to
+    k1 + q, q = FILTER_TAPS // 2 // spb, of the slot lags: row m holds the
+    coefficients of slots m - j, j < D = `blocks`, one block of D columns
+    per atom, and output slot k starts in product row k + q."""
+    spb = cfg.samples_per_bit
+    _, start = slot_phases(bits, cfg)
+    frames, width = bits.shape
+    period = width + FRAME_GAP_SLOTS
+    # the slots' coefficients with blocks - 1 zero rows on either side
+    padded = np.zeros((frames * period + 2 * (blocks - 1), 4))
+    coef = padded[blocks - 1:blocks - 1 + frames * period].reshape(frames, period, 4)
+    f, k = np.ogrid[:frames, :width]
+    coef[f, k, 2 * bits] = np.cos(start)
+    coef[f, k, 2 * bits + 1] = np.sin(start)
+    slots = frames * period - FRAME_GAP_SLOTS
+    # window r holds slots r - D + 1..r; reversed, column (c, j) is slot r - j's
+    lags = np.lib.stride_tricks.sliding_window_view(padded, blocks, axis=0)[:, :, ::-1]
+    q = FILTER_TAPS // 2 // spb
+    step = max(1, BLOCK_SAMPLES // spb)
+    for k0 in range(0, slots, step):
+        yield lags[k0 + q:min(k0 + step, slots) + q + 1].reshape(-1, 4 * blocks)
+
+
+def received_projections(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel):
+    """The runs of `received_blocks` as their slots' projections on
+    `slot_basis(cfg)`, one row per slot, made without samples: a slot runs
+    from sample r of one product row to sample r of the next."""
+    maps = _slot_projectors(cfg, channel)
+    for rows in _lag_runs(bits, cfg, len(maps) // 4):
+        proj = rows @ maps
+        yield proj[:-1, :4] + proj[1:, 4:]
 
 
 def received_burst(messages: Sequence[framing.ControlMessage], cfg: ModemConfig,
@@ -112,32 +161,13 @@ def received_blocks(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel):
     times its cos atom.  The room being linear, output slot r is the sum
     over the D slots of atom that reach it, j = 0..D-1, of slot r - j's
     coefficients (zero in gap slots) times block j of the atoms: one
-    (rows x 4D) @ (4D x spb) product per run."""
-    if cfg.sample_rate != channel.sample_rate:
-        raise ConfigError(f"modem rate {cfg.sample_rate} != channel rate {channel.sample_rate}")
+    (rows x 4D) @ (4D x spb) product per run of `_lag_runs`."""
     spb = cfg.samples_per_bit
-    atoms = _slot_atoms(cfg, channel)
-    blocks = atoms.shape[1] // spb
-    atoms = atoms.reshape(4 * blocks, spb)
-    _, start = slot_phases(bits, cfg)
-    frames, width = bits.shape
-    period = width + FRAME_GAP_SLOTS
-    # the slots' coefficients with blocks - 1 zero rows on either side
-    padded = np.zeros((frames * period + 2 * (blocks - 1), 4))
-    coef = padded[blocks - 1:blocks - 1 + frames * period].reshape(frames, period, 4)
-    f, k = np.ogrid[:frames, :width]
-    coef[f, k, 2 * bits] = np.cos(start)
-    coef[f, k, 2 * bits + 1] = np.sin(start)
-    slots = frames * period - FRAME_GAP_SLOTS
-    # window r holds slots r - D + 1..r; reversed, column (c, j) is slot r - j's
-    lags = np.lib.stride_tricks.sliding_window_view(padded, blocks, axis=0)[:, :, ::-1]
+    atoms = _slot_atoms(cfg, channel).reshape(-1, spb)
     # output slot k starts FILTER_TAPS // 2 samples into product row k
-    q, r = divmod(FILTER_TAPS // 2, spb)
-    step = max(1, BLOCK_SAMPLES // spb)
-    for k0 in range(0, slots, step):
-        k1 = min(k0 + step, slots)
-        out = lags[k0 + q:k1 + q + 1].reshape(-1, len(atoms)) @ atoms
-        yield out.ravel()[r:r + (k1 - k0) * spb]
+    r = FILTER_TAPS // 2 % spb
+    for rows in _lag_runs(bits, cfg, len(atoms) // 4):
+        yield (rows @ atoms).ravel()[r:r + (len(rows) - 1) * spb]
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ with the input; `noisy_blocks` then adds the noise (`propagate` is the two
 in turn, on one block).  The room is linear and time-invariant, and
 `modulate` computes each bit slot's phase in closed form from the phase the
 slot starts at (`modem.slot_phases`), so `burst.received_blocks` builds the
-received audio of sessions, one-way streams and BER-sweep cells from four
-filtered slot tones, with no modulation and no FFT per burst, in runs of
-whole slots that get their noise from `noisy_blocks` block by block.
+received audio of sessions and one-way streams from four filtered slot
+tones, with no modulation and no FFT per burst, in runs of whole slots that
+get their noise from `noisy_blocks` block by block.  BER-sweep cells build
+none: `noisy_projections` projects the same noise onto their slots.
 
 Noise anchoring: `base_snr_at_1m` is the SNR, per 100 Hz band, that a
 19 kHz tone at the modem's default peak amplitude (0.9) would enjoy at
@@ -322,17 +323,24 @@ def propagate(tx: SampleBuffer, model: ChannelModel, seed: int | None = None) ->
     return SampleBuffer(rx, model.sample_rate)
 
 
-def noisy_blocks(blocks, model: ChannelModel, n: int, seed=None):
-    """The filtered `blocks` (n samples in all, left unchanged) each with
-    the room's noise, drawn from `seed` alone; joined, bitwise the one block
-    of the whole.  Shaped noise is synthesised over all n samples first, the
-    white floor block by block."""
+def _noise_source(model: ChannelModel, n: int, seed=None):
+    """The room's noise over n samples, from `seed` alone: its shaped part
+    (None in a room without), drawn first, then the generator whose next
+    standard normals times sigma are the white floor, and sigma."""
     rng = np.random.default_rng(np.random.SeedSequence((0,) if seed is None else (0, seed)))
     shaped = None
     if model.noise.kind != NoiseKind.SILENT:
         shaped = synthesize_noise(model.noise, n / model.sample_rate, model.sample_rate,
                                   rng.integers(2**63), reference_received_power(model)).samples
-    sigma = white_noise_sigma(model)
+    return shaped, rng, white_noise_sigma(model)
+
+
+def noisy_blocks(blocks, model: ChannelModel, n: int, seed=None):
+    """The filtered `blocks` (n samples in all, left unchanged) each with
+    the room's noise, drawn from `seed` alone; joined, bitwise the one block
+    of the whole.  Shaped noise is synthesised over all n samples first, the
+    white floor block by block."""
+    shaped, rng, sigma = _noise_source(model, n, seed)
     at = 0
     for y in blocks:
         if shaped is not None:
@@ -343,6 +351,24 @@ def noisy_blocks(blocks, model: ChannelModel, n: int, seed=None):
             z *= sigma
             y = np.add(z, y, out=z)       # bitwise y + sigma * z, in place
         yield y
+
+
+def noisy_projections(runs, basis: np.ndarray, model: ChannelModel, n: int, seed=None):
+    """The runs of slot projections on `basis` (n samples of slots in all),
+    each plus the projection of its slots' noise from `noisy_blocks`: the
+    same draws in the same order, a run's into one buffer that all reuse."""
+    shaped, rng, sigma = _noise_source(model, n, seed)
+    spb, at, z = len(basis), 0, np.empty(0)
+    for proj in runs:
+        m = len(proj) * spb
+        if shaped is not None:
+            proj = proj + shaped[at:at + m].reshape(-1, spb) @ basis
+        at += m
+        if sigma > 0:
+            z = z if z.size >= m else np.empty(m)
+            rng.standard_normal(out=z[:m])
+            proj = proj + sigma * (z[:m].reshape(-1, spb) @ basis)
+        yield proj
 
 
 # Frozen room presets.  The paper-* SNR values were calibrated once by

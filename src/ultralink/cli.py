@@ -68,11 +68,13 @@ def _write_manifest(args: argparse.Namespace, inputs, outputs, started: str) -> 
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _load_sections(config_path: str | None) -> tuple[dict, list[Path]]:
-    """The sections of a --config document, and the files read for them."""
+def _load_sections(config_path: str | None,
+                   sections: tuple[str, ...] = configdoc.SECTIONS) -> tuple[dict, list[Path]]:
+    """The sections of a --config document, which may hold only `sections`
+    (those the command reads), and the files read for them."""
     if not config_path:
         return {}, []
-    return configdoc.parse(Path(config_path).read_text()), [Path(config_path)]
+    return configdoc.parse(Path(config_path).read_text(), sections), [Path(config_path)]
 
 
 def _resolve_modem(sections: dict, rate: float | None):
@@ -114,7 +116,7 @@ def cmd_modulate(args):
     data = src.read_bytes()
     if not data:
         raise CliError(f"{src}: empty payload")
-    sections, config = _load_sections(args.config)
+    sections, config = _load_sections(args.config, ("modem",))
     cfg = _resolve_modem(sections, args.rate)
     messages = framing.pack_payload(data)
     wave = burst.messages_to_waveform(messages, cfg)
@@ -127,7 +129,7 @@ def cmd_modulate(args):
 
 def cmd_demodulate(args):
     src = Path(args.input)
-    sections, config = _load_sections(args.config)
+    sections, config = _load_sections(args.config, ("modem",))
     cfg = _resolve_modem(sections, args.rate)
     wave = read_wav(src, expected_rate=cfg.sample_rate)
     scan = burst.recover_frames(wave, cfg)
@@ -190,7 +192,7 @@ def cmd_capacity(args):
 def cmd_ber_sweep(args):
     rates = [float(r) for r in args.rates.split(",")]
     names = args.preset.split(",") if args.preset else ["paper-3m"]
-    sections, config = _load_sections(args.config)
+    sections, config = _load_sections(args.config, ("modem",))
     base = configdoc.modem_from_sections(sections)
     models = [(n, preset(n, sample_rate=base.sample_rate)) for n in names]
     seeds = list(range(args.seed, args.seed + args.seeds))

@@ -1,8 +1,8 @@
 """Human-readable key=value configuration documents.
 
 One INI document can carry any of the [modem], [link], [channel],
-[noise], and [session] sections; unknown keys are rejected so typos
-fail loudly.  A field's value converts to and from text by its declared
+[noise], and [session] sections; unknown sections and keys are rejected
+so typos fail loudly.  A field's value converts to and from text by its declared
 type: int, float, str, an enum (by value), or any of these `| None`
 (written `none`).  The nested [modem] and [noise] sections and the
 channel's response curve are converted explicitly.
@@ -105,9 +105,17 @@ def dump(sections: dict[str, dict]) -> str:
     return out.getvalue()
 
 
-def parse(text: str) -> dict[str, dict]:
+SECTIONS = ("modem", "link", "channel", "noise", "session")
+
+
+def parse(text: str, sections: tuple[str, ...] = SECTIONS) -> dict[str, dict]:
+    """The document's sections by name; one outside `sections` is rejected."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
+    for name in parser.sections():
+        if name not in sections:
+            raise ValueError(f"unexpected section [{name}]; this document takes "
+                             + ", ".join(f"[{s}]" for s in sections))
     return {name: dict(parser[name]) for name in parser.sections()}
 
 

@@ -177,11 +177,15 @@ def slot_basis(cfg: ModemConfig) -> np.ndarray:
 
 def slot_energies(slots: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tone energies at f0 and f1 of each row of `slots`, one bit slot per
-    row, on a `slot_basis`: the squared magnitude of the row's projection
-    over its length."""
-    proj = slots @ basis
-    proj *= proj
-    scale = float(len(basis)) ** 2
+    row, on a `slot_basis`."""
+    return projection_energies(slots @ basis, len(basis))
+
+
+def projection_energies(proj: np.ndarray, spb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tone energies of spb-sample slots from their projections on a
+    `slot_basis`: (p0^2 + p1^2) / spb^2 at f0, (p2^2 + p3^2) / spb^2 at f1."""
+    proj = proj * proj
+    scale = float(spb) ** 2
     return (proj[:, 0] + proj[:, 1]) / scale, (proj[:, 2] + proj[:, 3]) / scale
 
 
@@ -194,9 +198,9 @@ def _decide(e0: np.ndarray, e1: np.ndarray) -> tuple[BitArray, np.ndarray]:
     return bits, conf
 
 
-def decide_slots(slots: np.ndarray, basis: np.ndarray) -> tuple[BitArray, np.ndarray]:
-    """`_decide` of each row of `slots` (one bit slot each) on a `slot_basis`."""
-    return _decide(*slot_energies(slots, basis))
+def decide_projections(proj: np.ndarray, spb: int) -> tuple[BitArray, np.ndarray]:
+    """`_decide` of spb-sample slots from their projections on a `slot_basis`."""
+    return _decide(*projection_energies(proj, spb))
 
 
 def demodulate(buf: SampleBuffer, cfg: ModemConfig) -> DemodResult:
@@ -214,7 +218,7 @@ def demodulate(buf: SampleBuffer, cfg: ModemConfig) -> DemodResult:
     if n_slots == 0:
         return DemodResult(np.zeros(0, dtype=np.uint8), np.zeros(0), 0)
     view = buf.samples[:n_slots * spb].reshape(n_slots, spb)
-    bits, conf = decide_slots(view, slot_basis(cfg))
+    bits, conf = decide_projections(view @ slot_basis(cfg), spb)
     return DemodResult(bits, conf, n_slots * spb)
 
 

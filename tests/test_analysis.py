@@ -225,7 +225,7 @@ class TestBerSweep:
     def reference_ber(rate, model, payload_bits, seed):
         """One seed's BER the way the sweep defines it: its bits modulated,
         propagated and demodulated."""
-        cfg = ModemConfig(bit_rate=rate)
+        cfg = ModemConfig(bit_rate=rate, sample_rate=model.sample_rate)
         rng = np.random.default_rng(np.random.SeedSequence((seed, int(rate * 1000))))
         bits = rng.integers(0, 2, payload_bits, dtype=np.uint8)
         out = demodulate(propagate(modulate(bits, cfg), model, seed=seed), cfg)
@@ -249,6 +249,18 @@ class TestBerSweep:
             bers.append(cell.mean_ber)
             assert cell.mean_ber == self.reference_ber(rate, model, payload_bits, seed), seed
         assert any(bers)
+
+    @pytest.mark.parametrize("rate, payload_bits", [(10.0, 100), (166.0, 1000), (500.0, 1000)])
+    @pytest.mark.parametrize("name", ["paper-3m-44k1", "paper-3m-45deg"])
+    def test_cells_equal_the_propagated_reference_in_other_regimes(self, rate, payload_bits, name):
+        # a 44.1 kHz modem and room, and a room 45 degrees off axis
+        model = preset("paper-3m", **({"sample_rate": 44_100} if name.endswith("44k1")
+                                      else {"angle_off_axis": 45.0}))
+        base = ModemConfig(sample_rate=model.sample_rate)
+        for seed in range(20):
+            (cell,) = ber_sweep([rate], [(name, model)], payload_bits=payload_bits, seeds=[seed],
+                                base_modem=base)
+            assert cell.mean_ber == self.reference_ber(rate, model, payload_bits, seed), seed
 
     # white floor low enough that 10 bit/s cells have errors too
     NOISY_MUSIC_ROOM = ChannelModel(distance=3.0, base_snr_at_1m=8.0,
@@ -316,7 +328,8 @@ class TestBerOracle:
         (500.0, ChannelModel(response_curve=FLAT, base_snr_at_1m=12.0), 25_000, 0.05, 0.2),
         # unequal carrier amplitudes: the speaker's roll-off and 3 m of air
         (166.0, preset("paper-3m"), 25_000, 0.005, 0.02),
-    ], ids=["flat-10", "flat-166", "flat-500", "paper-3m-166"])
+        (10.0, preset("paper-8m"), 5_000, 0.005, 0.02),
+    ], ids=["flat-10", "flat-166", "flat-500", "paper-3m-166", "paper-8m-10"])
     def test_cell_matches_the_closed_form(self, rate, model, bits_per_seed, low, high):
         expected = self.formula(rate, model)
         assert low < expected < high

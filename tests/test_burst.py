@@ -8,7 +8,7 @@ from ultralink.audio import SampleBuffer
 from ultralink.channel import ChannelModel, _kernel, apply_signal_path, preset
 from ultralink.framing import FRAME_BITS, ControlMessage, MessageKind
 from ultralink.link import LinkConfig, run_session
-from ultralink.modem import ModemConfig, ToneScanner, modulate
+from ultralink.modem import ModemConfig, ToneScanner, modulate, slot_basis
 
 CFG = ModemConfig(bit_rate=166)
 LINK_CFG = LinkConfig(modem=CFG)
@@ -217,3 +217,24 @@ def test_received_blocks_concatenate_to_received_slots(rate, name):
         got = np.concatenate(blocks)
         assert got.shape == expected.shape
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("rate", [10.0, 166.0, 500.0])
+@pytest.mark.parametrize("fs", [48_000, 44_100])
+@pytest.mark.parametrize("name", ["paper-3m", "45deg"])
+def test_received_projections_are_those_of_the_received_blocks(rate, fs, name):
+    # the projections on the slot basis, made without samples, of the runs
+    # of `received_blocks`, run by run, to rounding
+    cfg = ModemConfig(bit_rate=rate, sample_rate=fs)
+    model = preset("paper-3m", sample_rate=fs, angle_off_axis=45.0 if name == "45deg" else 0.0)
+    spb = cfg.samples_per_bit
+    step = burst.BLOCK_SAMPLES // spb
+    rng = np.random.default_rng(int(rate))
+    for shape in [(1, 1), (1, step), (1, 2 * step + 1), (1, 1001), (5, FRAME_BITS)]:
+        bits = rng.integers(0, 2, shape, dtype=np.uint8)
+        blocks = list(burst.received_blocks(bits, cfg, model))
+        runs = list(burst.received_projections(bits, cfg, model))
+        assert [len(run) for run in runs] == [b.size // spb for b in blocks]
+        expected = np.concatenate(blocks).reshape(-1, spb) @ slot_basis(cfg)
+        np.testing.assert_allclose(np.concatenate(runs), expected,
+                                   rtol=0, atol=1e-12 * np.abs(expected).max())

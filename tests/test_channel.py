@@ -23,7 +23,7 @@ from ultralink.channel import (
     synthesize_noise,
     white_noise_sigma,
 )
-from ultralink.modem import ConfigError, ModemConfig, demodulate, modulate
+from ultralink.modem import ConfigError, ModemConfig, demodulate, modulate, slot_basis
 
 FS = 48000
 
@@ -243,6 +243,23 @@ class TestNoisyBlocks:
         y = np.ones(1000)
         list(channel.noisy_blocks(np.split(y, [300]), self.ROOMS["music+white"], y.size, seed=1))
         assert np.all(y == 1.0)
+
+    @pytest.mark.parametrize("room", sorted(ROOMS))
+    def test_projections_get_the_projected_noise_of_the_blocks(self, room):
+        # the same draws in the same order, projected instead of added to
+        # samples: equal to rounding, in runs of any whole-slot lengths
+        model, basis = self.ROOMS[room], slot_basis(ModemConfig())
+        spb = len(basis)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            y = rng.standard_normal(int(rng.integers(1, 80)) * spb)
+            cuts = spb * np.sort(rng.integers(0, y.size // spb, int(rng.integers(0, 6))))
+            blocks = channel.noisy_blocks(np.split(y, cuts), model, y.size, seed=seed)
+            expected = np.concatenate(list(blocks)).reshape(-1, spb) @ basis
+            runs = [block.reshape(-1, spb) @ basis for block in np.split(y, cuts)]
+            got = channel.noisy_projections(runs, basis, model, y.size, seed=seed)
+            np.testing.assert_allclose(np.concatenate(list(got)), expected,
+                                       rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 class TestNoise:

@@ -38,6 +38,14 @@ SESSION_TIMES = {
 CAPACITY_RESOLUTIONS = {f"capacity-{value}": value
                         for value in ("0", "1e-300", "-5", "nan", "inf")}
 
+# config documents with a section that the command does not read, by case:
+# each ran as if the section were not there
+UNREAD_SECTIONS = {
+    "modulate-typo-section": ("[modme]\nbit_rate = 10\n", "modme"),
+    "ber-sweep-noise-section": ("[noise]\nkind = music_like\n[channel]\ndistance = 8\n",
+                                "noise"),
+}
+
 # detector thresholds that are not finite: nan and inf reported no event
 # and -inf one, each with exit 0
 DETECT_THRESHOLDS = {f"detect-{value}": value for value in ("nan", "inf", "-inf")}
@@ -292,7 +300,7 @@ class TestExpectedErrors:
     @pytest.mark.parametrize("case", ["modulate-config", "demodulate-config", "ber-sweep-config",
                                       "ber-sweep-rates", "ber-sweep-no-bits",
                                       "ber-sweep-negative-bits", "session-budget",
-                                      "capacity-silent-noise",
+                                      "capacity-silent-noise", *UNREAD_SECTIONS,
                                       *CAPACITY_RESOLUTIONS, *DELETED_KEYS, *SESSION_TIMES,
                                       *DETECT_THRESHOLDS])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
@@ -305,8 +313,13 @@ class TestExpectedErrors:
         session = tmp_path / "session.cfg"
         session.write_text(f"[session]\npayload = {payload_file.name}\n"
                            + {**DELETED_KEYS, **SESSION_TIMES}.get(case, "budget_s = abc\n"))
+        unread = tmp_path / "unread.cfg"
+        unread.write_text(UNREAD_SECTIONS[case][0] if case in UNREAD_SECTIONS else "")
         argv = {
             "modulate-config": ["modulate", str(payload_file), "--config", missing],
+            "modulate-typo-section": ["modulate", str(payload_file), "--config", str(unread)],
+            "ber-sweep-noise-section": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
+                                        "--bits", "100", "--seeds", "1", "--config", str(unread)],
             "demodulate-config": ["demodulate", str(wav), "--config", missing],
             "ber-sweep-config": ["ber-sweep", "--rates", "166", "--preset", "noiseless",
                                  "--bits", "100", "--seeds", "1", "--config", missing],
@@ -336,6 +349,8 @@ class TestExpectedErrors:
             assert "threshold" in error
         if case == "capacity-silent-noise":
             assert "noise recording" in error
+        if case in UNREAD_SECTIONS:
+            assert f"[{UNREAD_SECTIONS[case][1]}]" in error
         assert not (out / "manifest.json").exists()
 
 

@@ -46,6 +46,18 @@ class TestRoundtrips:
         with pytest.raises(ValueError):
             configdoc.modem_from_sections(configdoc.parse(text))
 
+    def test_unknown_section_rejected(self):
+        # a misspelled section was dropped without a word, so its keys
+        # silently kept their defaults
+        with pytest.raises(ValueError, match=r"\[modme\]"):
+            configdoc.parse("[modem]\nbit_rate = 50\n[modme]\nbit_rate = 10\n")
+
+    def test_section_outside_those_a_reader_takes_rejected(self):
+        text = "[modem]\nbit_rate = 50\n[channel]\ndistance = 8\n"
+        assert configdoc.parse(text, ("modem", "channel")) == configdoc.parse(text)
+        with pytest.raises(ValueError, match=r"\[channel\]"):
+            configdoc.parse(text, ("modem",))
+
 
 class TestCoercion:
     def test_none_only_for_optional_fields(self):
