@@ -15,13 +15,16 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, burst, configdoc, framing
-from .audio import AudioError, read_wav, write_wav
+from .audio import AudioError, SampleBuffer, read_wav, write_wav
 from .channel import preset
-from .link import run_session, unidirectional_schedule
+from .link import heard_burst, run_session, unidirectional_schedule
 from .modem import BAND, ConfigError
 
 try:
@@ -84,14 +87,6 @@ def _resolve_modem(sections: dict, rate: float | None):
     return cfg
 
 
-def _resolve_channel(sections: dict, preset_name: str | None, sample_rate: int):
-    """The [session] preset, else the [channel] section, else the noiseless
-    room; a preset is built at the modem's `sample_rate`."""
-    if "channel" in sections and not preset_name:
-        return configdoc.channel_from_sections(sections)
-    return preset(preset_name or "noiseless", sample_rate=sample_rate)
-
-
 def _out_dir(args) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -141,20 +136,44 @@ def cmd_demodulate(args):
     return (0 if result.complete else 1), [src, *config], [bin_path]
 
 
+def _heard_timelines(trace, heard: dict, channel) -> dict:
+    """Per node, the session and a second more of audio: each burst it heard,
+    from `heard` by number, at its tx_burst start plus the flight time."""
+    fs = channel.sample_rate
+    timelines = {name: np.zeros(int(math.ceil((trace.summary["duration"] + 1.0) * fs)))
+                 for name in "AB"}
+    for e in trace.of_kind("tx_burst"):
+        if e["burst"] in heard:
+            samples = heard[e["burst"]].samples
+            timeline = timelines["B" if e["node"] == "A" else "A"]
+            a = int(round((e["start"] + channel.propagation_delay) * fs))
+            timeline[a:a + samples.size] = samples[: max(timeline.size - a, 0)]
+    return {name: SampleBuffer(timeline, fs) for name, timeline in timelines.items()}
+
+
 def cmd_simulate_session(args):
     sections, config = _load_sections(args.config)
     session = configdoc.session_from_sections(sections)
     payload_path = (Path(args.config).parent / session.payload).resolve()
     payload = payload_path.read_bytes()
     link_cfg = configdoc.link_from_sections(sections)
-    channel = _resolve_channel(sections, session.preset, link_cfg.modem.sample_rate)
+    channel = configdoc.room_from_sections(sections, session.preset, link_cfg.modem.sample_rate)
     out_dir = _out_dir(args)
     if session.mode is configdoc.SessionMode.UNIDIRECTIONAL:
         trace = unidirectional_schedule(link_cfg, channel, payload, rx_guard=session.rx_guard_s,
-                                        seed=args.seed, keep_audio=True)
+                                        seed=args.seed)
+        audio = {"RX": heard_burst(framing.pack_payload(payload), link_cfg.modem, channel,
+                                   args.seed, 0)}
     else:
+        heard = {}
+
+        def hear(ident, messages):  # the default hearing, recorded
+            heard[ident] = heard_burst(messages, link_cfg.modem, channel, args.seed, ident)
+            return burst.recover_frames(heard[ident], link_cfg.modem)
+
         trace = run_session(link_cfg, link_cfg, channel, payload,
-                            seed=args.seed, budget=session.budget_s, keep_audio=True)
+                            seed=args.seed, budget=session.budget_s, hear=hear)
+        audio = _heard_timelines(trace, heard, channel)
     outputs = []
     trace_path = out_dir / "trace.json"
     trace_path.write_text(trace.to_json(indent=2) + "\n")
@@ -162,9 +181,9 @@ def cmd_simulate_session(args):
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(trace.summary, sort_keys=True, indent=2) + "\n")
     outputs.append(summary_path)
-    for name, audio in sorted(trace.audio.items()):
+    for name, wave in sorted(audio.items()):
         wav_path = out_dir / f"node_{name.lower()}_heard.wav"
-        write_wav(wav_path, audio)
+        write_wav(wav_path, wave)
         outputs.append(wav_path)
     complete = trace.summary["complete"]
     print(f"session {'complete' if complete else 'INCOMPLETE'}: "

@@ -17,7 +17,7 @@ import types
 import typing
 from dataclasses import dataclass, fields
 
-from .channel import ChannelModel, NoiseProfile
+from .channel import ChannelModel, NoiseProfile, preset
 from .link import LinkConfig
 from .modem import ModemConfig
 
@@ -33,7 +33,7 @@ class SessionConfig:
 
     payload: str = ""             # payload file, relative to the config document
     mode: SessionMode = SessionMode.BIDIRECTIONAL
-    preset: str | None = None     # channel preset; else [channel], else noiseless
+    preset: str | None = None     # channel preset, alone; else [channel] and [noise]
     budget_s: float = 600.0       # bidirectional: simulated-time budget
     rx_guard_s: float = 2.0       # unidirectional: receiver starts this much before the burst
 
@@ -138,6 +138,20 @@ def channel_from_sections(sections: dict) -> ChannelModel:
     if "noise" in sections:
         kwargs["noise"] = NoiseProfile(**_section_to_kwargs(sections["noise"], NoiseProfile))
     return ChannelModel(**kwargs)
+
+
+def room_from_sections(sections: dict, preset_name: str | None, sample_rate: int) -> ChannelModel:
+    """A session's room, built at the modem's `sample_rate` unless [channel]
+    sets one: the preset, which sets the whole room; else the default room
+    with what the [channel] and [noise] sections set."""
+    given = [f"[{name}]" for name in ("channel", "noise") if name in sections]
+    if preset_name and given:
+        raise ValueError(f"[session] preset {preset_name!r} sets the whole room; "
+                         f"remove the preset or {' and '.join(given)}")
+    if given:
+        channel = {"sample_rate": str(sample_rate), **sections.get("channel", {})}
+        return channel_from_sections({**sections, "channel": channel})
+    return preset(preset_name or "noiseless", sample_rate=sample_rate)
 
 
 def link_from_sections(sections: dict) -> LinkConfig:

@@ -13,17 +13,18 @@ timeouts.  `step` returns only what needs the air or the clock:
 `run_session` drives two nodes over a simulated channel with a discrete
 event loop.  It retasks a node to SPEAKER and back to MIC around each
 `Transmit`, and logs phase, id and delivery changes from the node's state.
-Audio exists per received burst: the burst's bit slots at the nodes'
-shared bit rate are added up from the channel's filtered slot tones in the
-BER cells' runs of whole slots (`burst.received_burst`; the channel is
-linear), each run gets its share of the noise seeded per burst on its way
-into one buffer, and the receiver scans the result — so corruption and
-retransmission emerge physically.  One clock per node, the time its
-transducer last settled as a MIC, decides both what it hears and when its
-timers fire: it hears a burst only if it stayed in MIC for the burst's
-whole flight, and a timer that comes due while it speaks or retasks waits
-until it settles.  Turn-starting timers are also deferred while a burst is
-audibly in flight (energy-based carrier sensing, modeled as exact).
+A receiver recovers each burst through one hearing function, by default
+audio (`heard_burst`): the burst's bit slots at the nodes' shared bit rate
+are added up from the channel's filtered slot tones in the BER cells' runs
+of whole slots (`burst.received_burst`; the channel is linear), each run
+gets its share of the noise seeded per burst on its way into one buffer,
+and `recover_frames` scans the result — so corruption and retransmission
+emerge physically.  One clock per node, the time its transducer last
+settled as a MIC, decides both what it hears and when its timers fire: it
+hears a burst only if it stayed in MIC for the burst's whole flight, and a
+timer that comes due while it speaks or retasks waits until it settles.
+Turn-starting timers are also deferred while a burst is audibly in flight
+(energy-based carrier sensing, modeled as exact).
 
 Everything is deterministic given the session seed: node RNGs, jitters,
 and per-burst channel noise all derive from it.
@@ -190,7 +191,10 @@ def make_node(
     payload: Optional[bytes] = None,
     node_id: Optional[int] = None,
 ) -> NodeState:
-    """Fresh node: random 8-bit id, optional outgoing payload queued."""
+    """Fresh node: random 8-bit id unless `node_id` gives one, optional
+    outgoing payload queued."""
+    if node_id is not None and not (isinstance(node_id, (int, np.integer)) and 0 <= node_id < 256):
+        raise ValueError(f"node id {node_id!r} is not an int in [0, 255]")
     rng = np.random.default_rng(np.random.SeedSequence((seed, ord(name))))
     state = NodeState(
         cfg=cfg,
@@ -501,7 +505,6 @@ class SessionTrace:
 
     entries: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    audio: dict[str, SampleBuffer] = field(default_factory=dict)  # per-node heard timelines
 
     def log(self, t: float, node: str, event: str, **detail) -> None:
         entry = {"t": float(t), "node": node, "event": event}
@@ -530,8 +533,8 @@ def _log_tx_burst(trace: SessionTrace, node: str, ident: int, t0: float,
     return t1
 
 
-def _heard_burst(messages, cfg: ModemConfig, channel: ChannelModel, seed: int,
-                 ident: int) -> SampleBuffer:
+def heard_burst(messages, cfg: ModemConfig, channel: ChannelModel, seed: int,
+                ident: int) -> SampleBuffer:
     """Burst `ident` as its receiver hears it, noise included: up to
     rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`.
     Its runs get their noise one at a time, into the one buffer returned."""
@@ -544,20 +547,15 @@ def _heard_burst(messages, cfg: ModemConfig, channel: ChannelModel, seed: int,
     return SampleBuffer(out, channel.sample_rate)
 
 
-def _hear(trace: SessionTrace, t: float, node: str, ident: int, wave: SampleBuffer,
-          cfg: ModemConfig, on_message=None) -> bursts.BurstScan:
-    """Recover the frames of burst `ident` from what `node` heard of it, and
-    log them at t: an rx_corrupt entry, then an rx_frame entry per message,
-    each directly followed by what `on_message(message)` logs."""
-    scan = bursts.recover_frames(wave, cfg)
+def _log_scan(trace: SessionTrace, t: float, node: str, ident: int, scan: bursts.BurstScan):
+    """Log at t what `node` recovered of burst `ident`: an rx_corrupt entry,
+    then an rx_frame entry per message, yielding each message after its entry."""
     if scan.corrupt_offsets:
         trace.log(t, node, "rx_corrupt", burst=ident, count=len(scan.corrupt_offsets))
     for msg in scan.messages:
         trace.log(t, node, "rx_frame", burst=ident, kind=msg.kind.name,
                   sender=msg.sender_id, seq=msg.seq, body=msg.body)
-        if on_message is not None:
-            on_message(msg)
-    return scan
+        yield msg
 
 
 @dataclass
@@ -582,20 +580,19 @@ class _Engine:
         channel: ChannelModel,
         seed: int,
         budget: float,
-        rx_filter=None,
-        keep_audio: bool = False,
+        hear=None,
         stop_after_discovery: bool = False,
     ):
-        a, b = (node.cfg for node in nodes)
-        if a.modem != b.modem:
+        modem, b_modem = (node.cfg.modem for node in nodes)
+        if modem != b_modem:
             # a receiver decodes only bursts sent in its own air format
             raise ConfigError("nodes must share the modem config")
         self.nodes = nodes
         self.channel = channel
         self.seed = seed
         self.budget = budget
-        self.rx_filter = rx_filter
-        self.keep_audio = keep_audio
+        self.hear = hear or (lambda ident, messages: bursts.recover_frames(
+            heard_burst(messages, modem, channel, seed, ident), modem))
         self.stop_after_discovery = stop_after_discovery
         self.trace = SessionTrace()
         self.heap: list = []
@@ -609,7 +606,6 @@ class _Engine:
         self.bursts: dict[int, _Burst] = {}
         self.burst_count = 0
         self.expected_payloads = payloads   # per node, what it sends
-        self.heard: list[list[tuple[float, np.ndarray]]] = [[], []]
         self.now = 0.0
 
     # ------------------------------------------------------------ heap
@@ -678,22 +674,12 @@ class _Engine:
     def _burst_end(self, ident: int) -> None:
         b = self.bursts.pop(ident)
         rx = 1 - b.tx
-        state = self.nodes[rx]
-        delay = self.channel.propagation_delay
-        heard_from = self.mic_since[rx]
-        if heard_from > b.t0 + delay:
-            self.trace.log(
-                self.now, state.name, "rx_missed_burst",
-                burst=ident, reason="not_listening",
-            )
+        name = self.nodes[rx].name
+        if self.mic_since[rx] > b.t0 + self.channel.propagation_delay:
+            self.trace.log(self.now, name, "rx_missed_burst", burst=ident, reason="not_listening")
             return
-        rx_wave = _heard_burst(b.messages, state.cfg.modem, self.channel, self.seed, ident)
-        if self.rx_filter is not None:
-            rx_wave = self.rx_filter(rx_wave)
-        if self.keep_audio:
-            self.heard[rx].append((b.t0 + delay, rx_wave.samples))
-        _hear(self.trace, self.now, state.name, ident, rx_wave, state.cfg.modem,
-              lambda msg: self._deliver(rx, FrameReceived(self.now, msg)))
+        for msg in _log_scan(self.trace, self.now, name, ident, self.hear(ident, b.messages)):
+            self._deliver(rx, FrameReceived(self.now, msg))
 
     # ------------------------------------------------------------- run
 
@@ -779,15 +765,6 @@ class _Engine:
             "rerandomizations": {n.name: n.rerandomizations for n in self.nodes},
             "goodput_bps": goodput,
         }
-        if self.keep_audio:
-            fs = self.channel.sample_rate
-            end = self.now + 1.0
-            for idx, node in enumerate(self.nodes):
-                timeline = np.zeros(int(math.ceil(end * fs)))
-                for t0, samples in self.heard[idx]:
-                    a = int(round(t0 * fs))
-                    timeline[a:a + samples.size] = samples[: max(timeline.size - a, 0)]
-                self.trace.audio[node.name] = SampleBuffer(timeline, fs)
 
 
 def run_session(
@@ -799,8 +776,7 @@ def run_session(
     *,
     payload_b: Optional[bytes] = None,
     budget: float = 600.0,
-    rx_filter=None,
-    keep_audio: bool = False,
+    hear=None,
     node_ids: Optional[tuple[int, int]] = None,
     stop_after_discovery: bool = False,
 ) -> SessionTrace:
@@ -810,7 +786,9 @@ def run_session(
     discovery); `payload_b` optionally flows B->A.  The trace records
     every state change, burst, and frame; summary says whether delivery
     completed inside the simulated-time budget and whether it was
-    byte-exact.
+    byte-exact.  `hear(ident, messages)` returns the `BurstScan` the
+    receiver recovers of burst `ident`; by default, the audio path's
+    `recover_frames(heard_burst(...))`.
     """
     if not payload and not stop_after_discovery:
         raise ValueError("empty payload")
@@ -823,8 +801,7 @@ def run_session(
     node_b = make_node(b_cfg, seed, "B", payload=payload_b, node_id=ids[1])
     engine = _Engine(
         [node_a, node_b], [payload or None, payload_b], channel, seed, budget,
-        rx_filter=rx_filter, keep_audio=keep_audio,
-        stop_after_discovery=stop_after_discovery,
+        hear=hear, stop_after_discovery=stop_after_discovery,
     )
     return engine.run()
 
@@ -835,7 +812,6 @@ def unidirectional_schedule(
     payload: bytes,
     rx_guard: float = 2.0,
     seed: int = 0,
-    keep_audio: bool = False,
 ) -> SessionTrace:
     """One-way transfer at a prearranged time: no handshake, no feedback.
 
@@ -855,14 +831,13 @@ def unidirectional_schedule(
     modem = cfg.modem
     messages = framing.pack_payload(payload)
     t1 = _log_tx_burst(trace, "TX", 0, 0.0, messages, modem)
-    rx_wave = _heard_burst(messages, modem, channel, seed, 0)
-    if keep_audio:
-        trace.audio["RX"] = rx_wave
+    rx_wave = heard_burst(messages, modem, channel, seed, 0)
     delay = channel.propagation_delay
     # the heard burst's first sample arrives at t = delay
     skip = max(0, int(round((-rx_guard - delay) * modem.sample_rate)))
-    heard = rx_wave.slice(skip, len(rx_wave)) if skip else rx_wave
-    scan = _hear(trace, t1 + delay, "RX", 0, heard, modem)
+    scan = bursts.recover_frames(rx_wave.slice(skip, len(rx_wave)), modem)
+    for _ in _log_scan(trace, t1 + delay, "RX", 0, scan):
+        pass
     result = bursts.reassemble_burst(scan, modem, start=-skip).result()
     if result.complete:
         trace.log(t1 + delay, "RX", "deliver", bytes=len(result.data))

@@ -35,7 +35,8 @@ from ultralink.channel import (
     white_noise_sigma,
 )
 from ultralink.cli import main as cli_main
-from ultralink.link import LinkConfig, run_session, verify_trace
+from ultralink.burst import recover_frames
+from ultralink.link import LinkConfig, heard_burst, run_session, verify_trace
 from ultralink.modem import ModemConfig, demodulate, modulate, tone_energy
 
 FS = 48000
@@ -208,10 +209,13 @@ def test_criterion_7_countermeasures():
         assert abs(drop1k) <= 1.0, f"passband ripple {drop1k:.2f} dB"
         # the filter at the channel output kills discovery in 20/20 seeds
         payload = bytes(range(16))
-        guard = lambda buf: lowpass_filter(buf, 18_000)
+        room = preset("paper-3m")
         for seed in range(20):
-            trace = run_session(LINK, LINK, preset("paper-3m"), payload, seed=seed,
-                                budget=40.0, rx_filter=guard)
+            def guarded(ident, messages, seed=seed):
+                heard = heard_burst(messages, LINK.modem, room, seed, ident)
+                return recover_frames(lowpass_filter(heard, 18_000), LINK.modem)
+
+            trace = run_session(LINK, LINK, room, payload, seed=seed, budget=40.0, hear=guarded)
             assert not trace.summary["complete"], seed
             phases = {e["phase"] for e in trace.of_kind("phase")}
             assert "DISCOVERED" not in phases, seed

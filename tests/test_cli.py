@@ -46,6 +46,13 @@ UNREAD_SECTIONS = {
                                 "noise"),
 }
 
+# a [session] preset with a section that would set the room too, by the
+# section named: the preset won without a word, so `distance = 8` ran at 3 m
+PRESET_ROOMS = {
+    "preset-channel": "preset = paper-3m\n[channel]\ndistance = 8\n",
+    "preset-noise": "preset = paper-3m\n[noise]\nkind = music_like\n",
+}
+
 # detector thresholds that are not finite: nan and inf reported no event
 # and -inf one, each with exit 0
 DETECT_THRESHOLDS = {f"detect-{value}": value for value in ("nan", "inf", "-inf")}
@@ -147,6 +154,30 @@ class TestSimulateSession:
         assert summary["delivered_bytes"]["B"] == 64
         assert (out / "node_a_heard.wav").exists()
         assert (out / "node_b_heard.wav").exists()
+
+    def test_heard_audio_starts_one_flight_time_after_each_burst(self, tmp_path):
+        # a noiseless 6.8 m room: 20 ms of flight, 960 samples, and silence
+        # between the bursts a node hears
+        (tmp_path / "flight.bin").write_bytes(b"flight time")
+        cfg = tmp_path / "room.cfg"
+        cfg.write_text("[session]\npayload = flight.bin\n[channel]\ndistance = 6.8\n"
+                       "[modem]\nbit_rate = 166\n")
+        out = tmp_path / "room"
+        assert main(["simulate-session", "--config", str(cfg), "--seed", "2",
+                     "--out", str(out)]) == 0
+        entries = json.loads((out / "trace.json").read_text())["entries"]
+        model = configdoc.channel_from_sections(configdoc.parse(cfg.read_text()))
+        fs = model.sample_rate
+        starts = {e["burst"]: e["start"] for e in entries if e["event"] == "tx_burst"}
+        for node in "AB":
+            heard = sorted({e["burst"] for e in entries
+                            if e["event"] == "rx_frame" and e["node"] == node})
+            assert heard, node
+            loud = np.flatnonzero(read_wav(out / f"node_{node.lower()}_heard.wav").samples)
+            for ident in heard:
+                expected = (starts[ident] + model.propagation_delay) * fs
+                first = loud[np.searchsorted(loud, expected - 0.01 * fs)]
+                assert abs(first - expected) <= 1, (node, ident, first, expected)
 
     def test_unidirectional_trace_has_no_acks(self, tmp_path, payload_file):
         cfg = self._write_config(tmp_path, payload_file, mode="unidirectional")
@@ -270,8 +301,10 @@ class TestOtherSampleRates:
     # a 44.1 kHz modem: presets are built at the modem's rate
     MODEM = "[modem]\nsample_rate = 44100\nbit_rate = 166.0\n"
 
-    @pytest.mark.parametrize("preset_line", ["preset = paper-3m\n", ""],
-                             ids=["paper-3m", "default-room"])
+    # a [channel] section without a sample_rate was a 48 kHz room, which the
+    # modem rejected
+    @pytest.mark.parametrize("preset_line", ["preset = paper-3m\n", "", "[channel]\ndistance = 2\n"],
+                             ids=["paper-3m", "default-room", "channel-section"])
     def test_session_on_a_preset(self, tmp_path, payload_file, preset_line):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(f"[session]\npayload = {payload_file.name}\n{preset_line}" + self.MODEM)
@@ -302,7 +335,7 @@ class TestExpectedErrors:
                                       "ber-sweep-negative-bits", "session-budget",
                                       "capacity-silent-noise", *UNREAD_SECTIONS,
                                       *CAPACITY_RESOLUTIONS, *DELETED_KEYS, *SESSION_TIMES,
-                                      *DETECT_THRESHOLDS])
+                                      *DETECT_THRESHOLDS, *PRESET_ROOMS])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
         missing = str(tmp_path / "missing.cfg")
         wav = tmp_path / "quiet.wav"
@@ -312,7 +345,7 @@ class TestExpectedErrors:
         write_wav(sweep, make_sweep(0.5))
         session = tmp_path / "session.cfg"
         session.write_text(f"[session]\npayload = {payload_file.name}\n"
-                           + {**DELETED_KEYS, **SESSION_TIMES}.get(case, "budget_s = abc\n"))
+                           + {**DELETED_KEYS, **SESSION_TIMES, **PRESET_ROOMS}.get(case, "budget_s = abc\n"))
         unread = tmp_path / "unread.cfg"
         unread.write_text(UNREAD_SECTIONS[case][0] if case in UNREAD_SECTIONS else "")
         argv = {
@@ -351,6 +384,8 @@ class TestExpectedErrors:
             assert "noise recording" in error
         if case in UNREAD_SECTIONS:
             assert f"[{UNREAD_SECTIONS[case][1]}]" in error
+        if case in PRESET_ROOMS:
+            assert "preset 'paper-3m'" in error and f"[{case.split('-')[1]}]" in error
         assert not (out / "manifest.json").exists()
 
 

@@ -1,5 +1,6 @@
 """Config document round-trips and type-driven value coercion."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,37 @@ class TestSession:
     def test_payload_required(self):
         with pytest.raises(ValueError, match="payload"):
             configdoc.session_from_sections(configdoc.parse("[session]\nmode = bidirectional\n"))
+
+
+class TestRoom:
+    """`configdoc.room_from_sections`: the one place a session's room is resolved."""
+
+    def test_a_preset_is_built_at_the_modem_rate(self):
+        sections = configdoc.parse("[session]\npayload = p.bin\n")
+        assert configdoc.room_from_sections(sections, "paper-3m", 44_100) == \
+            replace(PRESETS["paper-3m"], sample_rate=44_100)
+        assert configdoc.room_from_sections(sections, None, 44_100) == \
+            replace(PRESETS["noiseless"], sample_rate=44_100)
+
+    def test_channel_section_sets_the_room(self):
+        sections = configdoc.parse("[channel]\ndistance = 8\n[noise]\nkind = white\n")
+        assert configdoc.room_from_sections(sections, None, 48_000) == ChannelModel(
+            distance=8.0, noise=NoiseProfile(NoiseKind.WHITE))
+
+    def test_noise_section_alone_sets_the_noise_of_the_default_room(self):
+        # it resolved to the noiseless preset's SILENT profile
+        sections = configdoc.parse("[noise]\nkind = music_like\nlevel_db = -6\n")
+        assert configdoc.room_from_sections(sections, None, 44_100) == ChannelModel(
+            noise=NoiseProfile(NoiseKind.MUSIC_LIKE, -6.0), sample_rate=44_100)
+
+    def test_channel_sample_rate_is_kept(self):
+        sections = configdoc.parse("[channel]\nsample_rate = 48000\n")
+        assert configdoc.room_from_sections(sections, None, 44_100).sample_rate == 48_000
+
+    @pytest.mark.parametrize("section", ["[channel]\ndistance = 8\n", "[noise]\nkind = white\n"],
+                             ids=["channel", "noise"])
+    def test_a_preset_with_a_room_section_is_rejected(self, section):
+        # the preset won, so a paper-3m session with distance = 8 ran at 3 m
+        name = section.split("\n")[0]
+        with pytest.raises(ValueError, match=rf"preset 'paper-3m'.*\{name[:-1]}\]"):
+            configdoc.room_from_sections(configdoc.parse(section), "paper-3m", 48_000)
