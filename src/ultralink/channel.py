@@ -287,9 +287,9 @@ def synthesize_noise(
     defaults to the 19 kHz anchor tone power so levels mean the same
     thing here as in ChannelModel.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    n = int(round(duration * sample_rate))
+    n = int(round(duration * sample_rate)) if duration > 0 else 0
+    if n == 0:
+        raise ValueError(f"duration must hold a sample at {sample_rate} Hz, got {duration}")
     if profile.kind == NoiseKind.SILENT:
         return SampleBuffer(np.zeros(n), sample_rate)
     if reference_power is None:

@@ -228,19 +228,19 @@ def _response_wait(st: NodeState) -> float:
 
 
 def _broadcast_delay(st: NodeState) -> float:
-    return float(st.rng.uniform(0.0, DISCOVERY_WINDOW))
+    return float(_rng(st).uniform(0.0, DISCOVERY_WINDOW))
 
 
 def _reactive_delay(st: NodeState) -> float:
-    return 0.05 + float(st.rng.uniform(0.0, 0.1))
+    return 0.05 + float(_rng(st).uniform(0.0, 0.1))
 
 
 def _spontaneous_delay(st: NodeState) -> float:
     # disjoint windows by node id so two data holders cannot race into a
     # turn inside each other's retask blind spot
     if st.peer_id is not None and st.node_id < st.peer_id:
-        return float(st.rng.uniform(0.3, 0.8))
-    return float(st.rng.uniform(1.3, 1.8))
+        return float(_rng(st).uniform(0.3, 0.8))
+    return float(_rng(st).uniform(1.3, 1.8))
 
 
 def _turn_frames(cfg: LinkConfig) -> int:
@@ -256,20 +256,13 @@ def _turn_frames(cfg: LinkConfig) -> int:
 
 # ---------------------------------------------------------------- step
 
-def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
-    """An independent generator at the same point of the same stream."""
-    bit_generator = type(rng.bit_generator)(0)
-    bit_generator.state = rng.bit_generator.state
-    return np.random.Generator(bit_generator)
-
-
-def _copy_state(state: NodeState) -> NodeState:
-    """A copy sharing nothing mutable with `state`: handlers rebind every
-    field they change except `rx`, which they fill in place, and the RNG."""
-    st = copy.copy(state)
-    st.rx = state.rx.copy()
-    st.rng = _copy_rng(state.rng)
-    return st
+def _rng(st: NodeState) -> np.random.Generator:
+    """`st`'s generator to draw from, first rebound to an independent one at
+    the same point of the same stream: the state `step` was given shares it."""
+    bit_generator = type(st.rng.bit_generator)(0)
+    bit_generator.state = st.rng.bit_generator.state
+    st.rng = np.random.Generator(bit_generator)
+    return st.rng
 
 
 def step(state: NodeState, event: LinkEvent) -> tuple[NodeState, list[LinkAction]]:
@@ -283,7 +276,7 @@ def step(state: NodeState, event: LinkEvent) -> tuple[NodeState, list[LinkAction
         raise ProtocolError(
             f"event at t={event.time} precedes last event t={state.last_event_time}"
         )
-    st = _copy_state(state)
+    st = copy.copy(state)  # handlers copy `rx` and the RNG before changing them
     st.last_event_time = event.time
     actions: list[LinkAction] = []
     if isinstance(event, ScheduleTick):
@@ -345,9 +338,9 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
     if kind == MessageKind.DISCOVERY:
         if msg.sender_id == st.node_id and st.phase == Phase.DISCOVERING:
             # ID collision: first detector re-randomizes and rebroadcasts
-            old = st.node_id
+            old, rng = st.node_id, _rng(st)
             while st.node_id == old:
-                st.node_id = int(st.rng.integers(0, 256))
+                st.node_id = int(rng.integers(0, 256))
             st.rerandomizations += 1
             actions.append(SetTimer(TimerKind.DISCOVERY_BROADCAST, _broadcast_delay(st)))
             return
@@ -410,6 +403,7 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
 def _on_data(st: NodeState, msg: ControlMessage) -> None:
     # any data arrival, duplicate or not, means the peer lacks our ack
     st.got_data_since_feedback = True
+    st.rx = st.rx.copy()
     st.rx.accept(st.rx.resolve(msg.seq), msg.body)
     if st.delivered is None and st.rx.complete:
         st.delivered = st.rx.result().data
@@ -538,6 +532,8 @@ def heard_burst(messages, cfg: ModemConfig, channel: ChannelModel, seed: int,
     """Burst `ident` as its receiver hears it, noise included: up to
     rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`.
     Its runs get their noise one at a time, into the one buffer returned."""
+    if not messages:
+        return SampleBuffer(np.zeros(0), channel.sample_rate)
     out = np.empty(bursts.burst_length(len(messages), cfg))
     at = 0
     for y in noisy_blocks(bursts.received_burst(messages, cfg, channel), channel, out.size,
@@ -556,6 +552,24 @@ def _log_scan(trace: SessionTrace, t: float, node: str, ident: int, scan: bursts
         trace.log(t, node, "rx_frame", burst=ident, kind=msg.kind.name,
                   sender=msg.sender_id, seq=msg.seq, body=msg.body)
         yield msg
+
+
+def replay_hearing(trace: SessionTrace):
+    """A hearing function that gives each burst what `trace`'s receiver
+    recovered of it: its rx_frame messages in order and its rx_corrupt count.
+    With the trace's configs, payloads, seed and room, `run_session` then
+    replays the session with no audio."""
+    scans: dict[int, bursts.BurstScan] = {}
+    for e in trace.entries:
+        if e["event"] not in ("rx_frame", "rx_corrupt"):
+            continue
+        scan = scans.setdefault(e["burst"], bursts.BurstScan([], []))
+        if e["event"] == "rx_corrupt":
+            scan.corrupt_offsets += [0] * e["count"]
+        else:
+            msg = ControlMessage(MessageKind[e["kind"]], e["sender"], e["seq"], e["body"])
+            scan.frames.append(bursts.RecoveredFrame(0, len(scan.frames), msg))
+    return lambda ident, messages: scans.get(ident, bursts.BurstScan([], []))
 
 
 @dataclass
@@ -866,6 +880,8 @@ def verify_trace(trace: SessionTrace, t_max: float = LinkConfig.t_max) -> dict:
     nodes, turns exceeding T_max of air time, and frames received while
     the receiving node's own transducer was transmitting or switching.
     """
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     # token exclusivity: intervals between a node's HOLDING_TOKEN entry
     # and its next phase change must not overlap across nodes
     holds: dict[str, list[list[float]]] = {}

@@ -322,6 +322,10 @@ class TestNoise:
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             synthesize_noise(NoiseProfile(NoiseKind.WHITE), 0.0, FS)
+        # a duration that rounds to no sample, whatever the profile
+        for kind in (NoiseKind.MUSIC_LIKE, NoiseKind.SILENT):
+            with pytest.raises(ValueError, match="duration"):
+                synthesize_noise(NoiseProfile(kind), 1e-5, FS)
 
 
 class TestPresets:

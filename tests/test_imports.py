@@ -1,4 +1,5 @@
-"""Import path: the package and its CLI load without scipy.
+"""Import path: the package and its CLI load without scipy, and so do a
+session and a BER cell.
 
 scipy.signal is needed only by the capacity analysis and the low-pass
 countermeasure, which import it on first use; a session, a BER sweep or
@@ -18,6 +19,12 @@ PROBE = (
     "import sys\n"
     "import ultralink\n"
     "import ultralink.cli\n"
+    "from ultralink import analysis, channel, link, modem\n"
+    "room = channel.preset('paper-3m')\n"
+    "cfg = link.LinkConfig(modem=modem.ModemConfig(bit_rate=166))\n"
+    "trace = link.run_session(cfg, cfg, room, b'hi there', seed=1)\n"
+    "assert trace.summary['complete'], trace.summary\n"
+    "analysis.ber_sweep([166.0], [('paper-3m', room)], payload_bits=1000, seeds=[0])\n"
     "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
 )
 

@@ -30,6 +30,7 @@ from ultralink.link import (
     TimerKind,
     Transmit,
     make_node,
+    replay_hearing,
     run_session,
     step,
     unidirectional_schedule,
@@ -149,7 +150,9 @@ class TestStep:
         node = make_node(CFG, seed=3, name="A", node_id=42)
         node, _ = step(node, ScheduleTick(0.0))
         echo = ControlMessage(MessageKind.DISCOVERY, sender_id=42)
+        before = node.rng.bit_generator.state
         state, actions = step(node, FrameReceived(2.0, echo))
+        assert node.rng.bit_generator.state == before   # the re-draws used a copy
         assert state.rerandomizations == 1
         assert state.node_id != 42
         timers = [a for a in actions if isinstance(a, SetTimer)]
@@ -265,11 +268,18 @@ class TestStep:
                     assert state.rng.bit_generator.state == snapshot.rng.bit_generator.state
                 else:
                     assert getattr(state, f.name) == getattr(snapshot, f.name), f.name
-            assert new.rx is not state.rx and new.rx.chunks is not state.rx.chunks
-            assert new.rng is not state.rng
+            # copy-on-write: `rx` is a new object, chunks and all, at each DATA
+            # frame and the same one otherwise; the generator is a new one
+            # exactly when it was drawn from
+            if isinstance(event, FrameReceived) and event.message.kind == MessageKind.DATA:
+                assert new.rx is not state.rx and new.rx.chunks is not state.rx.chunks
+            else:
+                assert new.rx is state.rx
+            drew = new.rng.bit_generator.state != state.rng.bit_generator.state
+            assert (new.rng is not state.rng) == drew
             seen["events"] += 1
             seen["rx_chunks"] += bool(state.rx.chunks)
-            seen["rng_draws"] += new.rng.bit_generator.state != state.rng.bit_generator.state
+            seen["rng_draws"] += drew
             return new, actions
 
         monkeypatch.setattr(link, "step", checked)
@@ -553,7 +563,7 @@ class TestReceivedBurst:
         bursts_sent = [
             self.MESSAGES[:4], self.MESSAGES[4:5], self.MESSAGES[5:],
             [self.MESSAGES[0], self.MESSAGES[1], self.MESSAGES[1], self.MESSAGES[3]],
-            self.MESSAGES[::-1],
+            self.MESSAGES[::-1], [],
         ]
         for ident, messages in enumerate(bursts_sent):
             got = link.heard_burst(messages, CFG.modem, model, 5, ident)
@@ -649,6 +659,43 @@ class TestHearing:
         assert not any(verify_trace(trace, t_max=CFG.t_max).values())
 
 
+C5_PAYLOAD = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
+REPLAYED = [
+    *[(CFG, C5_PAYLOAD, None, seed) for seed in [*range(20), 1087]],
+    (CFG, payload_bytes(64), payload_bytes(64, seed=8), 2),
+    (dataclasses.replace(CFG, retask_latency=0.02), C5_PAYLOAD, None, 1),
+]
+
+
+class TestReplay:
+    """Audio sessions replayed from their own traces' rx_frame and rx_corrupt
+    entries through `replay_hearing`, with no samples made."""
+
+    @staticmethod
+    def _run(session, hear=None):
+        cfg, payload, payload_b, seed = session
+        return run_session(cfg, cfg, preset("paper-3m"), payload, seed=seed,
+                           payload_b=payload_b, budget=900.0, hear=hear)
+
+    @pytest.mark.parametrize("session", REPLAYED,
+                             ids=[*(f"c5-seed{s}" for s in [*range(20), 1087]), "two-way-64b",
+                                  "retask-20ms"])
+    def test_replay_is_byte_identical(self, session):
+        trace = self._run(session)
+        assert self._run(session, replay_hearing(trace)).to_json() == trace.to_json()
+
+    def test_replay_without_one_heard_frame_diverges(self):
+        session = REPLAYED[0]
+        trace = self._run(session)
+        data = next(i for i, e in enumerate(trace.entries)
+                    if e["event"] == "rx_frame" and e["kind"] == "DATA")
+        edited = link.SessionTrace(trace.entries[:data] + trace.entries[data + 1:], trace.summary)
+        replay = self._run(session, replay_hearing(edited))
+        assert replay.to_json() != trace.to_json()
+        assert replay.entries[:data] == trace.entries[:data]
+        assert replay.entries[data] != trace.entries[data]
+
+
 class TestVerifyTrace:
     """`verify_trace` on hand-written traces, each with one violation among
     entries that come close to one."""
@@ -683,6 +730,10 @@ class TestVerifyTrace:
             self._burst("A", 30.0, 40.5),
         )
         assert verify_trace(trace, t_max=10.0) == {**self.NONE, "t_max_violations": 1}
+        # a bound that no turn can exceed would switch the check off silently
+        for t_max in (math.nan, math.inf, 0.0, -10.0):
+            with pytest.raises(ValueError, match="t_max"):
+                verify_trace(trace, t_max=t_max)
 
     def test_one_frame_heard_inside_the_receivers_own_burst(self):
         trace = self._trace(
