@@ -19,7 +19,7 @@ import numpy as np
 
 from . import framing
 from .audio import SampleBuffer
-from .channel import FILTER_TAPS, ChannelModel, apply_signal_path
+from .channel import FILTER_TAPS, ChannelModel, apply_signal_path, noisy_blocks
 from .modem import ConfigError, ModemConfig, ToneScanner, modulate, slot_basis, slot_phases
 
 # silent slots between the frames of a burst
@@ -139,13 +139,22 @@ def received_projections(bits: np.ndarray, cfg: ModemConfig, channel: ChannelMod
         yield proj[:-1, :4] + proj[1:, 4:]
 
 
-def received_burst(messages: Sequence[framing.ControlMessage], cfg: ModemConfig,
-                   channel: ChannelModel):
-    """The burst of `messages` as its receiver hears it before noise, in
-    `received_blocks` runs: joined, `apply_signal_path(messages_to_waveform(
-    ...).samples, channel)` up to rounding, without modulating or filtering it."""
+def heard_burst(messages: Sequence[framing.ControlMessage], cfg: ModemConfig,
+                channel: ChannelModel, seed: int, ident: int) -> SampleBuffer:
+    """Burst `ident` of `messages` as its receiver hears it, noise included:
+    up to rounding, `propagate(messages_to_waveform(...), seed=(seed,
+    ident))`, without modulating or filtering it.  Its `received_blocks`
+    runs get their noise one at a time, into the one buffer returned."""
+    if not messages:
+        return SampleBuffer(np.zeros(0), channel.sample_rate)
     bits = np.array([framing.encode_frame(framing.encode_message(m)) for m in messages])
-    return received_blocks(bits, cfg, channel)
+    out = np.empty(burst_length(len(messages), cfg))
+    at = 0
+    for y in noisy_blocks(received_blocks(bits, cfg, channel), channel, out.size,
+                          seed=(seed, ident)):
+        out[at:at + y.size] = y
+        at += y.size
+    return SampleBuffer(out, channel.sample_rate)
 
 
 def received_blocks(bits: np.ndarray, cfg: ModemConfig, channel: ChannelModel):
@@ -348,8 +357,8 @@ class _GridReceiver:
 
 
 def reassemble_burst(scan: BurstScan, cfg: ModemConfig,
-                     start: int | None = None) -> framing.Reassembler:
-    """Place the DATA frames of one burst that began at sample `start`.
+                     start: int | None = None) -> framing.ReassemblyResult:
+    """The payload of the DATA frames of one burst that began at sample `start`.
 
     Frame i of a burst sits i grid slots after frame 0, so a frame's grid
     index fixes its absolute index, whatever was lost before it; a frame
@@ -361,7 +370,7 @@ def reassemble_burst(scan: BurstScan, cfg: ModemConfig,
     data = [f for f in scan.frames if f.message.kind == framing.MessageKind.DATA]
     rx = framing.Reassembler()
     if not data:
-        return rx
+        return rx.result()
     if start is None:
         base = data[0].message.seq - data[0].index
     else:
@@ -370,4 +379,4 @@ def reassemble_burst(scan: BurstScan, cfg: ModemConfig,
         index = frame.index + base
         if index % 256 == frame.message.seq:
             rx.accept(index, frame.message.body)
-    return rx
+    return rx.result()

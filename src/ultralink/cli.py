@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, burst, configdoc, framing
 from .audio import AudioError, SampleBuffer, read_wav, write_wav
 from .channel import preset
-from .link import heard_burst, run_session, unidirectional_schedule
+from .link import run_session, unidirectional_schedule
 from .modem import BAND, ConfigError
 
 try:
@@ -128,7 +128,7 @@ def cmd_demodulate(args):
     cfg = _resolve_modem(sections, args.rate)
     wave = read_wav(src, expected_rate=cfg.sample_rate)
     scan = burst.recover_frames(wave, cfg)
-    result = burst.reassemble_burst(scan, cfg).result()
+    result = burst.reassemble_burst(scan, cfg)
     bin_path = _out_dir(args) / f"{src.stem}.bin"
     bin_path.write_bytes(result.data)
     print(f"{len(scan.frames)} frames recovered, {len(scan.corrupt_offsets)} corrupt; "
@@ -156,19 +156,21 @@ def cmd_simulate_session(args):
     session = configdoc.session_from_sections(sections)
     payload_path = (Path(args.config).parent / session.payload).resolve()
     payload = payload_path.read_bytes()
+    if not payload:
+        raise CliError(f"{payload_path}: empty payload")
     link_cfg = configdoc.link_from_sections(sections)
     channel = configdoc.room_from_sections(sections, session.preset, link_cfg.modem.sample_rate)
     out_dir = _out_dir(args)
     if session.mode is configdoc.SessionMode.UNIDIRECTIONAL:
         trace = unidirectional_schedule(link_cfg, channel, payload, rx_guard=session.rx_guard_s,
                                         seed=args.seed)
-        audio = {"RX": heard_burst(framing.pack_payload(payload), link_cfg.modem, channel,
-                                   args.seed, 0)}
+        audio = {"RX": burst.heard_burst(framing.pack_payload(payload), link_cfg.modem,
+                                         channel, args.seed, 0)}
     else:
         heard = {}
 
         def hear(ident, messages):  # the default hearing, recorded
-            heard[ident] = heard_burst(messages, link_cfg.modem, channel, args.seed, ident)
+            heard[ident] = burst.heard_burst(messages, link_cfg.modem, channel, args.seed, ident)
             return burst.recover_frames(heard[ident], link_cfg.modem)
 
         trace = run_session(link_cfg, link_cfg, channel, payload,

@@ -264,6 +264,10 @@ class Reassembler:
         while self.next_needed in self.chunks:
             self.next_needed += 1
 
+    def gaps(self) -> list[int]:
+        """Indices not held below the highest one seen, in order."""
+        return [i for i in range(self.next_needed, self.max_seen) if i not in self.chunks]
+
     @property
     def complete(self) -> bool:
         """Every chunk up to the count the length prefix gives is held."""

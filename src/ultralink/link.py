@@ -14,11 +14,11 @@ timeouts.  `step` returns only what needs the air or the clock:
 event loop.  It retasks a node to SPEAKER and back to MIC around each
 `Transmit`, and logs phase, id and delivery changes from the node's state.
 A receiver recovers each burst through one hearing function, by default
-audio (`heard_burst`): the burst's bit slots at the nodes' shared bit rate
-are added up from the channel's filtered slot tones in the BER cells' runs
-of whole slots (`burst.received_burst`; the channel is linear), each run
-gets its share of the noise seeded per burst on its way into one buffer,
-and `recover_frames` scans the result — so corruption and retransmission
+audio (`burst.heard_burst`): the burst's bit slots at the nodes' shared
+bit rate are added up from the channel's filtered slot tones in the BER
+cells' runs of whole slots (the channel is linear), each run gets its
+share of the noise seeded per burst on its way into one buffer, and
+`recover_frames` scans the result — so corruption and retransmission
 emerge physically.  One clock per node, the time its transducer last
 settled as a MIC, decides both what it hears and when its timers fire: it
 hears a burst only if it stayed in MIC for the burst's whole flight, and a
@@ -44,8 +44,7 @@ import numpy as np
 
 from . import burst as bursts
 from . import framing
-from .audio import SampleBuffer
-from .channel import ChannelModel, noisy_blocks
+from .channel import ChannelModel
 from .channel import propagate  # noqa: F401  (link.propagate: the bench tracer wraps it)
 from .framing import SEQ_WINDOW, ControlMessage, MessageKind, Reassembler, resolve_seq
 from .modem import ConfigError, ModemConfig
@@ -170,7 +169,7 @@ class NodeState:
     broadcast_rounds: int = 0
     rerandomizations: int = 0
     # outgoing transfer
-    tx_queue: dict[int, int] = field(default_factory=dict)   # chunk index -> 16-bit body
+    tx_queue: tuple[ControlMessage, ...] = ()   # DATA messages, by chunk index
     tx_unacked: list[int] = field(default_factory=list)
     tx_highest_sent: int = -1
     awaiting_feedback: bool = False
@@ -203,9 +202,8 @@ def make_node(
         name=name,
     )
     if payload:
-        chunks = framing.pack_payload(payload)
-        state.tx_queue = {i: m.body for i, m in enumerate(chunks)}
-        state.tx_unacked = sorted(state.tx_queue)
+        state.tx_queue = tuple(framing.pack_payload(payload))
+        state.tx_unacked = list(range(len(state.tx_queue)))
     return state
 
 
@@ -371,7 +369,7 @@ def _on_frame(st: NodeState, event: FrameReceived, actions: list[LinkAction]) ->
         # the two views, and the explicit request is the ground truth
         if st.tx_highest_sent >= 0:
             index = resolve_seq(msg.body, st.tx_highest_sent)
-            if index in st.tx_queue and index not in st.tx_unacked:
+            if 0 <= index < len(st.tx_queue) and index not in st.tx_unacked:
                 st.tx_unacked = sorted(st.tx_unacked + [index])
     elif kind == MessageKind.ACQUIRE:
         st.token_free = False
@@ -427,32 +425,30 @@ def _owes_feedback(st: NodeState) -> bool:
 def _build_turn(st: NodeState) -> list[ControlMessage]:
     msgs = [ControlMessage(MessageKind.ACQUIRE, sender_id=st.node_id, seq=st.turn_counter % 256)]
     # feedback first: one batch ack plus retransmit requests for gaps
-    if st.rx.max_seen >= 0:
-        if _owes_feedback(st):
-            if st.rx.next_needed > 0:
-                msgs.append(
-                    ControlMessage(
-                        MessageKind.ACK_OK,
-                        sender_id=st.node_id,
-                        seq=st.turn_counter % 256,
-                        body=(st.rx.next_needed - 1) % 256,
-                    )
+    if _owes_feedback(st):
+        if st.rx.next_needed > 0:
+            msgs.append(
+                ControlMessage(
+                    MessageKind.ACK_OK,
+                    sender_id=st.node_id,
+                    seq=st.turn_counter % 256,
+                    body=(st.rx.next_needed - 1) % 256,
                 )
-            gaps = [i for i in range(st.rx.next_needed, st.rx.max_seen) if i not in st.rx.chunks]
-            for i in gaps[:MAX_RETRANSMIT_PER_TURN]:
-                msgs.append(
-                    ControlMessage(
-                        MessageKind.RETRANSMIT,
-                        sender_id=st.node_id,
-                        seq=st.turn_counter % 256,
-                        body=i % 256,
-                    )
+            )
+        for i in st.rx.gaps()[:MAX_RETRANSMIT_PER_TURN]:
+            msgs.append(
+                ControlMessage(
+                    MessageKind.RETRANSMIT,
+                    sender_id=st.node_id,
+                    seq=st.turn_counter % 256,
+                    body=i % 256,
                 )
+            )
     # then a window of data chunks, as many as fit under T_max
     room = _turn_frames(st.cfg) - len(msgs) - 1
     window = st.tx_unacked[: max(room, 0)]
     for index in window:
-        msgs.append(ControlMessage(MessageKind.DATA, seq=index % 256, body=st.tx_queue[index]))
+        msgs.append(st.tx_queue[index])
         st.tx_highest_sent = max(st.tx_highest_sent, index)
     msgs.append(ControlMessage(MessageKind.RELEASE, sender_id=st.node_id, seq=st.turn_counter % 256))
     st.turn_counter += 1
@@ -462,9 +458,9 @@ def _build_turn(st: NodeState) -> list[ControlMessage]:
 
 
 def _start_turn(st: NodeState, actions: list[LinkAction]) -> None:
-    msgs = _build_turn(st)
-    if len(msgs) <= 2 and not st.tx_unacked:
+    if not (st.tx_unacked or _owes_feedback(st)):
         return  # nothing worth saying; stay idle
+    msgs = _build_turn(st)
     st.phase = Phase.HOLDING_TOKEN
     st.token_free = False
     actions += [
@@ -527,22 +523,6 @@ def _log_tx_burst(trace: SessionTrace, node: str, ident: int, t0: float,
     return t1
 
 
-def heard_burst(messages, cfg: ModemConfig, channel: ChannelModel, seed: int,
-                ident: int) -> SampleBuffer:
-    """Burst `ident` as its receiver hears it, noise included: up to
-    rounding, `propagate(messages_to_waveform(...), seed=(seed, ident))`.
-    Its runs get their noise one at a time, into the one buffer returned."""
-    if not messages:
-        return SampleBuffer(np.zeros(0), channel.sample_rate)
-    out = np.empty(bursts.burst_length(len(messages), cfg))
-    at = 0
-    for y in noisy_blocks(bursts.received_burst(messages, cfg, channel), channel, out.size,
-                          seed=(seed, ident)):
-        out[at:at + y.size] = y
-        at += y.size
-    return SampleBuffer(out, channel.sample_rate)
-
-
 def _log_scan(trace: SessionTrace, t: float, node: str, ident: int, scan: bursts.BurstScan):
     """Log at t what `node` recovered of burst `ident`: an rx_corrupt entry,
     then an rx_frame entry per message, yielding each message after its entry."""
@@ -595,7 +575,6 @@ class _Engine:
         seed: int,
         budget: float,
         hear=None,
-        stop_after_discovery: bool = False,
     ):
         modem, b_modem = (node.cfg.modem for node in nodes)
         if modem != b_modem:
@@ -606,8 +585,7 @@ class _Engine:
         self.seed = seed
         self.budget = budget
         self.hear = hear or (lambda ident, messages: bursts.recover_frames(
-            heard_burst(messages, modem, channel, seed, ident), modem))
-        self.stop_after_discovery = stop_after_discovery
+            bursts.heard_burst(messages, modem, channel, seed, ident), modem))
         self.trace = SessionTrace()
         self.heap: list = []
         self.counter = 0
@@ -714,7 +692,7 @@ class _Engine:
         self._deliver(idx, Timeout(self.now, kind))
 
     def _done(self) -> bool:
-        if self.stop_after_discovery:
+        if not any(self.expected_payloads):
             return all(n.phase != Phase.DISCOVERING for n in self.nodes)
         for idx, expected in enumerate(self.expected_payloads):
             if expected is None:
@@ -792,20 +770,17 @@ def run_session(
     budget: float = 600.0,
     hear=None,
     node_ids: Optional[tuple[int, int]] = None,
-    stop_after_discovery: bool = False,
 ) -> SessionTrace:
     """Simulate a full two-node session: discovery, token turns, delivery.
 
-    `payload` flows A->B (may be empty only when stopping after
-    discovery); `payload_b` optionally flows B->A.  The trace records
-    every state change, burst, and frame; summary says whether delivery
-    completed inside the simulated-time budget and whether it was
-    byte-exact.  `hear(ident, messages)` returns the `BurstScan` the
+    `payload` flows A->B; `payload_b` optionally flows B->A.  A session
+    with no payload either way ends once both nodes are discovered.  The
+    trace records every state change, burst, and frame; summary says
+    whether delivery completed inside the simulated-time budget and
+    whether it was byte-exact.  `hear(ident, messages)` returns the `BurstScan` the
     receiver recovers of burst `ident`; by default, the audio path's
-    `recover_frames(heard_burst(...))`.
+    `recover_frames(burst.heard_burst(...))`.
     """
-    if not payload and not stop_after_discovery:
-        raise ValueError("empty payload")
     if payload_b is not None and not payload_b:
         raise ValueError("empty payload_b: pass None for no B->A transfer")
     if not 0 < budget < math.inf:
@@ -813,11 +788,8 @@ def run_session(
     ids = (None, None) if node_ids is None else node_ids
     node_a = make_node(a_cfg, seed, "A", payload=payload or None, node_id=ids[0])
     node_b = make_node(b_cfg, seed, "B", payload=payload_b, node_id=ids[1])
-    engine = _Engine(
-        [node_a, node_b], [payload or None, payload_b], channel, seed, budget,
-        hear=hear, stop_after_discovery=stop_after_discovery,
-    )
-    return engine.run()
+    return _Engine([node_a, node_b], [payload or None, payload_b], channel, seed, budget,
+                   hear=hear).run()
 
 
 def unidirectional_schedule(
@@ -845,14 +817,14 @@ def unidirectional_schedule(
     modem = cfg.modem
     messages = framing.pack_payload(payload)
     t1 = _log_tx_burst(trace, "TX", 0, 0.0, messages, modem)
-    rx_wave = heard_burst(messages, modem, channel, seed, 0)
+    rx_wave = bursts.heard_burst(messages, modem, channel, seed, 0)
     delay = channel.propagation_delay
     # the heard burst's first sample arrives at t = delay
     skip = max(0, int(round((-rx_guard - delay) * modem.sample_rate)))
     scan = bursts.recover_frames(rx_wave.slice(skip, len(rx_wave)), modem)
     for _ in _log_scan(trace, t1 + delay, "RX", 0, scan):
         pass
-    result = bursts.reassemble_burst(scan, modem, start=-skip).result()
+    result = bursts.reassemble_burst(scan, modem, start=-skip)
     if result.complete:
         trace.log(t1 + delay, "RX", "deliver", bytes=len(result.data))
     trace.summary = {

@@ -35,8 +35,8 @@ from ultralink.channel import (
     white_noise_sigma,
 )
 from ultralink.cli import main as cli_main
-from ultralink.burst import recover_frames
-from ultralink.link import LinkConfig, heard_burst, run_session, verify_trace
+from ultralink.burst import heard_burst, recover_frames
+from ultralink.link import LinkConfig, run_session, verify_trace
 from ultralink.modem import ModemConfig, demodulate, modulate, tone_energy
 
 FS = 48000
@@ -172,8 +172,7 @@ def test_criterion_5_protocol_invariants():
         # forced ID collisions resolve with exactly one re-randomization
         for seed in range(100):
             trace = run_session(LINK, LINK, channel, b"", seed=seed,
-                                node_ids=(seed % 256, seed % 256),
-                                stop_after_discovery=True, budget=300.0)
+                                node_ids=(seed % 256, seed % 256), budget=300.0)
             assert trace.summary["complete"]
             assert sum(trace.summary["rerandomizations"].values()) == 1, seed
         assert time.time() - started < 600.0

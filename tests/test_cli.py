@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ultralink import configdoc
+from ultralink import burst, configdoc
 from ultralink.analysis import make_sweep
 from ultralink.audio import SampleBuffer, read_wav, write_wav
 from ultralink.channel import preset, propagate
 from ultralink.cli import main
+from ultralink.framing import ControlMessage, MessageKind
+from ultralink.modem import ModemConfig
 
 
 # session config lines setting fields that no longer exist, by key: the
@@ -51,6 +53,13 @@ UNREAD_SECTIONS = {
 PRESET_ROOMS = {
     "preset-channel": "preset = paper-3m\n[channel]\ndistance = 8\n",
     "preset-noise": "preset = paper-3m\n[noise]\nkind = music_like\n",
+}
+
+# a session payload file holding no byte, by mode: with no payload either
+# way, a session would end once both nodes are discovered
+EMPTY_PAYLOADS = {
+    "session-empty-payload": "",
+    "oneway-empty-payload": "mode = unidirectional\n",
 }
 
 # detector thresholds that are not finite: nan and inf reported no event
@@ -99,6 +108,17 @@ class TestModulateDemodulate:
         empty.write_bytes(b"")
         assert main(["modulate", str(empty), "--out", str(tmp_path / "m")]) == 1
         assert "empty payload" in capsys.readouterr().err
+
+    def test_wav_without_data_frames_is_incomplete(self, tmp_path):
+        # one DISCOVERY frame: nothing to place, so an empty payload, exit 1,
+        # and the outputs and manifest written all the same
+        discovery = ControlMessage(MessageKind.DISCOVERY, sender_id=7)
+        write_wav(tmp_path / "beacon.wav", burst.messages_to_waveform([discovery], ModemConfig()))
+        out = tmp_path / "d"
+        assert main(["demodulate", str(tmp_path / "beacon.wav"), "--out", str(out)]) == 1
+        assert (out / "beacon.bin").read_bytes() == b""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == {"beacon.bin": sha(out / "beacon.bin")}
 
     def test_wav_duration_matches_frame_arithmetic(self, tmp_path):
         four = tmp_path / "four.bin"
@@ -335,7 +355,7 @@ class TestExpectedErrors:
                                       "ber-sweep-negative-bits", "session-budget",
                                       "capacity-silent-noise", *UNREAD_SECTIONS,
                                       *CAPACITY_RESOLUTIONS, *DELETED_KEYS, *SESSION_TIMES,
-                                      *DETECT_THRESHOLDS, *PRESET_ROOMS])
+                                      *DETECT_THRESHOLDS, *PRESET_ROOMS, *EMPTY_PAYLOADS])
     def test_error_line_and_no_manifest(self, tmp_path, payload_file, capsys, case):
         missing = str(tmp_path / "missing.cfg")
         wav = tmp_path / "quiet.wav"
@@ -343,9 +363,13 @@ class TestExpectedErrors:
         write_wav(wav, SampleBuffer(np.zeros(24000), 48000))
         sweep = tmp_path / "sweep.wav"
         write_wav(sweep, make_sweep(0.5))
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
         session = tmp_path / "session.cfg"
-        session.write_text(f"[session]\npayload = {payload_file.name}\n"
-                           + {**DELETED_KEYS, **SESSION_TIMES, **PRESET_ROOMS}.get(case, "budget_s = abc\n"))
+        session_payload = empty if case in EMPTY_PAYLOADS else payload_file
+        session.write_text(f"[session]\npayload = {session_payload.name}\n"
+                           + {**DELETED_KEYS, **SESSION_TIMES, **PRESET_ROOMS,
+                              **EMPTY_PAYLOADS}.get(case, "budget_s = abc\n"))
         unread = tmp_path / "unread.cfg"
         unread.write_text(UNREAD_SECTIONS[case][0] if case in UNREAD_SECTIONS else "")
         argv = {
@@ -386,6 +410,8 @@ class TestExpectedErrors:
             assert f"[{UNREAD_SECTIONS[case][1]}]" in error
         if case in PRESET_ROOMS:
             assert "preset 'paper-3m'" in error and f"[{case.split('-')[1]}]" in error
+        if case in EMPTY_PAYLOADS:
+            assert "empty payload" in error
         assert not (out / "manifest.json").exists()
 
 
@@ -434,6 +460,18 @@ class TestRerun:
         before = out_hashes(out)
         assert main(["rerun", str(out / "manifest.json"), "--verify"]) == 0
         assert out_hashes(out) == before
+
+    def test_verify_fails_on_an_output_that_differs(self, tmp_path, payload_file, capsys):
+        out = tmp_path / "m"
+        assert main(["modulate", str(payload_file), "--out", str(out)]) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["outputs"]["payload.wav"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path), "--verify"]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "error: outputs differ after rerun: payload.wav"
 
     def test_manifest_lacking_an_argument_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "b"

@@ -248,6 +248,32 @@ class TestStep:
                 if f.name not in ("last_event_time", "rng"):
                     assert getattr(state, f.name) == getattr(node, f.name), f.name
 
+    def test_turn_start_with_nothing_to_say_changes_nothing(self):
+        # a discovered node with nothing queued or owed, and a listening one
+        # whose chunks were all acked before the peer's feedback turn ended:
+        # each counted a turn it never sent, and the listening one stopped
+        # awaiting the feedback
+        idle = make_node(CFG, seed=6, name="B", node_id=4)
+        idle, _ = step(idle, ScheduleTick(0.0))
+        idle, _ = step(idle, FrameReceived(1.0, ControlMessage(MessageKind.ACK_OK, sender_id=8, body=4)))
+        listening = make_node(CFG, seed=5, name="A", node_id=9, payload=b"hi")
+        listening, _ = step(listening, ScheduleTick(0.0))
+        for event in (FrameReceived(1.0, ControlMessage(MessageKind.ACK_OK, sender_id=30, body=9)),
+                      Timeout(2.0, TimerKind.TURN_START), Timeout(3.0, TimerKind.TURN_SENT),
+                      FrameReceived(4.0, ControlMessage(MessageKind.ACK_OK, sender_id=30, body=1))):
+            listening, _ = step(listening, event)
+        assert idle.phase == Phase.DISCOVERED
+        assert listening.phase == Phase.LISTENING and listening.awaiting_feedback
+        assert listening.tx_unacked == []
+        for node in (idle, listening):
+            state, actions = step(node, Timeout(5.0, TimerKind.TURN_START))
+            assert actions == []
+            assert state.last_event_time == 5.0
+            assert state.rng.bit_generator.state == node.rng.bit_generator.state
+            for f in dataclasses.fields(NodeState):
+                if f.name not in ("last_event_time", "rng"):
+                    assert getattr(state, f.name) == getattr(node, f.name), f.name
+
     def test_out_of_order_event_rejected(self):
         node = make_node(CFG, seed=5, name="A")
         node, _ = step(node, ScheduleTick(10.0))
@@ -355,7 +381,7 @@ class TestSessions:
 
     def test_forced_id_collision_resolves_once(self):
         trace = run_session(CFG, CFG, preset("noiseless"), b"", seed=11,
-                            node_ids=(42, 42), stop_after_discovery=True)
+                            node_ids=(42, 42))
         assert trace.summary["complete"]
         assert sum(trace.summary["rerandomizations"].values()) == 1
 
@@ -377,9 +403,11 @@ class TestSessions:
         c = run_session(CFG, CFG, preset("paper-3m"), data, seed=22, budget=900)
         assert a.to_json() != c.to_json()
 
-    def test_empty_payload_rejected(self):
-        with pytest.raises(ValueError):
-            run_session(CFG, CFG, preset("noiseless"), b"", seed=0)
+    def test_empty_payload_ends_at_discovery(self):
+        trace = run_session(CFG, CFG, preset("noiseless"), b"", seed=0)
+        assert trace.summary["complete"]
+        assert [e["phase"] for e in trace.of_kind("phase")] == ["DISCOVERED"] * 2
+        assert not any(e["turn"] for e in trace.of_kind("tx_burst"))
 
     def test_empty_payload_b_rejected(self):
         # B queued nothing while A waited for its bytes: at seed 1 the
@@ -566,7 +594,7 @@ class TestReceivedBurst:
             self.MESSAGES[::-1], [],
         ]
         for ident, messages in enumerate(bursts_sent):
-            got = link.heard_burst(messages, CFG.modem, model, 5, ident)
+            got = bursts.heard_burst(messages, CFG.modem, model, 5, ident)
             wave = bursts.messages_to_waveform(messages, CFG.modem)
             expected = propagate(wave, model, seed=(5, ident))
             assert len(got) == len(expected) == len(wave)
@@ -579,10 +607,10 @@ class TestReceivedBurst:
         cfg = ModemConfig(bit_rate=rate)
         model = preset("paper-3m")
         messages = (self.MESSAGES * frames)[:frames]
-        link.heard_burst(messages[:1], cfg, model, 5, 0)      # the atoms are cached
+        bursts.heard_burst(messages[:1], cfg, model, 5, 0)  # the atoms are cached
         tracemalloc.start()
         try:
-            got = link.heard_burst(messages, cfg, model, 5, 1)
+            got = bursts.heard_burst(messages, cfg, model, 5, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -749,8 +777,7 @@ class TestDiscoveryLiveness:
     def test_1000_noiseless_runs_discover_within_10_rounds(self):
         slow = 0
         for seed in range(1000):
-            trace = run_session(CFG, CFG, preset("noiseless"), b"", seed=seed,
-                                stop_after_discovery=True, budget=300.0)
+            trace = run_session(CFG, CFG, preset("noiseless"), b"", seed=seed, budget=300.0)
             rounds = max(trace.summary["broadcast_rounds"].values())
             if not trace.summary["complete"] or rounds > 10:
                 slow += 1

@@ -524,7 +524,7 @@ class TestFrameCache:
         rooms = [preset("paper-3m", distance=1.0 + i / 8)
                  for i in range(burst.ATOM_CACHE_SIZE + 3)]
         for room in rooms:
-            list(burst.received_burst(self.MESSAGES[:1], CFG166, room))
+            burst.heard_burst(self.MESSAGES[:1], CFG166, room, 0, 0)
         assert burst._slot_atoms.cache_info().currsize == burst.ATOM_CACHE_SIZE
         atoms = burst._slot_atoms(CFG166, rooms[-1])
         assert burst._slot_atoms.cache_info().hits == 1
