@@ -2,11 +2,13 @@
 
 Every subcommand resolves its configuration, runs one pipeline, writes
 its outputs plus a `manifest.json` into the output directory, and exits
-0 only if the operation's postconditions held.  An expected failure
-prints `error: ...`, exits 1 and writes no manifest.  `ultralink rerun
-manifest.json --verify` replays the recorded arguments and checks that
-every output is reproduced bit-identically.  Diagnostics go to stderr;
-data goes to files.
+0 only if the operation's postconditions held: an incomplete demodulate
+or session exits 1 with its outputs and manifest written.  An expected
+failure prints `error: ...`, exits 1 and writes no manifest.  `ultralink
+rerun manifest.json --verify` replays the recorded arguments and checks,
+whatever the replay's exit status, that every output is reproduced
+bit-identically; on a mismatch it exits 1 and keeps the recorded
+manifest.  Diagnostics go to stderr; data goes to files.
 """
 
 from __future__ import annotations
@@ -56,18 +58,8 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(args: argparse.Namespace, inputs, outputs, started: str) -> None:
-    recorded = dict(vars(args))
-    manifest = {
-        "command": recorded.pop("command"),
-        "args": recorded,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
-        "tool_version": TOOL_VERSION,
-        "started_at": started,
-        "finished_at": _now(),
-    }
-    path = Path(args.out) / "manifest.json"
+def _write_manifest(out: str, manifest: dict) -> None:
+    path = Path(out) / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -263,12 +255,21 @@ COMMANDS = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
-    """Run one parsed command and record it in `manifest.json` in its --out."""
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Run one parsed command; returns its exit status and the manifest
+    that records it."""
     started = _now()
     status, inputs, outputs = COMMANDS[args.command](args)
-    _write_manifest(args, inputs, outputs, started)
-    return status
+    recorded = dict(vars(args))
+    return status, {
+        "command": recorded.pop("command"),
+        "args": recorded,
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "outputs": {p.name: _sha256(p) for p in outputs},
+        "tool_version": TOOL_VERSION,
+        "started_at": started,
+        "finished_at": _now(),
+    }
 
 
 def cmd_rerun(args) -> int:
@@ -282,11 +283,10 @@ def cmd_rerun(args) -> int:
                        f"which {command} reads")
     recorded = argparse.Namespace(command=command, **manifest["args"])
     recorded.out = str(manifest_path.parent)
-    status = run(recorded)
-    if status != 0:
-        return status
+    status, fresh = run(recorded)
     if args.verify:
-        fresh = json.loads((manifest_path.parent / "manifest.json").read_text())
+        # whatever the command's status, and before the recorded manifest
+        # is replaced, which a mismatch leaves as it was
         mismatches = [
             name for name, digest in manifest["outputs"].items()
             if fresh["outputs"].get(name) != digest
@@ -294,7 +294,8 @@ def cmd_rerun(args) -> int:
         if mismatches:
             raise CliError(f"outputs differ after rerun: {', '.join(mismatches)}")
         print("all outputs reproduced bit-identically", file=sys.stderr)
-    return 0
+    _write_manifest(recorded.out, fresh)
+    return status
 
 
 # --------------------------------------------------------------- parser
@@ -371,7 +372,11 @@ def _argument_names(command: str) -> set[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return cmd_rerun(args) if args.command == "rerun" else run(args)
+        if args.command == "rerun":
+            return cmd_rerun(args)
+        status, manifest = run(args)
+        _write_manifest(args.out, manifest)
+        return status
     except (CliError, ConfigError, AudioError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

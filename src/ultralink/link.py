@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import copy
 import enum
-import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,12 +85,7 @@ class Timeout:
     kind: TimerKind
 
 
-@dataclass(frozen=True)
-class ScheduleTick:
-    time: float
-
-
-LinkEvent = Union[FrameReceived, Timeout, ScheduleTick]
+LinkEvent = Union[FrameReceived, Timeout]
 
 
 # ---------------------------------------------------------------- actions
@@ -277,20 +272,13 @@ def step(state: NodeState, event: LinkEvent) -> tuple[NodeState, list[LinkAction
     st = copy.copy(state)  # handlers copy `rx` and the RNG before changing them
     st.last_event_time = event.time
     actions: list[LinkAction] = []
-    if isinstance(event, ScheduleTick):
-        _on_tick(st, actions)
-    elif isinstance(event, Timeout):
+    if isinstance(event, Timeout):
         _on_timeout(st, event, actions)
     elif isinstance(event, FrameReceived):
         _on_frame(st, event, actions)
     else:
         raise ProtocolError(f"unknown event {event!r}")
     return st, actions
-
-
-def _on_tick(st: NodeState, actions: list[LinkAction]) -> None:
-    if st.phase == Phase.DISCOVERING:
-        actions.append(SetTimer(TimerKind.DISCOVERY_BROADCAST, _broadcast_delay(st)))
 
 
 def _on_timeout(st: NodeState, event: Timeout, actions: list[LinkAction]) -> None:
@@ -587,10 +575,11 @@ class _Engine:
         self.hear = hear or (lambda ident, messages: bursts.recover_frames(
             bursts.heard_burst(messages, modem, channel, seed, ident), modem))
         self.trace = SessionTrace()
-        self.heap: list = []
-        self.counter = 0
-        # per node, timer kind -> generation; a timer fires only at the current one
-        self.timers: list[dict[TimerKind, int]] = [{}, {}]
+        # what is due: (node index, timer kind) for a timer, the burst number
+        # for a burst's arrival -> (time, order set); setting a key replaces
+        # what was pending under it
+        self.due: dict[Union[tuple[int, TimerKind], int], tuple[float, int]] = {}
+        self.order = itertools.count()
         # per node, when its transducer last settled, or next settles, as a
         # MIC: a Transmit sets it to the end of the burst's retask back to
         # MIC, so it is also the end of any retask or burst of its own
@@ -599,17 +588,13 @@ class _Engine:
         self.burst_count = 0
         self.expected_payloads = payloads   # per node, what it sends
         self.now = 0.0
+        for idx in range(2):
+            # a discovering node's ack wait lapsing sends it into its first round
+            self._deliver(idx, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
 
-    # ------------------------------------------------------------ heap
-
-    def _push(self, when: float, item: tuple) -> None:
-        heapq.heappush(self.heap, (when, self.counter, item))
-        self.counter += 1
-
-    def _bump(self, idx: int, kind: TimerKind) -> int:
-        """A new generation for node idx's `kind` timer, obsoleting any pending one."""
-        gen = self.timers[idx][kind] = self.timers[idx].get(kind, 0) + 1
-        return gen
+    def _at(self, key, when: float) -> None:
+        """Make `key` due at `when`, after whatever is already due then."""
+        self.due[key] = (when, next(self.order))
 
     def _audible_until(self, idx: int) -> float:
         """Latest end time of any burst currently audible at node idx."""
@@ -651,13 +636,13 @@ class _Engine:
                 t1 = _log_tx_burst(self.trace, state.name, ident, cursor, act.messages,
                                    state.cfg.modem)
                 self.bursts[ident] = _Burst(tx=idx, t0=cursor, t1=t1, messages=act.messages)
-                self._push(t1 + self.channel.propagation_delay, ("burst_end", ident))
+                self._at(ident, t1 + self.channel.propagation_delay)
                 self.trace.log(t1, state.name, "retask", role="MIC", ready_at=t1 + latency)
                 cursor = self.mic_since[idx] = t1 + latency
             elif isinstance(act, SetTimer):
-                self._push(cursor + act.delay, ("timer", idx, act.kind, self._bump(idx, act.kind)))
+                self._at((idx, act.kind), cursor + act.delay)
             elif isinstance(act, CancelTimer):
-                self._bump(idx, act.kind)
+                self.due.pop((idx, act.kind), None)
             else:
                 raise ProtocolError(f"unknown action {act!r}")
 
@@ -675,18 +660,14 @@ class _Engine:
 
     # ------------------------------------------------------------- run
 
-    def _timer_fired(self, idx: int, kind: TimerKind, gen: int) -> None:
-        if self.timers[idx].get(kind) != gen:
-            return
+    def _timer_fired(self, idx: int, kind: TimerKind) -> None:
         if self.mic_since[idx] > self.now:
-            self._push(self.mic_since[idx] + self.BUSY_BACKOFF,
-                       ("timer", idx, kind, self._bump(idx, kind)))
+            self._at((idx, kind), self.mic_since[idx] + self.BUSY_BACKOFF)
             return
         if kind in (TimerKind.TURN_START, TimerKind.INACTIVITY, TimerKind.RESPONSE_WAIT):
             carrier = self._audible_until(idx)
             if carrier > self.now:
-                self._push(carrier + self.CARRIER_BACKOFF,
-                           ("timer", idx, kind, self._bump(idx, kind)))
+                self._at((idx, kind), carrier + self.CARRIER_BACKOFF)
                 return
         self.trace.log(self.now, self.nodes[idx].name, "timer", kind=kind.value)
         self._deliver(idx, Timeout(self.now, kind))
@@ -703,18 +684,18 @@ class _Engine:
         return True
 
     def run(self) -> SessionTrace:
-        for idx, node in enumerate(self.nodes):
-            self._deliver(idx, ScheduleTick(0.0))
-        complete = self._done()
-        while self.heap and not complete:
-            when, _, item = heapq.heappop(self.heap)
+        complete = False
+        while self.due and not complete:
+            # ties go to the entry set first
+            key = min(self.due, key=self.due.__getitem__)
+            when, _ = self.due.pop(key)
             if when > self.budget:
                 break
             self.now = when
-            if item[0] == "timer":
-                self._timer_fired(item[1], item[2], item[3])
-            elif item[0] == "burst_end":
-                self._burst_end(item[1])
+            if isinstance(key, tuple):
+                self._timer_fired(*key)
+            else:
+                self._burst_end(key)
             complete = self._done()
         self._summarize(complete)
         return self.trace
@@ -745,7 +726,7 @@ class _Engine:
         self.trace.summary = {
             "schema": TRACE_SCHEMA_VERSION,
             "complete": complete,
-            "duration": self.now,
+            "duration": self.now if complete else self.budget,
             "seed": self.seed,
             "delivered_bytes": delivered,
             "delivered_intact": intact,

@@ -469,9 +469,35 @@ class TestRerun:
         manifest["outputs"]["payload.wav"] = "0" * 64
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
+        altered = json.dumps(manifest)
+        for _ in range(2):
+            # a failed verify keeps the recorded manifest, so it fails again
+            assert main(["rerun", str(path), "--verify"]) == 1
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert err == "error: outputs differ after rerun: payload.wav"
+            assert path.read_text() == altered
+
+    def test_verify_compares_the_outputs_of_a_command_that_exits_1(self, tmp_path,
+                                                                     payload_file, capsys):
+        # a demodulate of half a burst recovers too few chunks: exit 1, with
+        # its outputs and manifest written all the same
+        assert main(["modulate", str(payload_file), "--out", str(tmp_path / "m")]) == 0
+        wave = read_wav(tmp_path / "m" / "payload.wav")
+        write_wav(tmp_path / "half.wav", wave.slice(0, len(wave) // 2))
+        out = tmp_path / "d"
+        assert main(["demodulate", str(tmp_path / "half.wav"), "--out", str(out)]) == 1
+        path = out / "manifest.json"
+        capsys.readouterr()
         assert main(["rerun", str(path), "--verify"]) == 1
-        err = capsys.readouterr().err.splitlines()[-1]
-        assert err == "error: outputs differ after rerun: payload.wav"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "all outputs reproduced bit-identically")
+        manifest = json.loads(path.read_text())
+        manifest["outputs"]["half.bin"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        assert main(["rerun", str(path), "--verify"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: outputs differ after rerun: half.bin")
+        assert path.read_text() == json.dumps(manifest)
 
     def test_manifest_lacking_an_argument_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "b"

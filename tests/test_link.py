@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import heapq
 import math
 import re
 import tracemalloc
@@ -19,12 +18,12 @@ from ultralink.framing import ControlMessage, MessageKind
 from ultralink.link import (
     MIN_TURN_FRAMES,
     SEQ_WINDOW,
+    CancelTimer,
     FrameReceived,
     LinkConfig,
     NodeState,
     Phase,
     ProtocolError,
-    ScheduleTick,
     SetTimer,
     Timeout,
     TimerKind,
@@ -127,16 +126,17 @@ class TestLinkConfig:
 
 
 class TestStep:
-    def test_tick_schedules_randomized_broadcast(self):
+    def test_start_schedules_randomized_broadcast(self):
+        # a fresh node starts as if a discovery round had just lapsed
         node = make_node(CFG, seed=1, name="A")
-        state, actions = step(node, ScheduleTick(0.0))
+        state, actions = step(node, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         timers = [a for a in actions if isinstance(a, SetTimer)]
         assert timers and timers[0].kind == TimerKind.DISCOVERY_BROADCAST
         assert 0.0 <= timers[0].delay <= 5.0
 
     def test_broadcast_timer_transmits_discovery_then_listens(self):
         node = make_node(CFG, seed=1, name="A")
-        node, _ = step(node, ScheduleTick(0.0))
+        node, _ = step(node, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         state, actions = step(node, Timeout(1.0, TimerKind.DISCOVERY_BROADCAST))
         assert isinstance(actions[0], Transmit)
         sent = actions[0].messages
@@ -148,7 +148,7 @@ class TestStep:
 
     def test_own_id_collision_rerandomizes_and_rebroadcasts(self):
         node = make_node(CFG, seed=3, name="A", node_id=42)
-        node, _ = step(node, ScheduleTick(0.0))
+        node, _ = step(node, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         echo = ControlMessage(MessageKind.DISCOVERY, sender_id=42)
         before = node.rng.bit_generator.state
         state, actions = step(node, FrameReceived(2.0, echo))
@@ -163,7 +163,7 @@ class TestStep:
 
     def test_foreign_discovery_is_acked(self):
         node = make_node(CFG, seed=3, name="A", node_id=42)
-        node, _ = step(node, ScheduleTick(0.0))
+        node, _ = step(node, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         state, actions = step(
             node, FrameReceived(2.0, ControlMessage(MessageKind.DISCOVERY, sender_id=7))
         )
@@ -176,7 +176,7 @@ class TestStep:
 
     def test_ack_wait_expiry_schedules_next_round(self):
         node = make_node(CFG, seed=5, name="A")
-        node, _ = step(node, ScheduleTick(0.0))
+        node, _ = step(node, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         state, actions = step(node, Timeout(6.0, TimerKind.DISCOVERY_ACK_WAIT))
         assert state.phase == Phase.DISCOVERING
         timers = [a for a in actions if isinstance(a, SetTimer)]
@@ -185,7 +185,7 @@ class TestStep:
 
     def test_discovery_ack_completes_discovery(self):
         node = make_node(CFG, seed=5, name="A", node_id=9, payload=b"hi")
-        node, _ = step(node, ScheduleTick(0.0))
+        node, _ = step(node, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         ack = ControlMessage(MessageKind.ACK_OK, sender_id=30, body=9)
         state, actions = step(node, FrameReceived(3.0, ack))
         assert state.phase == Phase.DISCOVERED
@@ -195,7 +195,7 @@ class TestStep:
 
     def test_turn_ends_with_release_and_mic(self):
         node = make_node(CFG, seed=5, name="A", node_id=9, payload=b"hello")
-        node, _ = step(node, ScheduleTick(0.0))
+        node, _ = step(node, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         node, _ = step(node, FrameReceived(3.0, ControlMessage(MessageKind.ACK_OK, sender_id=30, body=9)))
         state, actions = step(node, Timeout(4.0, TimerKind.TURN_START))
         assert state.phase == Phase.HOLDING_TOKEN
@@ -209,7 +209,7 @@ class TestStep:
     def test_feedback_turn_when_queue_empty(self):
         # token holder with nothing of its own to send: acquire, ack, release
         node = make_node(CFG, seed=6, name="B", node_id=4)
-        node, _ = step(node, ScheduleTick(0.0))
+        node, _ = step(node, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         node, _ = step(node, FrameReceived(1.0, ControlMessage(MessageKind.DISCOVERY, sender_id=8)))
         node, _ = step(node, FrameReceived(2.0, ControlMessage(MessageKind.ACK_OK, sender_id=8, body=4)))
         node, _ = step(node, FrameReceived(5.0, ControlMessage(MessageKind.ACQUIRE, sender_id=8)))
@@ -231,7 +231,8 @@ class TestStep:
     @pytest.mark.parametrize("kind", [MessageKind.BITRATE_INC, MessageKind.BITRATE_DEC])
     def test_rate_frames_are_ignored(self, kind):
         # a discovering node, and one listening to the peer's data turn
-        discovering, _ = step(make_node(CFG, seed=6, name="B", node_id=4), ScheduleTick(0.0))
+        discovering, _ = step(make_node(CFG, seed=6, name="B", node_id=4),
+                              Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         listening = discovering
         for t, msg in [(1.0, ControlMessage(MessageKind.DISCOVERY, sender_id=8)),
                        (2.0, ControlMessage(MessageKind.ACK_OK, sender_id=8, body=4)),
@@ -254,10 +255,10 @@ class TestStep:
         # each counted a turn it never sent, and the listening one stopped
         # awaiting the feedback
         idle = make_node(CFG, seed=6, name="B", node_id=4)
-        idle, _ = step(idle, ScheduleTick(0.0))
+        idle, _ = step(idle, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         idle, _ = step(idle, FrameReceived(1.0, ControlMessage(MessageKind.ACK_OK, sender_id=8, body=4)))
         listening = make_node(CFG, seed=5, name="A", node_id=9, payload=b"hi")
-        listening, _ = step(listening, ScheduleTick(0.0))
+        listening, _ = step(listening, Timeout(0.0, TimerKind.DISCOVERY_ACK_WAIT))
         for event in (FrameReceived(1.0, ControlMessage(MessageKind.ACK_OK, sender_id=30, body=9)),
                       Timeout(2.0, TimerKind.TURN_START), Timeout(3.0, TimerKind.TURN_SENT),
                       FrameReceived(4.0, ControlMessage(MessageKind.ACK_OK, sender_id=30, body=1))):
@@ -276,9 +277,9 @@ class TestStep:
 
     def test_out_of_order_event_rejected(self):
         node = make_node(CFG, seed=5, name="A")
-        node, _ = step(node, ScheduleTick(10.0))
+        node, _ = step(node, Timeout(10.0, TimerKind.DISCOVERY_ACK_WAIT))
         with pytest.raises(ProtocolError):
-            step(node, ScheduleTick(5.0))
+            step(node, Timeout(5.0, TimerKind.DISCOVERY_ACK_WAIT))
 
     def test_step_does_not_mutate_input(self, monkeypatch):
         # every event of one criterion-5 session: the input state still
@@ -422,9 +423,12 @@ class TestSessions:
             run_session(CFG, CFG, preset("noiseless"), b"x", seed=0, budget=budget)
 
     def test_budget_exhaustion_flags_incomplete(self):
+        # a session that runs out of budget lasted its budget, whatever was
+        # still due after it
         data = payload_bytes(64)
         trace = run_session(CFG, CFG, preset("noiseless"), data, seed=3, budget=3.0)
         assert not trace.summary["complete"]
+        assert trace.summary["duration"] == 3.0
 
     @pytest.mark.parametrize("b_cfg", [
         LinkConfig(modem=ModemConfig(bit_rate=100)),
@@ -461,26 +465,16 @@ class TestSessions:
         nodes = [make_node(CFG, seed=1087, name=name, node_id=node_id, payload=data)
                  for name, node_id, data in zip("AB", (167, 139), payloads)]
         engine = link._Engine(nodes, payloads, room, seed=1087, budget=30.0)
-        for idx in range(2):
-            engine._deliver(idx, ScheduleTick(0.0))
         engine.now = 1.0
         for idx, (own, peer) in enumerate([(167, 139), (139, 167)]):
             ack = ControlMessage(MessageKind.ACK_OK, sender_id=peer, body=own)
             engine._deliver(idx, FrameReceived(1.0, ack))
             assert engine.nodes[idx].phase == Phase.DISCOVERED
-        for idx in range(2):
-            for kind in TimerKind:
-                engine._bump(idx, kind)
         for idx, t in enumerate((2.0, 2.042)):
-            engine._push(t, ("timer", idx, TimerKind.TURN_START,
-                             engine._bump(idx, TimerKind.TURN_START)))
+            engine._at((idx, TimerKind.TURN_START), t)
+        assert engine.due.keys() == {(0, TimerKind.TURN_START), (1, TimerKind.TURN_START)}
         assert 0.042 < CFG.retask_latency + room.propagation_delay
-        while engine.heap and engine.heap[0][0] <= engine.budget:
-            engine.now, _, item = heapq.heappop(engine.heap)
-            if item[0] == "timer":
-                engine._timer_fired(*item[1:])
-            else:
-                engine._burst_end(item[1])
+        engine.run()
         assert verify_trace(engine.trace, t_max=CFG.t_max)["token_overlaps"] == 0
 
     def test_bidirectional_payloads(self):
@@ -504,10 +498,7 @@ class TestEngineDeferral:
     def _engine(self):
         nodes = [make_node(CFG, seed=4, name=name, node_id=i + 1, payload=b"hi")
                  for i, name in enumerate("AB")]
-        engine = link._Engine(nodes, [b"hi", None], self.ROOM, seed=4, budget=600.0)
-        for idx in range(2):
-            engine._deliver(idx, ScheduleTick(0.0))
-        return engine
+        return link._Engine(nodes, [b"hi", None], self.ROOM, seed=4, budget=600.0)
 
     def _broadcast(self, engine, idx, t):
         """Node idx's discovery burst, sent from t; returns its tx_burst entry."""
@@ -517,14 +508,14 @@ class TestEngineDeferral:
 
     @staticmethod
     def _fire(engine, idx, kind, t):
-        """Node idx's `kind` timer, armed for and fired at t; returns when the
-        live timer of that kind is next due, or None when none is pending."""
-        gen = engine._bump(idx, kind)
+        """Node idx's `kind` timer, taken from the table and fired at t as
+        `run` fires it; returns when that timer is next due, or None when
+        none is pending."""
+        engine.due.pop((idx, kind), None)
         engine.now = t
-        engine._timer_fired(idx, kind, gen)
-        gen = engine.timers[idx][kind]
-        due = [when for when, _, item in engine.heap if item == ("timer", idx, kind, gen)]
-        return min(due, default=None)
+        engine._timer_fired(idx, kind)
+        when, _ = engine.due.get((idx, kind), (None, None))
+        return when
 
     @staticmethod
     def _timer_entries(engine, kind):
@@ -541,8 +532,7 @@ class TestEngineDeferral:
             # speaking, or switching from or back to MIC: the timer is re-armed
             assert self._fire(engine, 0, kind, t) == settle + engine.BUSY_BACKOFF
             assert self._timer_entries(engine, kind) == []
-        engine.now = settle + engine.BUSY_BACKOFF
-        engine._timer_fired(0, kind, engine.timers[0][kind])
+        self._fire(engine, 0, kind, settle + engine.BUSY_BACKOFF)
         assert self._timer_entries(engine, kind) == [settle + engine.BUSY_BACKOFF]
 
     @pytest.mark.parametrize("kind", list(TimerKind))
@@ -562,9 +552,57 @@ class TestEngineDeferral:
         for t in (tx["start"], tx["end"], tx["end"] + delay / 2):
             assert self._fire(engine, 0, kind, t) == again
         assert self._timer_entries(engine, kind) == []
-        engine.now = again
-        engine._timer_fired(0, kind, engine.timers[0][kind])
+        self._fire(engine, 0, kind, again)
         assert self._timer_entries(engine, kind) == [again]
+
+
+class TestDueTable:
+    """`link._Engine.due` holds one entry per pending timer and burst, and
+    `run` fires them in time order."""
+
+    @staticmethod
+    def _engine():
+        # two discovering nodes with nothing to send and nothing due: a
+        # TURN_START or RESPONSE_WAIT that fires only logs its timer entry
+        nodes = [make_node(CFG, seed=4, name=name, node_id=i + 1)
+                 for i, name in enumerate("AB")]
+        engine = link._Engine(nodes, [None, None], ChannelModel(distance=3.0), seed=4,
+                              budget=60.0)
+        engine.due.clear()
+        return engine
+
+    @staticmethod
+    def _fired(engine):
+        engine.run()
+        return [(e["t"], e["node"], e["kind"]) for e in engine.trace.of_kind("timer")]
+
+    def test_a_second_set_timer_keeps_only_its_due_time(self):
+        engine = self._engine()
+        engine._apply_actions(0, 1.0, [SetTimer(TimerKind.TURN_START, 2.0),
+                                       SetTimer(TimerKind.TURN_START, 3.0)])
+        assert engine.due.keys() == {(0, TimerKind.TURN_START)}
+        assert self._fired(engine) == [(4.0, "A", "TURN_START")]
+
+    def test_a_cancelled_timer_never_fires(self):
+        engine = self._engine()
+        engine._apply_actions(0, 1.0, [SetTimer(TimerKind.TURN_START, 2.0),
+                                       CancelTimer(TimerKind.TURN_START)])
+        engine._apply_actions(1, 1.0, [SetTimer(TimerKind.TURN_START, 2.0)])
+        assert self._fired(engine) == [(3.0, "B", "TURN_START")]
+
+    @pytest.mark.parametrize("sets, fired", [
+        ([(0, "TURN_START"), (1, "TURN_START")], ["A", "B"]),
+        ([(1, "TURN_START"), (0, "TURN_START")], ["B", "A"]),
+        ([(0, "RESPONSE_WAIT"), (1, "TURN_START")], ["A", "B"]),
+        ([(1, "TURN_START"), (0, "RESPONSE_WAIT")], ["B", "A"]),
+        # set again, an entry goes after those set since
+        ([(0, "TURN_START"), (1, "TURN_START"), (0, "TURN_START")], ["B", "A"]),
+    ])
+    def test_entries_due_together_fire_in_the_order_set(self, sets, fired):
+        engine = self._engine()
+        for idx, kind in sets:
+            engine._apply_actions(idx, 1.0, [SetTimer(TimerKind(kind), 2.0)])
+        assert [node for _, node, _ in self._fired(engine)] == fired
 
 
 class TestReceivedBurst:
