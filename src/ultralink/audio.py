@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# samples checked for NaN and Inf at a time: the check's temporary stays
-# this small however long the buffer
+# samples checked for NaN and Inf, or converted to PCM, at a time: the
+# temporaries stay this small however long the buffer
 FINITE_CHECK_SAMPLES = 2**16
 
 
@@ -59,13 +59,13 @@ class SampleBuffer:
 
 def write_wav(path, buf: SampleBuffer) -> None:
     """Write a buffer as mono 16-bit PCM. Samples are clipped to [-1, 1]."""
-    pcm = np.clip(buf.samples, -1.0, 1.0)
-    pcm = np.round(pcm * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(buf.sample_rate)
-        wav.writeframes(pcm.tobytes())
+        for i in range(0, len(buf), FINITE_CHECK_SAMPLES):
+            pcm = np.clip(buf.samples[i:i + FINITE_CHECK_SAMPLES], -1.0, 1.0)
+            wav.writeframesraw(np.round(pcm * 32767.0).astype("<i2").tobytes())
 
 
 def read_wav(path, expected_rate: int | None = None) -> SampleBuffer:

@@ -356,25 +356,21 @@ class _GridReceiver:
         return hits[0].offset, None
 
 
-def reassemble_burst(scan: BurstScan, cfg: ModemConfig,
-                     start: int | None = None) -> framing.ReassemblyResult:
-    """The payload of the DATA frames of one burst that began at sample `start`.
+def reassemble_burst(scan: BurstScan, indexed: bool = False) -> framing.ReassemblyResult:
+    """The payload of the DATA frames of one burst.
 
-    Frame i of a burst sits i grid slots after frame 0, so a frame's grid
-    index fixes its absolute index, whatever was lost before it; a frame
-    whose seq is not that index mod 256 is dropped.  With a `start`, the
-    first DATA frame's offset places the grid (frame i starts (FRAME_BITS
-    + FRAME_GAP_SLOTS) * i slots after `start`); without one, its seq does, so
-    fewer than 256 frames may be lost ahead of it.
+    Frame i of a burst sits i grid slots after frame 0, so once one frame's
+    chunk index is known, each frame's grid index fixes its own, whatever
+    was lost before it; a frame whose seq is not that index mod 256 is
+    dropped.  With `indexed`, the recording began with the burst, so a
+    frame's grid index is its chunk index; without, the first DATA frame's
+    seq places the grid, so fewer than 256 frames may be lost ahead of it.
     """
     data = [f for f in scan.frames if f.message.kind == framing.MessageKind.DATA]
     rx = framing.Reassembler()
     if not data:
         return rx.result()
-    if start is None:
-        base = data[0].message.seq - data[0].index
-    else:
-        base = round((data[0].offset - start) / frame_period(cfg)) - data[0].index
+    base = 0 if indexed else data[0].message.seq - data[0].index
     for frame in data:
         index = frame.index + base
         if index % 256 == frame.message.seq:

@@ -26,7 +26,7 @@ import numpy as np
 from . import analysis, burst, configdoc, framing
 from .audio import AudioError, SampleBuffer, read_wav, write_wav
 from .channel import preset
-from .link import run_session, unidirectional_schedule
+from .link import audio_hearing, run_session, unidirectional_schedule
 from .modem import BAND, ConfigError
 
 try:
@@ -120,7 +120,7 @@ def cmd_demodulate(args):
     cfg = _resolve_modem(sections, args.rate)
     wave = read_wav(src, expected_rate=cfg.sample_rate)
     scan = burst.recover_frames(wave, cfg)
-    result = burst.reassemble_burst(scan, cfg)
+    result = burst.reassemble_burst(scan)
     bin_path = _out_dir(args) / f"{src.stem}.bin"
     bin_path.write_bytes(result.data)
     print(f"{len(scan.frames)} frames recovered, {len(scan.corrupt_offsets)} corrupt; "
@@ -128,19 +128,23 @@ def cmd_demodulate(args):
     return (0 if result.complete else 1), [src, *config], [bin_path]
 
 
-def _heard_timelines(trace, heard: dict, channel) -> dict:
-    """Per node, the session and a second more of audio: each burst it heard,
-    from `heard` by number, at its tx_burst start plus the flight time."""
+def _write_heard_timelines(out_dir: Path, trace, heard: dict, channel) -> list[Path]:
+    """Per node, `node_<name>_heard.wav` of the session and a second more of
+    audio: each burst it heard, from `heard` by number, at its tx_burst
+    start plus the flight time.  One node's timeline is held at a time."""
     fs = channel.sample_rate
-    timelines = {name: np.zeros(int(math.ceil((trace.summary["duration"] + 1.0) * fs)))
-                 for name in "AB"}
-    for e in trace.of_kind("tx_burst"):
-        if e["burst"] in heard:
-            samples = heard[e["burst"]].samples
-            timeline = timelines["B" if e["node"] == "A" else "A"]
-            a = int(round((e["start"] + channel.propagation_delay) * fs))
-            timeline[a:a + samples.size] = samples[: max(timeline.size - a, 0)]
-    return {name: SampleBuffer(timeline, fs) for name, timeline in timelines.items()}
+    size = int(math.ceil((trace.summary["duration"] + 1.0) * fs))
+    paths = []
+    for name in "AB":
+        timeline = np.zeros(size)
+        for e in trace.of_kind("tx_burst"):
+            if e["node"] != name and e["burst"] in heard:
+                samples = heard[e["burst"]].samples
+                a = int(round((e["start"] + channel.propagation_delay) * fs))
+                timeline[a:a + samples.size] = samples[: max(size - a, 0)]
+        paths.append(out_dir / f"node_{name.lower()}_heard.wav")
+        write_wav(paths[-1], SampleBuffer(timeline, fs))
+    return paths
 
 
 def cmd_simulate_session(args):
@@ -153,32 +157,21 @@ def cmd_simulate_session(args):
     link_cfg = configdoc.link_from_sections(sections)
     channel = configdoc.room_from_sections(sections, session.preset, link_cfg.modem.sample_rate)
     out_dir = _out_dir(args)
+    heard = {}
+    hear = audio_hearing(link_cfg.modem, channel, args.seed, heard)
     if session.mode is configdoc.SessionMode.UNIDIRECTIONAL:
-        trace = unidirectional_schedule(link_cfg, channel, payload, rx_guard=session.rx_guard_s,
-                                        seed=args.seed)
-        audio = {"RX": burst.heard_burst(framing.pack_payload(payload), link_cfg.modem,
-                                         channel, args.seed, 0)}
+        trace = unidirectional_schedule(link_cfg, channel, payload, seed=args.seed, hear=hear)
+        outputs = [out_dir / "node_rx_heard.wav"]
+        write_wav(outputs[0], heard[0])
     else:
-        heard = {}
-
-        def hear(ident, messages):  # the default hearing, recorded
-            heard[ident] = burst.heard_burst(messages, link_cfg.modem, channel, args.seed, ident)
-            return burst.recover_frames(heard[ident], link_cfg.modem)
-
         trace = run_session(link_cfg, link_cfg, channel, payload,
                             seed=args.seed, budget=session.budget_s, hear=hear)
-        audio = _heard_timelines(trace, heard, channel)
-    outputs = []
+        outputs = _write_heard_timelines(out_dir, trace, heard, channel)
     trace_path = out_dir / "trace.json"
     trace_path.write_text(trace.to_json(indent=2) + "\n")
-    outputs.append(trace_path)
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(trace.summary, sort_keys=True, indent=2) + "\n")
-    outputs.append(summary_path)
-    for name, wave in sorted(audio.items()):
-        wav_path = out_dir / f"node_{name.lower()}_heard.wav"
-        write_wav(wav_path, wave)
-        outputs.append(wav_path)
+    outputs += [trace_path, summary_path]
     complete = trace.summary["complete"]
     print(f"session {'complete' if complete else 'INCOMPLETE'}: "
           f"{trace.summary['delivered_bytes']}", file=sys.stderr)

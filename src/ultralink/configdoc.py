@@ -35,7 +35,6 @@ class SessionConfig:
     mode: SessionMode = SessionMode.BIDIRECTIONAL
     preset: str | None = None     # channel preset, alone; else [channel] and [noise]
     budget_s: float = 600.0       # bidirectional: simulated-time budget
-    rx_guard_s: float = 2.0       # unidirectional: receiver starts this much before the burst
 
 
 def _scalar_fields(cls) -> dict[str, tuple[type, bool]]:

@@ -24,7 +24,9 @@ settled as a MIC, decides both what it hears and when its timers fire: it
 hears a burst only if it stayed in MIC for the burst's whole flight, and a
 timer that comes due while it speaks or retasks waits until it settles.
 Turn-starting timers are also deferred while a burst is audibly in flight
-(energy-based carrier sensing, modeled as exact).
+(energy-based carrier sensing, modeled as exact).  A one-way stream
+(`unidirectional_schedule`) hears its one burst, whole, through the same
+hearing function; it has no receiver start time to set.
 
 Everything is deterministic given the session seed: node RNGs, jitters,
 and per-burst channel noise all derive from it.
@@ -540,6 +542,19 @@ def replay_hearing(trace: SessionTrace):
     return lambda ident, messages: scans.get(ident, bursts.BurstScan([], []))
 
 
+def audio_hearing(modem: ModemConfig, channel: ChannelModel, seed: int, heard=None):
+    """The default hearing function: burst `ident` as heard through `channel`
+    with its noise seeded by (seed, ident) (`burst.heard_burst`), scanned by
+    `recover_frames`.  Each heard buffer is also kept in the dict `heard`,
+    by burst number, when one is given."""
+    def hear(ident, messages):
+        buf = bursts.heard_burst(messages, modem, channel, seed, ident)
+        if heard is not None:
+            heard[ident] = buf
+        return bursts.recover_frames(buf, modem)
+    return hear
+
+
 @dataclass
 class _Burst:
     tx: int                 # node index
@@ -572,8 +587,7 @@ class _Engine:
         self.channel = channel
         self.seed = seed
         self.budget = budget
-        self.hear = hear or (lambda ident, messages: bursts.recover_frames(
-            bursts.heard_burst(messages, modem, channel, seed, ident), modem))
+        self.hear = hear or audio_hearing(modem, channel, seed)
         self.trace = SessionTrace()
         # what is due: (node index, timer kind) for a timer, the burst number
         # for a burst's arrival -> (time, order set); setting a key replaces
@@ -759,8 +773,7 @@ def run_session(
     trace records every state change, burst, and frame; summary says
     whether delivery completed inside the simulated-time budget and
     whether it was byte-exact.  `hear(ident, messages)` returns the `BurstScan` the
-    receiver recovers of burst `ident`; by default, the audio path's
-    `recover_frames(burst.heard_burst(...))`.
+    receiver recovers of burst `ident`; by default, `audio_hearing`'s.
     """
     if payload_b is not None and not payload_b:
         raise ValueError("empty payload_b: pass None for no B->A transfer")
@@ -777,41 +790,35 @@ def unidirectional_schedule(
     cfg: LinkConfig,
     channel: ChannelModel,
     payload: bytes,
-    rx_guard: float = 2.0,
     seed: int = 0,
+    hear=None,
 ) -> SessionTrace:
     """One-way transfer at a prearranged time: no handshake, no feedback.
 
-    The transmitter streams every frame in one burst starting at t = 0;
-    the receiver records from t = -rx_guard on (a negative guard models a
-    receiver that woke up late).  The burst arrives one flight time after
-    it starts, and the receiver's entries fall when its last sample arrives.
-    There are no acknowledgments or retransmissions by construction; each
-    frame is recovered independently via its own preamble.  Both ends use
-    `cfg`.
+    The transmitter streams every frame in one burst starting at t = 0,
+    and the receiver hears all of it, burst 0, through `hear` (by default
+    `audio_hearing`'s), as `run_session`'s receivers do.  The burst arrives
+    one flight time after it starts, and the receiver's entries fall when
+    its last sample arrives.  There are no acknowledgments or
+    retransmissions by construction; each frame is placed by its grid
+    index.  Both ends use `cfg`.
     """
     if not payload:
         raise ValueError("empty payload")
-    if not math.isfinite(rx_guard):
-        raise ValueError(f"rx_guard must be finite, got {rx_guard}")
     trace = SessionTrace()
-    modem = cfg.modem
     messages = framing.pack_payload(payload)
-    t1 = _log_tx_burst(trace, "TX", 0, 0.0, messages, modem)
-    rx_wave = bursts.heard_burst(messages, modem, channel, seed, 0)
-    delay = channel.propagation_delay
-    # the heard burst's first sample arrives at t = delay
-    skip = max(0, int(round((-rx_guard - delay) * modem.sample_rate)))
-    scan = bursts.recover_frames(rx_wave.slice(skip, len(rx_wave)), modem)
-    for _ in _log_scan(trace, t1 + delay, "RX", 0, scan):
+    end = _log_tx_burst(trace, "TX", 0, 0.0, messages, cfg.modem) + channel.propagation_delay
+    hear = hear or audio_hearing(cfg.modem, channel, seed)
+    scan = hear(0, messages)
+    for _ in _log_scan(trace, end, "RX", 0, scan):
         pass
-    result = bursts.reassemble_burst(scan, modem, start=-skip)
+    result = bursts.reassemble_burst(scan, indexed=True)
     if result.complete:
-        trace.log(t1 + delay, "RX", "deliver", bytes=len(result.data))
+        trace.log(end, "RX", "deliver", bytes=len(result.data))
     trace.summary = {
         "schema": TRACE_SCHEMA_VERSION,
         "complete": result.complete,
-        "duration": t1 + delay + max(rx_guard, 0.0),
+        "duration": end,
         "seed": seed,
         "frames_sent": len(messages),
         "frames_recovered": len(scan.frames),

@@ -1,6 +1,7 @@
 """Sample buffer and WAV I/O."""
 
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -83,3 +84,27 @@ class TestWav:
         back = read_wav(path)
         assert back.samples[0] == pytest.approx(1.0, abs=1e-4)
         assert back.samples[1] == pytest.approx(-1.0, abs=1e-4)
+
+    def test_pcm_is_the_whole_buffer_s_in_blocks(self, tmp_path, rng):
+        # a buffer ending partway into a block, one of exactly one, and none
+        for n in (2 * FINITE_CHECK_SAMPLES + 3, FINITE_CHECK_SAMPLES, 0):
+            buf = SampleBuffer(1.2 * rng.standard_normal(n), 48000)
+            write_wav(tmp_path / "x.wav", buf)
+            with wave.open(str(tmp_path / "x.wav")) as wav:
+                assert wav.getnframes() == n
+                pcm = wav.readframes(n)
+            assert pcm == np.round(np.clip(buf.samples, -1, 1) * 32767).astype("<i2").tobytes()
+
+    def test_write_memory_does_not_grow_with_the_buffer(self, tmp_path):
+        # clipping, scaling and rounding the whole buffer made three
+        # full-length temporaries
+        peaks = []
+        for n in (2**20, 2**22):
+            buf = SampleBuffer(np.linspace(-1.5, 1.5, n), 48000)
+            tracemalloc.start()
+            try:
+                write_wav(tmp_path / f"{n}.wav", buf)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]

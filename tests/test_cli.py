@@ -27,9 +27,10 @@ DELETED_KEYS = {
     "start_time": "mode = unidirectional\nstart_time = 5.0\n",
 }
 
-# non-finite [session] times, by the name the error gives: a nan budget hung
-# a session that could not complete, rx_guard_s = nan failed converting it
-# to samples
+# non-finite [session] times, by a name the error gives: a nan budget hung
+# a session that could not complete, and rx_guard_s = nan failed converting
+# it to samples; a one-way receiver now hears the whole burst, so the error
+# names rx_guard_s as an unknown SessionConfig key
 SESSION_TIMES = {
     "budget": "budget_s = nan\n",
     "rx_guard": "mode = unidirectional\nrx_guard_s = nan\n",
@@ -208,6 +209,28 @@ class TestSimulateSession:
         kinds = [k for e in trace["entries"] if e["event"] == "tx_burst"
                  for k in e["frames"]]
         assert "ACK_OK" not in kinds and "RETRANSMIT" not in kinds
+
+    @pytest.mark.parametrize("mode", ["bidirectional", "unidirectional"])
+    def test_each_burst_is_heard_once(self, tmp_path, payload_file, monkeypatch, mode):
+        # the one-way heard WAV was a second hearing of the burst, made apart
+        # from the one the trace recorded
+        heard = []
+        heard_burst = burst.heard_burst
+
+        def counted(messages, cfg, channel, seed, ident):
+            heard.append(ident)
+            return heard_burst(messages, cfg, channel, seed, ident)
+
+        monkeypatch.setattr(burst, "heard_burst", counted)
+        cfg = self._write_config(tmp_path, payload_file, mode=mode)
+        out = tmp_path / "once"
+        assert main(["simulate-session", "--config", str(cfg), "--seed", "7",
+                     "--out", str(out)]) == 0
+        entries = json.loads((out / "trace.json").read_text())["entries"]
+        received = {e["burst"] for e in entries if e["event"] == "rx_frame"}
+        assert len(heard) == len(set(heard)) and received <= set(heard)
+        if mode == "unidirectional":
+            assert heard == [0]
 
     def test_same_seed_byte_identical_outputs(self, tmp_path, payload_file):
         cfg = self._write_config(tmp_path, payload_file, preset_name="paper-3m")

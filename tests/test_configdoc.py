@@ -93,13 +93,16 @@ class TestSession:
             preset="paper-3m", budget_s=600.0)
 
     def test_unidirectional_keys(self):
-        text = "[session]\npayload = p.bin\nmode = unidirectional\nrx_guard_s = -0.5\n"
+        text = "[session]\npayload = p.bin\nmode = unidirectional\n"
         session = configdoc.session_from_sections(configdoc.parse(text))
         assert session.mode is configdoc.SessionMode.UNIDIRECTIONAL
-        assert (session.rx_guard_s, session.preset) == (-0.5, None)
-        # a one-way burst starts at t = 0: there is no start time to set
-        with pytest.raises(ValueError, match="unknown SessionConfig key 'start_time'"):
-            configdoc.session_from_sections(configdoc.parse(text + "start_time = 5\n"))
+        assert session.preset is None
+        # a one-way burst starts at t = 0 and is heard whole: there is no
+        # start time, and no receiver start, to set
+        for line in ("start_time = 5\n", "rx_guard_s = -0.5\n"):
+            key = line.split(" ")[0]
+            with pytest.raises(ValueError, match=f"unknown SessionConfig key '{key}'"):
+                configdoc.session_from_sections(configdoc.parse(text + line))
 
     def test_payload_required(self):
         with pytest.raises(ValueError, match="payload"):

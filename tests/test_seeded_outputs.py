@@ -53,7 +53,7 @@ SESSIONS = {
     4: "0a32d13288eb7bd98ea88ff3a8fcd0a397631257603622153bcc62442410a271",
 }
 ONEWAY = {
-    0: "06fd0a5905eed0d8ec6f71e09112f015b9639ff9dd77858a7a239fda87ee0bc5",
+    0: "1191703e325a1d5ed6e7650ef0b547d2b6b041d9fb0c2dc234a6a1a092890bf8",
 }
 BER_CELLS = {
     0: "ab9e2f8429ba1e1d79587e13c7705700d4e5efa1450ec0c7d17e371bbf422c13",
