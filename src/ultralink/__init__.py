@@ -43,9 +43,7 @@ from .modem import (
     ConfigError,
     ModemConfig,
     demodulate,
-    detect_preamble,
     modulate,
-    tone_energy,
 )
 from .analysis import (
     CapacityReport,
@@ -55,7 +53,6 @@ from .analysis import (
     detect_ultrasonic,
     lowpass_filter,
     measure_ber,
-    psd,
     shannon_capacity,
 )
 

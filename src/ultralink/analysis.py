@@ -179,13 +179,6 @@ def capacity_profile(
     )
 
 
-def psd(buf: SampleBuffer, resolution: float = DEFAULT_RESOLUTION_HZ) -> np.ndarray:
-    """Normalized per-band power (sums to 1), same windowing as capacity."""
-    powers, _ = _windowed_band_powers(buf, resolution)
-    total = powers.sum()
-    return powers / total if total > 0 else powers
-
-
 # the capacity stimulus: a linear sine sweep over the whole 48 kHz spectrum
 SWEEP_BAND = (1.0, 24_000.0)   # Hz
 SWEEP_SAMPLE_RATE = 48_000

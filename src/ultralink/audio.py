@@ -53,9 +53,6 @@ class SampleBuffer:
         """Length in seconds."""
         return self.samples.size / self.sample_rate
 
-    def slice(self, start: int, stop: int) -> "SampleBuffer":
-        return SampleBuffer(self.samples[start:stop], self.sample_rate)
-
 
 def write_wav(path, buf: SampleBuffer) -> None:
     """Write a buffer as mono 16-bit PCM. Samples are clipped to [-1, 1]."""

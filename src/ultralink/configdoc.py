@@ -2,17 +2,16 @@
 
 One INI document can carry any of the [modem], [link], [channel],
 [noise], and [session] sections; unknown sections and keys are rejected
-so typos fail loudly.  A field's value converts to and from text by its declared
+so typos fail loudly.  A field's value is read from text by its declared
 type: int, float, str, an enum (by value), or any of these `| None`
 (written `none`).  The nested [modem] and [noise] sections and the
-channel's response curve are converted explicitly.
+channel's response curve are read explicitly.
 """
 
 from __future__ import annotations
 
 import configparser
 import enum
-import io
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -59,14 +58,6 @@ def _from_text(raw: str, kind: type, optional: bool):
     return kind(text)
 
 
-def _to_text(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, enum.Enum):
-        return str(value.value)
-    return str(value)
-
-
 def _section_to_kwargs(section: dict, cls) -> dict:
     scalars = _scalar_fields(cls)
     kwargs = {}
@@ -75,33 +66,6 @@ def _section_to_kwargs(section: dict, cls) -> dict:
             raise ValueError(f"unknown {cls.__name__} key {key!r}")
         kwargs[key] = _from_text(raw, *scalars[key])
     return kwargs
-
-
-def _to_section(obj) -> dict:
-    return {name: _to_text(getattr(obj, name)) for name in _scalar_fields(type(obj))}
-
-
-def modem_to_section(cfg: ModemConfig) -> dict:
-    return _to_section(cfg)
-
-
-def channel_to_sections(model: ChannelModel) -> dict:
-    channel = _to_section(model)
-    channel["response_curve"] = "; ".join(f"{f}:{g}" for f, g in model.response_curve)
-    return {"channel": channel, "noise": _to_section(model.noise)}
-
-
-def link_to_sections(cfg: LinkConfig) -> dict:
-    return {"modem": _to_section(cfg.modem), "link": _to_section(cfg)}
-
-
-def dump(sections: dict[str, dict]) -> str:
-    parser = configparser.ConfigParser()
-    for name, body in sections.items():
-        parser[name] = {k: str(v) for k, v in body.items()}
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
 
 
 SECTIONS = ("modem", "link", "channel", "noise", "session")

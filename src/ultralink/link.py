@@ -528,7 +528,11 @@ def replay_hearing(trace: SessionTrace):
     """A hearing function that gives each burst what `trace`'s receiver
     recovered of it: its rx_frame messages in order and its rx_corrupt count.
     With the trace's configs, payloads, seed and room, `run_session` then
-    replays the session with no audio."""
+    replays the session with no audio.  A one-way trace (nodes TX and RX) is
+    rejected: its rx_frame entries carry no grid index to place frames by."""
+    if any(e["node"] in ("TX", "RX") for e in trace.entries):
+        raise ValueError("replay_hearing replays two-node traces only; this one is "
+                         "a one-way stream's, whose frames it cannot place")
     scans: dict[int, bursts.BurstScan] = {}
     for e in trace.entries:
         if e["event"] not in ("rx_frame", "rx_corrupt"):

@@ -144,23 +144,6 @@ def slot_phases(bits: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.ndar
     return omega, start
 
 
-def tone_energy(buf: SampleBuffer, freq: float, window: tuple[int, int]) -> float:
-    """Energy of the window's projection onto a sinusoid at `freq`.
-
-    Magnitude squared of the complex correlation, normalized by window
-    length: a unit-amplitude tone probed at its own frequency over whole
-    periods yields 0.25.
-    """
-    start, stop = window
-    if not (0 <= start < stop <= len(buf)):
-        raise ValueError(f"window [{start}, {stop}) outside buffer of {len(buf)} samples")
-    if not 0 < freq < buf.sample_rate / 2:
-        raise ValueError(f"probe frequency {freq} Hz outside (0, Nyquist)")
-    n = np.arange(start, stop)
-    phasor = np.exp(-2j * np.pi * freq / buf.sample_rate * n)
-    return float(np.abs(np.dot(buf.samples[start:stop], phasor) / (stop - start)) ** 2)
-
-
 def slot_basis(cfg: ModemConfig) -> np.ndarray:
     """Real (samples_per_bit, 4) projection basis of one bit slot.
 
@@ -229,8 +212,7 @@ class ToneScanner:
     scores preamble candidates from cumulative projections at f0 and f1
     built only over the stretch a call scores, so set-up copies nothing and
     each call costs time and memory in proportion to the samples it reads.
-    Used by the preamble detector and the burst receiver; one instance per
-    received buffer.
+    Used by the burst receiver; one instance per received buffer.
 
     `pad` appends that many silent samples to the buffer: every read past
     the buffer end sees zeros, as on a zero-padded copy.
@@ -367,25 +349,3 @@ class _RunningProjections:
             part[0] += cum[done]
             np.cumsum(part, out=part)
             self.cums[i] = cum
-
-
-def detect_preamble(
-    buf: SampleBuffer, cfg: ModemConfig, search_from: int = 0
-) -> Optional[PreambleHit]:
-    """Locate the start of a '101010' preamble at or after `search_from`.
-
-    Returns None when nothing scores above the detection threshold, which
-    is a normal outcome (silence, noise, or a non-alternating signal).
-    """
-    return ToneScanner(buf, cfg).find_preamble(search_from)
-
-
-def spectral_power_outside(buf: SampleBuffer, lo: float, hi: float) -> float:
-    """Fraction of total spectral power outside [lo, hi] Hz."""
-    spectrum = np.abs(np.fft.rfft(buf.samples)) ** 2
-    freqs = np.fft.rfftfreq(len(buf), d=1.0 / buf.sample_rate)
-    total = spectrum.sum()
-    if total == 0:
-        return 0.0
-    outside = spectrum[(freqs < lo) | (freqs > hi)].sum()
-    return float(outside / total)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ultralink.audio import SampleBuffer
+from ultralink.modem import carrier_phasor
 
 ACCEPTANCE_LINES = []
 
@@ -31,6 +32,16 @@ def awgn_per_band_snr(buf: SampleBuffer, snr_db: float, tone_power: float,
     rng = np.random.default_rng(seed)
     return SampleBuffer(buf.samples + sigma * rng.standard_normal(len(buf)),
                         buf.sample_rate)
+
+
+def tone_energy(buf: SampleBuffer, freq: float, window: tuple[int, int]) -> float:
+    """Energy of the window's projection onto a tone at `freq`, at any
+    frequency, as a probe: |x . carrier_phasor|^2 / n^2 over the window's n
+    samples, so a unit-amplitude tone over whole periods yields 0.25.  The
+    modem's own energies are `modem.slot_energies`, at its carriers."""
+    start, stop = window
+    phasor = carrier_phasor(freq, buf.sample_rate, stop)[start:]
+    return float(np.abs(np.dot(buf.samples[start:stop], phasor) / (stop - start)) ** 2)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import record_criterion, tone_energy
 from ultralink import framing
 from ultralink.analysis import (
     capacity_profile,
@@ -37,7 +37,7 @@ from ultralink.channel import (
 from ultralink.cli import main as cli_main
 from ultralink.burst import heard_burst, recover_frames
 from ultralink.link import LinkConfig, run_session, verify_trace
-from ultralink.modem import ModemConfig, demodulate, modulate, tone_energy
+from ultralink.modem import ModemConfig, demodulate, modulate
 
 FS = 48000
 LINK = LinkConfig(modem=ModemConfig(bit_rate=166))

@@ -506,7 +506,8 @@ class TestRerun:
         # its outputs and manifest written all the same
         assert main(["modulate", str(payload_file), "--out", str(tmp_path / "m")]) == 0
         wave = read_wav(tmp_path / "m" / "payload.wav")
-        write_wav(tmp_path / "half.wav", wave.slice(0, len(wave) // 2))
+        half = SampleBuffer(wave.samples[:len(wave) // 2], wave.sample_rate)
+        write_wav(tmp_path / "half.wav", half)
         out = tmp_path / "d"
         assert main(["demodulate", str(tmp_path / "half.wav"), "--out", str(out)]) == 1
         path = out / "manifest.json"

@@ -12,30 +12,43 @@ from ultralink.modem import ModemConfig
 
 
 class TestRoundtrips:
+    """Documents written out by hand read back to the configs they spell out."""
+
     def test_modem_roundtrip(self):
+        text = "[modem]\nf0 = 18200\nf1 = 19100.0\nbit_rate = 42.5\ngain = 0.7\n"
         cfg = ModemConfig(f0=18200.0, f1=19100.0, bit_rate=42.5, gain=0.7)
-        text = configdoc.dump({"modem": configdoc.modem_to_section(cfg)})
         assert configdoc.modem_from_sections(configdoc.parse(text)) == cfg
 
     def test_channel_roundtrip(self):
+        text = ("[channel]\ndistance = 4.5\nangle_off_axis = 30\ncone_diameter = 0.1\n"
+                "speed_of_sound = 343\nbase_snr_at_1m = 17.25\n"
+                "response_curve = 0:0; 18000:-1.5; 24000:-12\nsample_rate = 44100\n"
+                "[noise]\nkind = speech_like\nlevel_db = -3\n")
         model = ChannelModel(
             distance=4.5,
             angle_off_axis=30.0,
+            speed_of_sound=343.0,
             base_snr_at_1m=17.25,
+            response_curve=((0.0, 0.0), (18_000.0, -1.5), (24_000.0, -12.0)),
             noise=NoiseProfile(NoiseKind.SPEECH_LIKE, -3.0),
             sample_rate=44_100,
         )
-        text = configdoc.dump(configdoc.channel_to_sections(model))
         assert configdoc.channel_from_sections(configdoc.parse(text)) == model
+
+    PRESET_DOCS = {
+        "noiseless": "[channel]\ndistance = 1\nbase_snr_at_1m = none\n[noise]\nkind = silent\n",
+        "paper-3m": "[channel]\ndistance = 3\nbase_snr_at_1m = 21.57\n",
+        "paper-8m": "[channel]\ndistance = 8\nbase_snr_at_1m = 19.58\n",
+    }
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_roundtrip(self, name):
-        text = configdoc.dump(configdoc.channel_to_sections(PRESETS[name]))
+        text = self.PRESET_DOCS[name]
         assert configdoc.channel_from_sections(configdoc.parse(text)) == PRESETS[name]
 
     def test_link_roundtrip(self):
+        text = "[modem]\nbit_rate = 50\n[link]\nt_max = 7.5\nretask_latency = 0.02\n"
         cfg = LinkConfig(modem=ModemConfig(bit_rate=50.0), t_max=7.5, retask_latency=0.02)
-        text = configdoc.dump(configdoc.link_to_sections(cfg))
         assert configdoc.link_from_sections(configdoc.parse(text)) == cfg
 
     def test_defaults_when_sections_missing(self):

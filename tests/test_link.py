@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -676,9 +677,19 @@ class TestReceivedBurst:
 
 
 
+C5_PAYLOAD = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
+
+
 def heard_as_sent(messages):
     """The `BurstScan` of a burst whose every frame was heard as sent."""
     return bursts.BurstScan([bursts.RecoveredFrame(0, i, m) for i, m in enumerate(messages)], [])
+
+
+def losing(lost):
+    """A hearing function that hears every frame as sent, except that the
+    bursts numbered in `lost` are lost whole, as audio loses a burst that
+    no lock holds."""
+    return lambda ident, messages: heard_as_sent([] if ident in lost else messages)
 
 
 class TestHearing:
@@ -743,8 +754,55 @@ class TestHearing:
         assert len(resent) == 1
         assert not any(verify_trace(trace, t_max=CFG.t_max).values())
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a node answers a DISCOVERY one own retask after hearing it, while a peer with "
+        "a longer retask is still switching to MIC: B broadcasts 39 rounds and misses "
+        "50 bursts, and the two never discover (ROADMAP item 15)"))
+    def test_nodes_with_different_retask_latencies_complete(self):
+        a_cfg = dataclasses.replace(CFG, retask_latency=0.02)
+        trace = run_session(a_cfg, CFG, self.ROOM, C5_PAYLOAD, seed=1, budget=300.0,
+                            hear=losing(()))
+        assert trace.summary["complete"]
 
-C5_PAYLOAD = bytes(np.random.default_rng(0).integers(0, 256, 16, dtype=np.uint8))
+
+class TestBurstLoss:
+    """Criterion-5 sessions heard frame by frame with whole bursts lost: every
+    set of at most two among the first 16 bursts at ten seeds, then named
+    sets of three (ROADMAP item 12's exhaustive stage)."""
+
+    ROOM = ChannelModel(distance=3.0)   # only its flight time is used
+
+    def _failure(self, seed, lost):
+        """What is wrong with the session at `seed` that loses bursts `lost`,
+        or None: an invariant broken, an incomplete or corrupt delivery, or a
+        `ProtocolError`."""
+        try:
+            trace = run_session(CFG, CFG, self.ROOM, C5_PAYLOAD, seed=seed, budget=900.0,
+                                hear=losing(set(lost)))
+        except ProtocolError as exc:
+            return repr(exc)
+        s, inv = trace.summary, verify_trace(trace, t_max=CFG.t_max)
+        if any(inv.values()) or not s["complete"] or not all(s["delivered_intact"].values()):
+            return inv, s["complete"], s["delivered_intact"]
+        return None
+
+    def test_every_loss_of_up_to_two_bursts_delivers(self):
+        cases = [(seed, lost) for seed in range(10)
+                 for k in range(3) for lost in itertools.combinations(range(16), k)]
+        assert len(cases) == 1370
+        failures = {case: why for case in cases if (why := self._failure(*case))}
+        assert failures == {}
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a turn start inside the retask blind window (ROADMAP item 3), or a carrier "
+        "deferral that lands inside the holder's retask tail (item 13): both nodes "
+        "hold the token at once"))
+    @pytest.mark.parametrize("seed, lost", [(37, (2, 4, 7)), (90, (0, 4, 7)), (93, (0, 1, 5))],
+                             ids=["seed37-2-4-7", "seed90-0-4-7", "seed93-0-1-5"])
+    def test_three_lost_bursts_hold_the_token_once(self, seed, lost):
+        assert self._failure(seed, lost) is None
+
+
 REPLAYED = [
     *[(CFG, C5_PAYLOAD, None, seed) for seed in [*range(20), 1087]],
     (CFG, payload_bytes(64), payload_bytes(64, seed=8), 2),
@@ -779,6 +837,18 @@ class TestReplay:
         assert replay.to_json() != trace.to_json()
         assert replay.entries[:data] == trace.entries[:data]
         assert replay.entries[data] != trace.entries[data]
+
+    def test_one_way_trace_rejected(self):
+        # its rx_frame entries carry no grid index, and a one-way stream
+        # places each frame by its index: with frame 15 lost, every later
+        # frame would be placed one chunk early
+        data = payload_bytes(120)
+        keep = set(range(len(framing.pack_payload(data)))) - {15}
+        trace = unidirectional_schedule(CFG, ChannelModel(distance=3.0), data, seed=1,
+                                        hear=keeping(keep))
+        assert trace.summary["missing_chunks"] == [15]
+        with pytest.raises(ValueError, match="two-node traces only"):
+            replay_hearing(trace)
 
 
 class TestVerifyTrace:

@@ -28,10 +28,9 @@ from ultralink.modem import (
     ToneScanner,
     carrier_phasor,
     demodulate,
-    detect_preamble,
     modulate,
-    spectral_power_outside,
-    tone_energy,
+    slot_basis,
+    slot_energies,
 )
 
 CFG10 = ModemConfig(bit_rate=10)
@@ -70,8 +69,9 @@ class TestModulate:
         buf = modulate("10", CFG10)
         assert len(buf) == 9600
         # first slot carries f1 (bit '1'), second f0
-        assert tone_energy(buf, 19500, (0, 4800)) > 100 * tone_energy(buf, 18500, (0, 4800))
-        assert tone_energy(buf, 18500, (4800, 9600)) > 100 * tone_energy(buf, 19500, (4800, 9600))
+        e0, e1 = slot_energies(buf.samples.reshape(2, 4800), slot_basis(CFG10))
+        assert e1[0] > 100 * e0[0]
+        assert e0[1] > 100 * e1[1]
 
     def test_empty_bits_empty_buffer(self):
         assert len(modulate("", CFG166)) == 0
@@ -114,45 +114,40 @@ class TestModulate:
 
     def test_preamble_spectrogram_alternates(self):
         buf = modulate("101010", CFG10)
-        spb = CFG10.samples_per_bit
+        e0, e1 = slot_energies(buf.samples.reshape(6, -1), slot_basis(CFG10))
         for k in range(6):
-            window = (k * spb, (k + 1) * spb)
-            hot = 19500 if k % 2 == 0 else 18500
-            cold = 18500 if k % 2 == 0 else 19500
-            assert tone_energy(buf, hot, window) > 100 * tone_energy(buf, cold, window)
+            hot, cold = (e1[k], e0[k]) if k % 2 == 0 else (e0[k], e1[k])
+            assert hot > 100 * cold
 
     def test_emitted_power_stays_in_band(self, rng):
         for cfg in (CFG10, CFG166):
-            bits = rng.integers(0, 2, 60, dtype=np.uint8)
-            assert spectral_power_outside(modulate(bits, cfg), 17000, 25000) < 0.01
+            buf = modulate(rng.integers(0, 2, 60, dtype=np.uint8), cfg)
+            power = np.abs(np.fft.rfft(buf.samples)) ** 2
+            freqs = np.fft.rfftfreq(len(buf), d=1.0 / buf.sample_rate)
+            outside = power[(freqs < 17000) | (freqs > 25000)].sum()
+            assert outside < 0.01 * power.sum()
 
 
 class TestToneEnergy:
+    """`slot_energies`, the modem's one tone-energy definition, on rows of
+    bit slots at 10 bit/s."""
+
+    SPB = CFG10.samples_per_bit
+
     def test_unit_tone_is_quarter(self):
-        fs = 48000
-        n = np.arange(100 * fs // 19000 + fs)  # comfortably over 100 periods
-        buf = SampleBuffer(np.sin(2 * np.pi * 19000 / fs * n), fs)
-        assert tone_energy(buf, 19000, (0, len(buf))) == pytest.approx(0.25, rel=0.01)
+        n = np.arange(10 * self.SPB)   # 1950 periods of f1 per slot
+        slots = np.sin(2 * np.pi * CFG10.f1 / CFG10.sample_rate * n).reshape(10, self.SPB)
+        _, e1 = slot_energies(slots, slot_basis(CFG10))
+        np.testing.assert_allclose(e1, 0.25, rtol=0.01)
 
     def test_silence_is_zero(self):
-        buf = SampleBuffer(np.zeros(48000), 48000)
-        assert tone_energy(buf, 19000, (0, 48000)) == 0.0
+        e0, e1 = slot_energies(np.zeros((10, self.SPB)), slot_basis(CFG10))
+        assert not e0.any() and not e1.any()
 
     def test_off_frequency_leakage_small(self):
-        fs = 48000
-        buf = SampleBuffer(np.sin(2 * np.pi * 18500 / fs * np.arange(4800)), fs)
-        on = tone_energy(buf, 18500, (0, 4800))
-        off = tone_energy(buf, 19500, (0, 4800))
+        slot = np.sin(2 * np.pi * CFG10.f0 / CFG10.sample_rate * np.arange(self.SPB))
+        (on,), (off,) = slot_energies(slot[None, :], slot_basis(CFG10))
         assert off < 0.01 * on
-
-    def test_argument_validation(self):
-        buf = SampleBuffer(np.zeros(1000), 48000)
-        with pytest.raises(ValueError):
-            tone_energy(buf, 19000, (0, 2000))
-        with pytest.raises(ValueError):
-            tone_energy(buf, 0.0, (0, 1000))
-        with pytest.raises(ValueError):
-            tone_energy(buf, 24000.0, (0, 1000))
 
 
 class TestDemodulate:
@@ -173,7 +168,7 @@ class TestDemodulate:
     def test_trailing_partial_slot_discarded(self, rng):
         bits = rng.integers(0, 2, 10, dtype=np.uint8)
         buf = modulate(bits, CFG166)
-        clipped = buf.slice(0, len(buf) - 17)
+        clipped = SampleBuffer(buf.samples[:len(buf) - 17], buf.sample_rate)
         out = demodulate(clipped, CFG166)
         assert out.bits.size == 9
         assert out.consumed == 9 * CFG166.samples_per_bit
@@ -232,30 +227,31 @@ class TestDetectPreamble:
         buf = SampleBuffer(
             np.concatenate([np.zeros(12345), signal.samples, np.zeros(4000)]), 48000
         )
-        hit = detect_preamble(buf, CFG10)
+        hit = ToneScanner(buf, CFG10).find_preamble()
         assert hit is not None
         assert abs(hit.offset - 12345) <= 480  # within 10% of a bit slot
         assert hit.score > 0.9
 
     def test_silence_returns_none(self):
         buf = SampleBuffer(np.zeros(48000 * 4), 48000)
-        assert detect_preamble(buf, CFG10) is None
+        assert ToneScanner(buf, CFG10).find_preamble() is None
 
     def test_constant_tone_returns_none(self):
-        assert detect_preamble(modulate("1" * 12, CFG10), CFG10) is None
-        assert detect_preamble(modulate("0" * 12, CFG10), CFG10) is None
+        for bits in ("1" * 12, "0" * 12):
+            assert ToneScanner(modulate(bits, CFG10), CFG10).find_preamble() is None
 
     def test_short_buffer_returns_none(self):
         buf = SampleBuffer(np.zeros(CFG166.samples_per_bit * 5), 48000)
-        assert detect_preamble(buf, CFG166) is None
+        assert ToneScanner(buf, CFG166).find_preamble() is None
 
     def test_search_from_skips_earlier_hit(self):
         frame_bits = np.concatenate([as_bits("101010"), np.zeros(40, dtype=np.uint8)])
         one = modulate(frame_bits, CFG166).samples
         gap = np.zeros(8 * CFG166.samples_per_bit)
         buf = SampleBuffer(np.concatenate([one, gap, one]), 48000)
-        first = detect_preamble(buf, CFG166)
-        second = detect_preamble(buf, CFG166, search_from=first.offset + len(one))
+        scanner = ToneScanner(buf, CFG166)
+        first = scanner.find_preamble()
+        second = scanner.find_preamble(search_from=first.offset + len(one))
         assert abs(first.offset - 0) <= 40
         assert abs(second.offset - (len(one) + len(gap))) <= 40
 
