@@ -95,7 +95,7 @@ LinkEvent = Union[FrameReceived, Timeout]
 @dataclass(frozen=True)
 class Transmit:
     """Retask to SPEAKER, send `messages` as one burst, retask to MIC: each
-    retask takes the node's cfg.retask_latency."""
+    retask takes RETASK_LATENCY."""
 
     messages: tuple[ControlMessage, ...]
 
@@ -119,6 +119,7 @@ LinkAction = Union[Transmit, SetTimer, CancelTimer]
 MIN_TURN_FRAMES = 3  # ACQUIRE, one DATA frame, RELEASE
 DISCOVERY_WINDOW = 5.0  # broadcasts at random delays in [0, this]
 MAX_RETRANSMIT_PER_TURN = 16  # RETRANSMIT requests in one feedback turn, at most
+RETASK_LATENCY = 0.05  # SPEAKER<->MIC switch time, the same on every node
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,10 @@ class LinkConfig:
 
     modem: ModemConfig = field(default_factory=ModemConfig)
     t_max: float = 10.0               # max token hold, seconds of air
-    retask_latency: float = 0.05      # SPEAKER<->MIC switch time
 
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
-        if not 0 < self.retask_latency < math.inf:
-            raise ConfigError(
-                f"retask_latency must be positive and finite, got {self.retask_latency}"
-            )
         frames = _turn_frames(self)
         if frames < MIN_TURN_FRAMES:
             raise ConfigError(
@@ -210,7 +206,7 @@ def _discovery_ack_wait(st: NodeState) -> float:
     # the nominal 5 s wait cannot see an ack at very low bit rates, where
     # a single frame outlasts it; scale with airtime
     airtime = bursts.frame_airtime(st.cfg.modem)
-    return max(DISCOVERY_WINDOW, 2 * airtime + 2 * st.cfg.retask_latency + 0.5)
+    return max(DISCOVERY_WINDOW, 2 * airtime + 2 * RETASK_LATENCY + 0.5)
 
 
 def _inactivity_wait(st: NodeState) -> float:
@@ -219,7 +215,7 @@ def _inactivity_wait(st: NodeState) -> float:
 
 def _response_wait(st: NodeState) -> float:
     # must outlast the peer's inactivity fallback plus a full feedback turn
-    return _inactivity_wait(st) + st.cfg.t_max + 2 * st.cfg.retask_latency + 1.0
+    return _inactivity_wait(st) + st.cfg.t_max + 2 * RETASK_LATENCY + 1.0
 
 
 def _broadcast_delay(st: NodeState) -> float:
@@ -227,7 +223,9 @@ def _broadcast_delay(st: NodeState) -> float:
 
 
 def _reactive_delay(st: NodeState) -> float:
-    return 0.05 + float(_rng(st).uniform(0.0, 0.1))
+    # the holder settles one retask after its burst ends, which is heard a
+    # flight time later: a start one retask after that comes after it settles
+    return RETASK_LATENCY + float(_rng(st).uniform(0.0, 0.1))
 
 
 def _spontaneous_delay(st: NodeState) -> float:
@@ -642,21 +640,20 @@ class _Engine:
 
     def _apply_actions(self, idx: int, now: float, actions: list[LinkAction]) -> None:
         state = self.nodes[idx]
-        latency = state.cfg.retask_latency
         cursor = now
         for act in actions:
             if isinstance(act, Transmit):
                 self.trace.log(cursor, state.name, "retask", role="SPEAKER",
-                               ready_at=cursor + latency)
-                cursor += latency
+                               ready_at=cursor + RETASK_LATENCY)
+                cursor += RETASK_LATENCY
                 ident = self.burst_count
                 self.burst_count += 1
                 t1 = _log_tx_burst(self.trace, state.name, ident, cursor, act.messages,
                                    state.cfg.modem)
                 self.bursts[ident] = _Burst(tx=idx, t0=cursor, t1=t1, messages=act.messages)
                 self._at(ident, t1 + self.channel.propagation_delay)
-                self.trace.log(t1, state.name, "retask", role="MIC", ready_at=t1 + latency)
-                cursor = self.mic_since[idx] = t1 + latency
+                self.trace.log(t1, state.name, "retask", role="MIC", ready_at=t1 + RETASK_LATENCY)
+                cursor = self.mic_since[idx] = t1 + RETASK_LATENCY
             elif isinstance(act, SetTimer):
                 self._at((idx, act.kind), cursor + act.delay)
             elif isinstance(act, CancelTimer):

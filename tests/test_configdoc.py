@@ -47,8 +47,8 @@ class TestRoundtrips:
         assert configdoc.channel_from_sections(configdoc.parse(text)) == PRESETS[name]
 
     def test_link_roundtrip(self):
-        text = "[modem]\nbit_rate = 50\n[link]\nt_max = 7.5\nretask_latency = 0.02\n"
-        cfg = LinkConfig(modem=ModemConfig(bit_rate=50.0), t_max=7.5, retask_latency=0.02)
+        text = "[modem]\nbit_rate = 50\n[link]\nt_max = 7.5\n"
+        cfg = LinkConfig(modem=ModemConfig(bit_rate=50.0), t_max=7.5)
         assert configdoc.link_from_sections(configdoc.parse(text)) == cfg
 
     def test_defaults_when_sections_missing(self):
