@@ -131,7 +131,7 @@ def cmd_demodulate(args):
 def _write_heard_timelines(out_dir: Path, trace, heard: dict, channel) -> list[Path]:
     """Per node, `node_<name>_heard.wav` of the session and a second more of
     audio: each burst it heard, from `heard` by number, at its tx_burst
-    start plus the flight time.  One node's timeline is held at a time."""
+    time plus the flight time.  One node's timeline is held at a time."""
     fs = channel.sample_rate
     size = int(math.ceil((trace.summary["duration"] + 1.0) * fs))
     paths = []
@@ -140,7 +140,7 @@ def _write_heard_timelines(out_dir: Path, trace, heard: dict, channel) -> list[P
         for e in trace.of_kind("tx_burst"):
             if e["node"] != name and e["burst"] in heard:
                 samples = heard[e["burst"]].samples
-                a = int(round((e["start"] + channel.propagation_delay) * fs))
+                a = int(round((e["t"] + channel.propagation_delay) * fs))
                 timeline[a:a + samples.size] = samples[: max(size - a, 0)]
         paths.append(out_dir / f"node_{name.lower()}_heard.wav")
         write_wav(paths[-1], SampleBuffer(timeline, fs))

@@ -474,7 +474,7 @@ def _after_own_turn(st: NodeState, actions: list[LinkAction]) -> None:
 # ---------------------------------------------------------------- traces
 
 # bump when entry/summary fields change; docs/protocol.md describes the schema
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -505,32 +505,29 @@ def _log_tx_burst(trace: SessionTrace, node: str, ident: int, t0: float,
     """Log the tx_burst entry of burst `ident`, sent from t0; returns the
     time its last sample leaves the speaker."""
     t1 = t0 + bursts.burst_length(len(messages), cfg) / cfg.sample_rate
-    trace.log(t0, node, "tx_burst", burst=ident, start=t0, end=t1,
-              frames=[m.kind.name for m in messages], bit_rate=float(cfg.bit_rate),
+    trace.log(t0, node, "tx_burst", burst=ident, end=t1, frames=[m.kind.name for m in messages],
               turn=messages[0].kind == MessageKind.ACQUIRE)
     return t1
 
 
 def _log_scan(trace: SessionTrace, t: float, node: str, ident: int, scan: bursts.BurstScan):
     """Log at t what `node` recovered of burst `ident`: an rx_corrupt entry,
-    then an rx_frame entry per message, yielding each message after its entry."""
+    then an rx_frame entry per frame, yielding each message after its entry."""
     if scan.corrupt_offsets:
         trace.log(t, node, "rx_corrupt", burst=ident, count=len(scan.corrupt_offsets))
-    for msg in scan.messages:
-        trace.log(t, node, "rx_frame", burst=ident, kind=msg.kind.name,
+    for frame in scan.frames:
+        msg = frame.message
+        trace.log(t, node, "rx_frame", burst=ident, index=frame.index, kind=msg.kind.name,
                   sender=msg.sender_id, seq=msg.seq, body=msg.body)
         yield msg
 
 
 def replay_hearing(trace: SessionTrace):
     """A hearing function that gives each burst what `trace`'s receiver
-    recovered of it: its rx_frame messages in order and its rx_corrupt count.
-    With the trace's configs, payloads, seed and room, `run_session` then
-    replays the session with no audio.  A one-way trace (nodes TX and RX) is
-    rejected: its rx_frame entries carry no grid index to place frames by."""
-    if any(e["node"] in ("TX", "RX") for e in trace.entries):
-        raise ValueError("replay_hearing replays two-node traces only; this one is "
-                         "a one-way stream's, whose frames it cannot place")
+    recovered of it: its rx_frame messages in order, each at its grid index,
+    and its rx_corrupt count.  With the trace's configs, payloads, seed and
+    room, `run_session` or `unidirectional_schedule` then replays the session
+    or stream with no audio."""
     scans: dict[int, bursts.BurstScan] = {}
     for e in trace.entries:
         if e["event"] not in ("rx_frame", "rx_corrupt"):
@@ -540,7 +537,7 @@ def replay_hearing(trace: SessionTrace):
             scan.corrupt_offsets += [0] * e["count"]
         else:
             msg = ControlMessage(MessageKind[e["kind"]], e["sender"], e["seq"], e["body"])
-            scan.frames.append(bursts.RecoveredFrame(0, len(scan.frames), msg))
+            scan.frames.append(bursts.RecoveredFrame(0, e["index"], msg))
     return lambda ident, messages: scans.get(ident, bursts.BurstScan([], []))
 
 
@@ -643,8 +640,6 @@ class _Engine:
         cursor = now
         for act in actions:
             if isinstance(act, Transmit):
-                self.trace.log(cursor, state.name, "retask", role="SPEAKER",
-                               ready_at=cursor + RETASK_LATENCY)
                 cursor += RETASK_LATENCY
                 ident = self.burst_count
                 self.burst_count += 1
@@ -652,7 +647,6 @@ class _Engine:
                                    state.cfg.modem)
                 self.bursts[ident] = _Burst(tx=idx, t0=cursor, t1=t1, messages=act.messages)
                 self._at(ident, t1 + self.channel.propagation_delay)
-                self.trace.log(t1, state.name, "retask", role="MIC", ready_at=t1 + RETASK_LATENCY)
                 cursor = self.mic_since[idx] = t1 + RETASK_LATENCY
             elif isinstance(act, SetTimer):
                 self._at((idx, act.kind), cursor + act.delay)
@@ -668,7 +662,7 @@ class _Engine:
         rx = 1 - b.tx
         name = self.nodes[rx].name
         if self.mic_since[rx] > b.t0 + self.channel.propagation_delay:
-            self.trace.log(self.now, name, "rx_missed_burst", burst=ident, reason="not_listening")
+            self.trace.log(self.now, name, "rx_missed_burst", burst=ident)
             return
         for msg in _log_scan(self.trace, self.now, name, ident, self.hear(ident, b.messages)):
             self._deliver(rx, FrameReceived(self.now, msg))
@@ -730,7 +724,7 @@ class _Engine:
                 corrupted += 1
         sent = self.trace.of_kind("tx_burst")
         kinds = [k for e in sent for k in e["frames"]]
-        first_turn = min((e["start"] for e in sent if e["turn"]), default=None)
+        first_turn = min((e["t"] for e in sent if e["turn"]), default=None)
         deliveries = self.trace.of_kind("deliver")
         last_delivery = max((e["t"] for e in deliveries), default=None)
         goodput = None
@@ -743,6 +737,7 @@ class _Engine:
             "complete": complete,
             "duration": self.now if complete else self.budget,
             "seed": self.seed,
+            "bit_rate": float(self.nodes[0].cfg.modem.bit_rate),
             "delivered_bytes": delivered,
             "delivered_intact": intact,
             "undetected_corruption": corrupted,
@@ -821,6 +816,7 @@ def unidirectional_schedule(
         "complete": result.complete,
         "duration": end,
         "seed": seed,
+        "bit_rate": float(cfg.modem.bit_rate),
         "frames_sent": len(messages),
         "frames_recovered": len(scan.frames),
         "delivered_bytes": {"RX": len(result.data) if result.complete else 0},
@@ -865,13 +861,13 @@ def verify_trace(trace: SessionTrace, t_max: float = LinkConfig.t_max) -> dict:
     # T_max: air time of any turn burst
     t_max_violations = sum(
         1 for e in trace.of_kind("tx_burst")
-        if e["turn"] and e["end"] - e["start"] > t_max + 1e-9
+        if e["turn"] and e["end"] - e["t"] > t_max + 1e-9
     )
     # half-duplex: a received frame while the receiver itself was inside
     # one of its own transmission bursts
     tx_spans = {}
     for e in trace.of_kind("tx_burst"):
-        tx_spans.setdefault(e["node"], []).append((e["start"], e["end"]))
+        tx_spans.setdefault(e["node"], []).append((e["t"], e["end"]))
     half_duplex = 0
     for e in trace.of_kind("rx_frame"):
         for s, t in tx_spans.get(e["node"], ()):

@@ -191,7 +191,7 @@ class TestSimulateSession:
         entries = json.loads((out / "trace.json").read_text())["entries"]
         model = configdoc.channel_from_sections(configdoc.parse(cfg.read_text()))
         fs = model.sample_rate
-        starts = {e["burst"]: e["start"] for e in entries if e["event"] == "tx_burst"}
+        starts = {e["burst"]: e["t"] for e in entries if e["event"] == "tx_burst"}
         for node in "AB":
             heard = sorted({e["burst"] for e in entries
                             if e["event"] == "rx_frame" and e["node"] == node})

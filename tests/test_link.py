@@ -569,10 +569,9 @@ class TestEngineDeferral:
     def test_timer_of_a_retasking_node_waits_until_it_settles(self, kind):
         engine = self._engine()
         tx = self._broadcast(engine, 0, 1.0)
-        (settle,) = [e["ready_at"] for e in engine.trace.of_kind("retask")
-                     if e["node"] == "A" and e["role"] == "MIC"]
+        settle = engine.mic_since[0]
         assert settle == tx["end"] + link.RETASK_LATENCY
-        for t in (1.0, 1.0 + link.RETASK_LATENCY / 2, (tx["start"] + tx["end"]) / 2, tx["end"]):
+        for t in (1.0, 1.0 + link.RETASK_LATENCY / 2, (tx["t"] + tx["end"]) / 2, tx["end"]):
             # speaking, or switching from or back to MIC: the timer is re-armed
             assert self._fire(engine, 0, kind, t) == settle + engine.BUSY_BACKOFF
             assert self._timer_entries(engine, kind) == []
@@ -587,13 +586,13 @@ class TestEngineDeferral:
         deferred = kind in (TimerKind.TURN_START, TimerKind.INACTIVITY, TimerKind.RESPONSE_WAIT)
         # the burst is audible at A from when its first sample leaves B
         # until its last arrives
-        due = self._fire(engine, 0, kind, (tx["start"] + tx["end"]) / 2)
+        due = self._fire(engine, 0, kind, (tx["t"] + tx["end"]) / 2)
         if not deferred:
-            assert self._timer_entries(engine, kind) == [(tx["start"] + tx["end"]) / 2]
+            assert self._timer_entries(engine, kind) == [(tx["t"] + tx["end"]) / 2]
             return
         again = tx["end"] + delay + engine.CARRIER_BACKOFF
         assert due == again
-        for t in (tx["start"], tx["end"], tx["end"] + delay / 2):
+        for t in (tx["t"], tx["end"], tx["end"] + delay / 2):
             assert self._fire(engine, 0, kind, t) == again
         assert self._timer_entries(engine, kind) == []
         self._fire(engine, 0, kind, again)
@@ -714,6 +713,14 @@ def losing(lost):
     bursts numbered in `lost` are lost whole, as audio loses a burst that
     no lock holds."""
     return lambda ident, messages: heard_as_sent([] if ident in lost else messages)
+
+
+def keeping(keep):
+    """A hearing function that recovers the frames of a burst whose index is
+    in `keep`, each on its grid slot, and no corrupt one."""
+    period = bursts.frame_period(CFG.modem)
+    return lambda ident, messages: bursts.BurstScan(
+        [bursts.RecoveredFrame(i * period, i, m) for i, m in enumerate(messages) if i in keep], [])
 
 
 class TestHearing:
@@ -858,17 +865,50 @@ class TestReplay:
         assert replay.entries[:data] == trace.entries[:data]
         assert replay.entries[data] != trace.entries[data]
 
-    def test_one_way_trace_rejected(self):
-        # its rx_frame entries carry no grid index, and a one-way stream
-        # places each frame by its index: with frame 15 lost, every later
-        # frame would be placed one chunk early
-        data = payload_bytes(120)
-        keep = set(range(len(framing.pack_payload(data)))) - {15}
-        trace = unidirectional_schedule(CFG, ChannelModel(distance=3.0), data, seed=1,
-                                        hear=keeping(keep))
-        assert trace.summary["missing_chunks"] == [15]
-        with pytest.raises(ValueError, match="two-node traces only"):
-            replay_hearing(trace)
+    @pytest.mark.parametrize("room, hear, missing", [
+        (ChannelModel(distance=3.0), keeping(set(range(61)) - {15}), [15]),
+        (ChannelModel(distance=3.0, base_snr_at_1m=24), None, [2]),
+    ], ids=["frame-15-lost", "audio-chunk-2-missing"])
+    def test_one_way_replay_is_byte_identical(self, room, hear, missing):
+        # a one-way stream places each frame by its grid index, so a replay
+        # that numbered the frames it heard 0, 1, 2… would place every frame
+        # after a lost one a chunk early
+        data = payload_bytes(120, seed=0)
+        trace = unidirectional_schedule(CFG, room, data, seed=1, hear=hear)
+        assert trace.summary["missing_chunks"] == missing
+        replay = unidirectional_schedule(CFG, room, data, seed=1, hear=replay_hearing(trace))
+        assert replay.to_json() == trace.to_json()
+
+
+class TestTraceSchema:
+    """Each entry of a schema-3 trace has its event's fields and no other
+    (docs/protocol.md): nothing that another entry or a protocol constant
+    already says."""
+
+    FIELDS = {
+        "phase": {"phase"},
+        "tx_burst": {"burst", "end", "frames", "turn"},
+        "rx_frame": {"burst", "index", "kind", "sender", "seq", "body"},
+        "rx_corrupt": {"burst", "count"},
+        "rx_missed_burst": {"burst"},
+        "timer": {"kind"},
+        "deliver": {"bytes"},
+        "id_rerandomized": {"old", "new"},
+    }
+
+    def test_entries_hold_their_event_fields(self):
+        # seeds 6 and 7 miss a burst while retasking, seed 185 re-randomizes an id
+        traces = [run_session(CFG, CFG, preset("paper-3m"), C5_PAYLOAD, seed=seed, budget=900.0)
+                  for seed in [*range(8), 185]]
+        traces.append(unidirectional_schedule(CFG, preset("paper-3m"), payload_bytes(120), seed=0))
+        seen = set()
+        for trace in traces:
+            assert trace.summary["schema"] == link.TRACE_SCHEMA_VERSION == 3
+            assert trace.summary["bit_rate"] == CFG.modem.bit_rate
+            for e in trace.entries:
+                assert set(e) == {"t", "node", "event"} | self.FIELDS[e["event"]], e
+                seen.add(e["event"])
+        assert seen == set(self.FIELDS)
 
 
 class TestVerifyTrace:
@@ -886,7 +926,7 @@ class TestVerifyTrace:
 
     @staticmethod
     def _burst(node, start, end, turn=True):
-        return (start, node, "tx_burst", {"start": start, "end": end, "turn": turn})
+        return (start, node, "tx_burst", {"end": end, "turn": turn})
 
     def test_one_token_overlap(self):
         hold, idle = {"phase": "HOLDING_TOKEN"}, {"phase": "IDLE"}
@@ -931,14 +971,6 @@ class TestDiscoveryLiveness:
         assert slow <= 10  # >= 99% of runs
 
 
-def keeping(keep):
-    """A hearing function that recovers the frames of a burst whose index is
-    in `keep`, each on its grid slot, and no corrupt one."""
-    period = bursts.frame_period(CFG.modem)
-    return lambda ident, messages: bursts.BurstScan(
-        [bursts.RecoveredFrame(i * period, i, m) for i, m in enumerate(messages) if i in keep], [])
-
-
 class TestUnidirectional:
     ROOM = ChannelModel(distance=3.0)   # with `keeping`, only its flight time is used
 
@@ -959,7 +991,7 @@ class TestUnidirectional:
         wave = bursts.messages_to_waveform(framing.pack_payload(data), CFG.modem)
         trace = unidirectional_schedule(CFG, model, data, seed=1)
         (burst,) = trace.of_kind("tx_burst")
-        assert burst["start"] == 0.0 and burst["end"] == wave.duration
+        assert burst["t"] == 0.0 and burst["end"] == wave.duration
         assert trace.summary["duration"] == burst["end"] + model.propagation_delay
 
     def test_receiver_entries_fall_when_the_burst_arrives(self):

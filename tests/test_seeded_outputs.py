@@ -46,14 +46,14 @@ def ber_digest(seed: int) -> str:
 
 
 SESSIONS = {
-    0: "08d186f376c492bf5d14dc3f94d8bc696e802a235c608019f586660d838d2d98",
-    1: "14ed1a807eaa615420f2ada3ba301c21b5297132da18dea031677707eab67a32",
-    2: "bab7d57a2778fd2240bd4c41bb71791b442ae8b4fff9c18e85fde7c01ed2da4f",
-    3: "5c48bfe7cec3d389b6abd4c2daeb8879df7d3e18ad7c31e950cc0c7d041c4bbe",
-    4: "0a32d13288eb7bd98ea88ff3a8fcd0a397631257603622153bcc62442410a271",
+    0: "9ff1ed5bfd629df12d7cd69a6c71db0f99a7820557bfa081e8291823ea077cba",
+    1: "946e829925222b34cf074b565a34ee32b6e76c043d37d44e58a5bdce301c8e70",
+    2: "a8bd27de1ebc60de7c3a1c146e3773fe09ac45a5bd62ddb0ed2e84b78a943dea",
+    3: "b35af3d8b568b7db945d3af184a5e1f376d0482f925f928a36c180fa2d71c2e5",
+    4: "a2e8d6d75f26034371c07a9db768b225bbf1a1cfa5e907dd285d00e979691613",
 }
 ONEWAY = {
-    0: "1191703e325a1d5ed6e7650ef0b547d2b6b041d9fb0c2dc234a6a1a092890bf8",
+    0: "aed6013cf34bd092379159e095e7888f43b5df337ea63f6f01fbb346a66ff613",
 }
 BER_CELLS = {
     0: "ab9e2f8429ba1e1d79587e13c7705700d4e5efa1450ec0c7d17e371bbf422c13",
