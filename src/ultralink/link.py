@@ -23,8 +23,9 @@ emerge physically.  One clock per node, the time its transducer last
 settled as a MIC, decides both what it hears and when its timers fire: it
 hears a burst only if it stayed in MIC for the burst's whole flight, and a
 timer that comes due while it speaks or retasks waits until it settles.
-Turn-starting timers are also deferred while a burst is audibly in flight
-(energy-based carrier sensing, modeled as exact).  A one-way stream
+Turn-starting timers are also deferred while a peer burst is audibly in
+flight (energy-based carrier sensing, modeled as exact), until one retask
+after it ends arriving, when its sender has settled as a MIC.  A one-way stream
 (`unidirectional_schedule`) hears its one burst, whole, through the same
 hearing function; it has no receiver start time to set.
 
@@ -565,8 +566,7 @@ class _Burst:
 class _Engine:
     """Discrete-event loop joining two `step` machines through the channel."""
 
-    # deferral nudges when a timer fires while the air or the node is busy
-    CARRIER_BACKOFF = 0.02
+    # deferral nudge when a timer fires while the node speaks or retasks
     BUSY_BACKOFF = 0.001
 
     def __init__(
@@ -676,7 +676,9 @@ class _Engine:
         if kind in (TimerKind.TURN_START, TimerKind.INACTIVITY, TimerKind.RESPONSE_WAIT):
             carrier = self._audible_until(idx)
             if carrier > self.now:
-                self._at((idx, kind), carrier + self.CARRIER_BACKOFF)
+                # the burst's sender settles as a MIC one retask after its
+                # end, which is heard a flight time later
+                self._at((idx, kind), carrier + RETASK_LATENCY)
                 return
         self.trace.log(self.now, self.nodes[idx].name, "timer", kind=kind.value)
         self._deliver(idx, Timeout(self.now, kind))

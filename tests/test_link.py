@@ -590,13 +590,24 @@ class TestEngineDeferral:
         if not deferred:
             assert self._timer_entries(engine, kind) == [(tx["t"] + tx["end"]) / 2]
             return
-        again = tx["end"] + delay + engine.CARRIER_BACKOFF
+        again = tx["end"] + delay + link.RETASK_LATENCY
         assert due == again
         for t in (tx["t"], tx["end"], tx["end"] + delay / 2):
             assert self._fire(engine, 0, kind, t) == again
         assert self._timer_entries(engine, kind) == []
         self._fire(engine, 0, kind, again)
         assert self._timer_entries(engine, kind) == [again]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "carrier sensing hears a peer burst from when its first sample leaves the "
+        "sender, a flight time before it can arrive; the deferral this gives hides "
+        "turn-start races (ROADMAP item 3)"))
+    def test_a_burst_not_yet_arrived_does_not_defer_a_turn_start(self):
+        engine = self._engine()
+        tx = self._broadcast(engine, 1, 1.0)
+        early = tx["t"] + self.ROOM.propagation_delay / 2
+        assert self._fire(engine, 0, TimerKind.TURN_START, early) is None
+        assert self._timer_entries(engine, TimerKind.TURN_START) == [early]
 
 
 class TestDueTable:
@@ -822,12 +833,14 @@ class TestBurstLoss:
         failures = {case: why for case in cases if (why := self._failure(*case))}
         assert failures == {}
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a turn start inside the retask blind window (ROADMAP item 3), or a carrier "
-        "deferral that lands inside the holder's retask tail (item 13): both nodes "
-        "hold the token at once"))
-    @pytest.mark.parametrize("seed, lost", [(37, (2, 4, 7)), (90, (0, 4, 7)), (93, (0, 1, 5))],
-                             ids=["seed37-2-4-7", "seed90-0-4-7", "seed93-0-1-5"])
+    @pytest.mark.parametrize("seed, lost", [
+        # a carrier deferral that ended inside the holder's retask back to MIC
+        pytest.param(37, (2, 4, 7), id="seed37-2-4-7"),
+        pytest.param(90, (0, 4, 7), id="seed90-0-4-7"),
+        pytest.param(93, (0, 1, 5), id="seed93-0-1-5", marks=pytest.mark.xfail(strict=True, reason=(
+            "a spontaneous and a reactive turn start 40 ms apart, inside the retask "
+            "blind window: both nodes hold the token at once (ROADMAP item 3)"))),
+    ])
     def test_three_lost_bursts_hold_the_token_once(self, seed, lost):
         assert self._failure(seed, lost) is None
 
