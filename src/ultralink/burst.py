@@ -191,10 +191,6 @@ class BurstScan:
     frames: list[RecoveredFrame]
     corrupt_offsets: list[int]       # heard preambles whose frame failed CRC
 
-    @property
-    def messages(self) -> list[framing.ControlMessage]:
-        return [f.message for f in self.frames]
-
 
 def recover_frames(buf: SampleBuffer, cfg: ModemConfig) -> BurstScan:
     """Find and decode every valid frame in a received waveform.

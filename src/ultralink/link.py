@@ -25,9 +25,9 @@ hears a burst only if it stayed in MIC for the burst's whole flight, and a
 timer that comes due while it speaks or retasks waits until it settles.
 Turn-starting timers are also deferred while a peer burst is audibly in
 flight (energy-based carrier sensing, modeled as exact), until one retask
-after it ends arriving, when its sender has settled as a MIC.  A one-way stream
-(`unidirectional_schedule`) hears its one burst, whole, through the same
-hearing function; it has no receiver start time to set.
+after its end arrives, by when its sender has settled as a MIC.  A one-way
+stream (`unidirectional_schedule`) hears its one burst, whole, through the
+same hearing function; it has no receiver start time to set.
 
 Everything is deterministic given the session seed: node RNGs, jitters,
 and per-burst channel noise all derive from it.

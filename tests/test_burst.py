@@ -67,7 +67,7 @@ class TestOffGridFrames:
         wave = burst.messages_to_waveform(messages, CFG)
         assert len(wave) == burst.burst_length(6, CFG) == 5 * PERIOD + FRAME_BITS * SPB
         scan = burst.recover_frames(wave, CFG)
-        assert scan.messages == messages
+        assert [f.message for f in scan.frames] == messages
         assert scan.corrupt_offsets == []
         assert [f.index for f in scan.frames] == list(range(6))
         assert [f.offset for f in scan.frames] == [i * PERIOD for i in range(6)]
@@ -101,7 +101,7 @@ class TestGridOrigin:
             silence, burst.messages_to_waveform(second, CFG).samples, silence,
         ])
         scan = burst.recover_frames(SampleBuffer(samples, CFG.sample_rate), CFG)
-        assert scan.messages == first + second
+        assert [f.message for f in scan.frames] == first + second
         starts = [len(silence) + i * PERIOD for i in range(3)]
         starts += [starts[-1] + FRAME_BITS * SPB + len(silence) + i * PERIOD for i in range(2)]
         assert all(abs(f.offset - start) <= STEP for f, start in zip(scan.frames, starts))
@@ -142,7 +142,7 @@ def test_a_frame_with_four_doubtful_bits_is_refused(unsure):
     assert np.count_nonzero(conf < burst.UNSURE_BIT_CONFIDENCE) == unsure
     scan = burst.recover_frames(buf, CFG)
     if unsure < burst.CRC_MISSED_ERROR_BITS:
-        assert scan.messages == messages
+        assert [f.message for f in scan.frames] == messages
         assert scan.corrupt_offsets == []
     else:
         assert [f.index for f in scan.frames] == [0, 2]
@@ -156,7 +156,7 @@ def test_every_gap_length_recovers_a_clean_burst(lead_slots):
     samples = np.concatenate([np.zeros(lead_slots * SPB),
                               burst.messages_to_waveform(messages, CFG).samples])
     scan = burst.recover_frames(SampleBuffer(samples, CFG.sample_rate), CFG)
-    assert scan.messages == messages
+    assert [f.message for f in scan.frames] == messages
     assert [f.index for f in scan.frames] == list(range(5))
     # locks lie on the 1/8-slot preamble lattice
     starts = [lead_slots * SPB + i * PERIOD for i in range(5)]

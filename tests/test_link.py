@@ -834,7 +834,7 @@ class TestBurstLoss:
         assert failures == {}
 
     @pytest.mark.parametrize("seed, lost", [
-        # a carrier deferral that ended inside the holder's retask back to MIC
+        # a carrier-deferred turn start that must wait out the holder's retask back to MIC
         pytest.param(37, (2, 4, 7), id="seed37-2-4-7"),
         pytest.param(90, (0, 4, 7), id="seed90-0-4-7"),
         pytest.param(93, (0, 1, 5), id="seed93-0-1-5", marks=pytest.mark.xfail(strict=True, reason=(

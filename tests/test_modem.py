@@ -473,7 +473,7 @@ class TestScannerPadding:
         ]
         assert late_locks, "no final-frame lock landed past the buffer end"
         for (late, _), scan in zip(cases[::2], scans[::2]):
-            assert scan.messages == self.MESSAGES, late
+            assert [f.message for f in scan.frames] == self.MESSAGES, late
 
         monkeypatch.setattr(burst, "ToneScanner", concatenating_scanner)
         for (_, buf), scan in zip(cases, scans):
